@@ -1,28 +1,91 @@
 """Structural characterizations and counts read directly off the matrix.
 
-Every predicate here recovers adjacency from the matrix itself (entry
+Every analytic here recovers adjacency from the matrix itself (entry
 positive iff edge), demonstrating that the matrix alone carries the
-structure; only the strong-regularity check and the decomposition
-cross-check also consult the graph.
+structure; only the decomposition cross-check also consults a brute-force
+census of the graph.  Counts come from whole-array passes over the
+entries: one over the positive entries for codegrees, and one value
+histogram.  No pass makes an n x n int64 temporary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
 from nmgraph.errors import InvalidMatrixError
-from nmgraph.graph import Graph
 from nmgraph.nm import NeighborhoodMatrix
-from nmgraph.oracles import subgraph_census
+from nmgraph.oracles import SubgraphCensus
+
+# Entries per block of the histogram pass: its int64 temporaries stay near 1 MiB.
+_HISTOGRAM_BLOCK_ENTRIES = 1 << 17
 
 
 def _neighbor_mask(m: NeighborhoodMatrix) -> np.ndarray:
     """Adjacency recovered from the matrix: entry > 0 iff edge."""
     return m.entries > 0
+
+
+def _positions(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the true entries of a square mask.  A flat
+    scan is several times faster than the 2-D np.nonzero."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[0])
+
+
+def _codegrees(m: NeighborhoodMatrix) -> np.ndarray:
+    """c = |m_jj| - m_ij over the positive entries (i, j): the number of
+    common neighbours of each ordered adjacent pair."""
+    rows, cols = _positions(_neighbor_mask(m))
+    return np.abs(np.diagonal(m.entries))[cols] - m.entries[rows, cols]
+
+
+def _pairs(c: np.ndarray) -> int:
+    """Sum of C(c, 2) over an int64 array."""
+    return int((c * (c - 1)).sum()) // 2
+
+
+def _value_histogram(m: NeighborhoodMatrix) -> np.ndarray:
+    """counts[v + n - 1] = number of entries equal to v.
+
+    Every entry of a valid neighbourhood matrix lies in [-(n-1), n-1];
+    anything outside raises InvalidMatrixError.
+    """
+    n = m.n
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    e = m.entries
+    if int(e.min()) < -(n - 1) or int(e.max()) > n - 1:
+        raise InvalidMatrixError(f"entry magnitude exceeds n - 1 = {n - 1}: not a valid NM")
+    counts = np.zeros(2 * n - 1, dtype=np.int64)
+    step = max(1, _HISTOGRAM_BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        block = e[start:start + step] + (n - 1)
+        counts += np.bincount(block.ravel(), minlength=2 * n - 1)
+    return counts
+
+
+def _triangles(c: np.ndarray) -> int:
+    total = int(c.sum())
+    if total % 6 != 0:
+        raise InvalidMatrixError(f"triangle sum {total} not divisible by 6: not a valid NM")
+    return total // 6
+
+
+def _four_cycles(
+    m: NeighborhoodMatrix, c: np.ndarray, counts: np.ndarray
+) -> tuple[int, Fraction, Fraction]:
+    n = m.n
+    magnitudes = np.arange(n - 1, 0, -1, dtype=np.int64)  # |v| for v = -(n-1), ..., -1
+    negative_pairs = int((counts[:n - 1] * magnitudes * (magnitudes - 1)).sum()) // 2
+    degrees = -np.minimum(np.diagonal(m.entries), 0)
+    s1 = Fraction(negative_pairs - _pairs(degrees), 4)
+    s2 = Fraction(_pairs(c), 4)
+    total = s1 + s2
+    if total.denominator != 1:
+        raise InvalidMatrixError(f"4-cycle total {total} is not an integer: not a valid NM")
+    return int(total), s1, s2
 
 
 def triangle_count(m: NeighborhoodMatrix) -> int:
@@ -31,12 +94,7 @@ def triangle_count(m: NeighborhoodMatrix) -> int:
     Each adjacent pair contributes its common-neighbour count, so the
     double sum counts every triangle six times.
     """
-    diag = np.diag(m.entries)
-    pos = _neighbor_mask(m)
-    total = int((np.abs(diag)[np.newaxis, :] * pos - m.entries * pos).sum())
-    if total % 6 != 0:
-        raise InvalidMatrixError(f"triangle sum {total} not divisible by 6: not a valid NM")
-    return total // 6
+    return _triangles(_codegrees(m))
 
 
 def four_cycle_count(m: NeighborhoodMatrix) -> tuple[int, Fraction, Fraction]:
@@ -46,37 +104,18 @@ def four_cycle_count(m: NeighborhoodMatrix) -> tuple[int, Fraction, Fraction]:
     pairs and s2 sums C(|m_jj| - m_ij, 2) over adjacent pairs, each
     divided by 4.  The two terms are exact quarters (half-integers occur
     whenever the graph contains a K4 minus an edge); their sum is always
-    an integer.
+    an integer.  These are the codegree sums of Chiba and Nishizeki,
+    "Arboricity and subgraph listing algorithms", SIAM J. Comput. 14
+    (1985): s1 is read off the value histogram (every negative entry,
+    less the diagonal), s2 off the codegrees of the positive entries.
     """
-    diag = np.diag(m.entries)
-    pos = _neighbor_mask(m)
-    n = m.n
-
-    s1_raw = 0
-    s2_raw = 0
-    for i in range(n):
-        row = m.entries[i]
-        for j in range(n):
-            if j == i:
-                continue
-            if pos[i, j]:
-                s2_raw += comb(int(abs(diag[j])) - int(row[j]), 2)
-            else:
-                s1_raw += comb(int(abs(row[j])), 2)
-
-    s1 = Fraction(s1_raw, 4)
-    s2 = Fraction(s2_raw, 4)
-    total = s1 + s2
-    if total.denominator != 1:
-        raise InvalidMatrixError(f"4-cycle total {total} is not an integer: not a valid NM")
-    return int(total), s1, s2
+    return _four_cycles(m, _codegrees(m), _value_histogram(m))
 
 
-def c4_decomposition_check(m: NeighborhoodMatrix, g: Graph) -> bool:
-    """Verify the two quarter-terms against the brute-force census:
-    s1 = #induced C4 + (1/2) #K4-e and s2 = 3 #K4 + (1/2) #K4-e.
+def c4_decomposition_check(m: NeighborhoodMatrix, census: SubgraphCensus) -> bool:
+    """Verify the two quarter-terms against a brute-force census of the
+    same graph: s1 = #induced C4 + (1/2) #K4-e and s2 = 3 #K4 + (1/2) #K4-e.
     """
-    census = subgraph_census(g)
     _, s1, s2 = four_cycle_count(m)
     half_k4e = Fraction(census.k4_minus_edge_count, 2)
     return (
@@ -88,22 +127,7 @@ def c4_decomposition_check(m: NeighborhoodMatrix, g: Graph) -> bool:
 def is_triangle_free(m: NeighborhoodMatrix) -> bool:
     """True iff every positive entry equals the magnitude of its column's
     diagonal (edge endpoints then share no neighbour)."""
-    diag = np.abs(np.diag(m.entries))
-    pos = _neighbor_mask(m)
-    return bool((m.entries[pos] == np.broadcast_to(diag, m.entries.shape)[pos]).all())
-
-
-def has_shared_pair(m: NeighborhoodMatrix) -> bool:
-    """True iff some non-adjacent pair shares at least two neighbours,
-    i.e. some off-diagonal non-edge entry is <= -2.
-
-    Sufficient for a 4-cycle through that pair, but the cycle may be
-    chorded (K4 minus an edge), so this alone does not decide induced-C4
-    freeness.
-    """
-    nonedge = ~_neighbor_mask(m)
-    np.fill_diagonal(nonedge, False)
-    return bool((m.entries[nonedge] <= -2).any())
+    return not _codegrees(m).any()
 
 
 def is_induced_c4_free(m: NeighborhoodMatrix) -> bool:
@@ -113,19 +137,17 @@ def is_induced_c4_free(m: NeighborhoodMatrix) -> bool:
     An induced C4 is a non-adjacent pair (i, j) plus two of their common
     neighbours that are themselves non-adjacent.  Entry signs give all of
     it: adjacency is positivity, and a non-edge entry of -c marks c
-    common neighbours.  Pairs with entry >= -1 can be skipped outright.
+    common neighbours.  Only the pairs above the diagonal with entry <= -2
+    are visited.
     """
     pos = _neighbor_mask(m)
-    n = m.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pos[i, j] or m.entries[i, j] > -2:
-                continue
-            shared = np.nonzero(pos[i] & pos[j])[0]
-            for a in range(len(shared)):
-                for b in range(a + 1, len(shared)):
-                    if not pos[shared[a], shared[b]]:
-                        return False
+    rows, cols = _positions(m.entries <= -2)
+    above = rows < cols
+    for i, j in zip(rows[above].tolist(), cols[above].tolist()):
+        shared = np.nonzero(pos[i] & pos[j])[0]
+        s = len(shared)
+        if np.count_nonzero(pos[np.ix_(shared, shared)]) < s * (s - 1):
+            return False
     return True
 
 
@@ -146,64 +168,49 @@ def some_row_has_no_zero(m: NeighborhoodMatrix) -> bool:
     return bool((m.entries != 0).all(axis=1).any())
 
 
-def srg_parameters(g: Graph) -> tuple[int, int, int] | None:
-    """(k, mu1, mu2) when g is strongly regular, else None.
+def _distinct_values(counts: np.ndarray) -> tuple[int, ...]:
+    offset = (len(counts) - 1) // 2  # counts[v + n - 1] holds v
+    return tuple(int(v) - offset for v in np.nonzero(counts)[0])
 
-    Follows the usual convention that a strongly regular graph is
-    k-regular with at least one adjacent and one non-adjacent pair, every
-    adjacent pair sharing exactly mu1 neighbours and every non-adjacent
-    pair exactly mu2.
+
+def _srg_parameters(
+    m: NeighborhoodMatrix, counts: np.ndarray
+) -> tuple[int, int, int] | None:
+    """(k, mu1, mu2) read off the diagonal and the value histogram.
+
+    The graph is strongly regular (k-regular, with at least one adjacent
+    and one non-adjacent pair, every adjacent pair sharing mu1 neighbours
+    and every non-adjacent pair mu2) iff the diagonal is constant -k, the
+    only positive entry value is k - mu1, and the only non-positive
+    off-diagonal value is -mu2.  The n diagonal entries are taken out of
+    the histogram first, because -k can equal -mu2 (K3,3).
     """
-    if g.n < 2:
+    n = m.n
+    diagonal = np.diagonal(m.entries)
+    if n < 2 or (diagonal != diagonal[0]).any():
         return None
-    degrees = {g.degree(v) for v in range(g.n)}
-    if len(degrees) != 1:
+    off_diagonal = counts.copy()
+    off_diagonal[int(diagonal[0]) + n - 1] -= n
+    positive = np.nonzero(off_diagonal[n:])[0]
+    non_positive = np.nonzero(off_diagonal[:n])[0]
+    if len(positive) != 1 or len(non_positive) != 1:
         return None
-    k = degrees.pop()
-
-    mu1: int | None = None
-    mu2: int | None = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            shared = len(g.adj[u] & g.adj[v])
-            if v in g.adj[u]:
-                if mu1 is None:
-                    mu1 = shared
-                elif mu1 != shared:
-                    return None
-            else:
-                if mu2 is None:
-                    mu2 = shared
-                elif mu2 != shared:
-                    return None
-    if mu1 is None or mu2 is None:
-        return None
-    return (k, mu1, mu2)
-
-
-def distinct_entry_values(m: NeighborhoodMatrix) -> tuple[int, ...]:
-    return tuple(int(v) for v in np.unique(m.entries))
+    k = -int(diagonal[0])
+    return k, k - (int(positive[0]) + 1), n - 1 - int(non_positive[0])
 
 
 def strong_regularity_profile(
-    m: NeighborhoodMatrix, g: Graph
+    m: NeighborhoodMatrix,
 ) -> tuple[tuple[int, ...], bool, tuple[int, int, int] | None]:
-    """Distinct entry values plus a direct strong-regularity verdict.
+    """Distinct entry values plus the strong-regularity verdict and
+    parameters, all from one value histogram.
 
-    When the graph is strongly regular the value set must be
-    {-k, k - mu1, -mu2} (two values only when k = mu2); that containment
-    is asserted here as an internal consistency check.
+    When the graph is strongly regular the value set is
+    {-k, k - mu1, -mu2} (two values only when k = mu2).
     """
-    values = distinct_entry_values(m)
-    params = srg_parameters(g)
-    if params is not None:
-        k, mu1, mu2 = params
-        expected = tuple(sorted({-k, k - mu1, -mu2}))
-        if values != expected:
-            raise InvalidMatrixError(
-                f"strongly regular {params} but entry values {values} != {expected}"
-            )
-    return values, params is not None, params
+    counts = _value_histogram(m)
+    params = _srg_parameters(m, counts)
+    return _distinct_values(counts), params is not None, params
 
 
 @dataclass(frozen=True)
@@ -224,25 +231,41 @@ class StructuralReport:
     srg_parameters: tuple[int, int, int] | None
 
     def __post_init__(self):
-        assert self.triangle_free == (self.triangle_count == 0)
-        assert self.girth_at_least_5 == (self.triangle_free and self.induced_c4_free)
-        assert self.s1_term + self.s2_term == self.four_cycle_count
+        if self.triangle_free != (self.triangle_count == 0):
+            raise ValueError(
+                f"inconsistent report: triangle_free={self.triangle_free} "
+                f"with triangle_count={self.triangle_count}"
+            )
+        if self.girth_at_least_5 != (self.triangle_free and self.induced_c4_free):
+            raise ValueError(
+                f"inconsistent report: girth_at_least_5={self.girth_at_least_5} with "
+                f"triangle_free={self.triangle_free}, induced_c4_free={self.induced_c4_free}"
+            )
+        if self.s1_term + self.s2_term != self.four_cycle_count:
+            raise ValueError(
+                f"inconsistent report: s1 + s2 = {self.s1_term + self.s2_term} "
+                f"!= four_cycle_count={self.four_cycle_count}"
+            )
 
 
-def structural_report(m: NeighborhoodMatrix, g: Graph) -> StructuralReport:
-    total, s1, s2 = four_cycle_count(m)
-    values, srg_ok, params = strong_regularity_profile(m, g)
+def structural_report(m: NeighborhoodMatrix) -> StructuralReport:
+    c = _codegrees(m)
+    counts = _value_histogram(m)
+    total, s1, s2 = _four_cycles(m, c, counts)
+    params = _srg_parameters(m, counts)
+    triangle_free = not c.any()
+    induced_c4_free = is_induced_c4_free(m)
     return StructuralReport(
-        triangle_count=triangle_count(m),
+        triangle_count=_triangles(c),
         four_cycle_count=total,
         s1_term=s1,
         s2_term=s2,
-        triangle_free=is_triangle_free(m),
-        induced_c4_free=is_induced_c4_free(m),
-        girth_at_least_5=girth_at_least_5(m),
+        triangle_free=triangle_free,
+        induced_c4_free=induced_c4_free,
+        girth_at_least_5=triangle_free and induced_c4_free,
         diameter_at_most_2=diameter_at_most_2(m),
         diameter_upper_bound_4=some_row_has_no_zero(m),
-        distinct_entry_values=values,
-        srg_consistent=srg_ok,
+        distinct_entry_values=_distinct_values(counts),
+        srg_consistent=params is not None,
         srg_parameters=params,
     )

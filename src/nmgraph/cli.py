@@ -25,12 +25,8 @@ from nmgraph.graph import (
     format_edge_list,
     parse_edge_list,
 )
-from nmgraph.nm import (
-    NeighborhoodMatrix,
-    adjacency_matrix,
-    build_nm,
-    reconstruct_adjacency,
-)
+from nmgraph.nm import NeighborhoodMatrix, build_nm, reconstruct_adjacency
+from nmgraph.oracles import adjacency_matrix
 from nmgraph.random_graphs import corpus, gnp
 
 EXIT_OK = 0
@@ -54,7 +50,8 @@ def _write_text(path: str | None, text: str) -> None:
 def _quarters(fr: Fraction) -> str:
     """Render an exact multiple of 1/4 as "p/4"."""
     scaled = fr * 4
-    assert scaled.denominator == 1
+    if scaled.denominator != 1:
+        raise ValueError(f"{fr} is not a multiple of 1/4")
     return f"{scaled.numerator}/4"
 
 
@@ -82,7 +79,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     t1 = time.perf_counter_ns()
     m = build_nm(graph)
     t2 = time.perf_counter_ns()
-    report = analytics.structural_report(m, graph)
+    report = analytics.structural_report(m)
     parts = connected_components(graph)
     t3 = time.perf_counter_ns()
 

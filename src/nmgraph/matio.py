@@ -63,7 +63,7 @@ def read_dense(text: str) -> NeighborhoodMatrix:
         labels = tuple(range(n))
     if len(labels) != n:
         raise ParseError(f"{len(labels)} labels for dimension {n}")
-    return NeighborhoodMatrix(entries=entries, labels=labels)
+    return NeighborhoodMatrix.adopt(entries, labels)
 
 
 def write_matrix_market(m: NeighborhoodMatrix) -> str:
@@ -120,7 +120,7 @@ def read_matrix_market(text: str) -> NeighborhoodMatrix:
         labels = tuple(range(rows))
     if len(labels) != rows:
         raise ParseError(f"{len(labels)} labels for dimension {rows}")
-    return NeighborhoodMatrix(entries=entries, labels=labels)
+    return NeighborhoodMatrix.adopt(entries, labels)
 
 
 def read_auto(text: str) -> NeighborhoodMatrix:

@@ -20,6 +20,7 @@ import numpy as np
 
 from nmgraph.errors import InvalidMatrixError
 from nmgraph.graph import Graph, bfs_levels, from_edges
+from nmgraph.oracles import adjacency_matrix, set_based_entries
 
 _ENTRY_DTYPE = np.int64
 
@@ -37,9 +38,20 @@ class NeighborhoodMatrix:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if len(self.labels) != arr.shape[0]:
             raise ValueError("label count does not match matrix dimension")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()  # the caller can still write to the array it passed
+            arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+
+    @classmethod
+    def adopt(cls, entries: np.ndarray, labels: tuple[int, ...]) -> NeighborhoodMatrix:
+        """Wrap a freshly built int64 array without copying it.
+
+        The array is frozen in place, so the caller must hold no other
+        reference that it still means to write through.
+        """
+        entries.setflags(write=False)
+        return cls(entries=entries, labels=labels)
 
     @property
     def n(self) -> int:
@@ -62,41 +74,37 @@ class NeighborhoodMatrix:
         return [(int(r), int(c), int(self.entries[r, c])) for r, c in zip(rows, cols)]
 
 
-def _second_level_counts(g: Graph, i: int) -> dict[int, int]:
-    """For every k != i reachable in two steps: |N(i) ∩ N(k)|."""
-    counts: dict[int, int] = {}
-    for j in g.adj[i]:
-        for k in g.adj[j]:
-            if k != i:
-                counts[k] = counts.get(k, 0) + 1
-    return counts
-
-
 def build_nm(g: Graph) -> NeighborhoodMatrix:
-    """Canonical set-based constructor, one row per vertex.
+    """M = A(D - A) built from adjacency row sums.
 
-    Only vertices within distance 2 of the row vertex produce nonzeros,
-    so each row costs O(sum of neighbour degrees), not O(n).
+    Row i of A^2 is the sum of A[j] over j in N(i); M is -A^2 plus deg(j)
+    at each edge (i, j).  A is a uint8 adjacency matrix, and every step
+    writes into the one int64 buffer the result keeps, so no second
+    n x n int64 array is made.
     """
     n = g.n
+    degrees = np.fromiter((len(nbrs) for nbrs in g.adj), dtype=np.intp, count=n)
+    tails = np.repeat(np.arange(n), degrees)
+    heads = np.fromiter((j for nbrs in g.adj for j in nbrs), dtype=np.intp, count=len(tails))
+    a = np.zeros((n, n), dtype=np.uint8)
+    a[tails, heads] = 1
+
     entries = np.zeros((n, n), dtype=_ENTRY_DTYPE)
-    for i in range(n):
-        row = entries[i]
-        common = _second_level_counts(g, i)
-        for j in g.adj[i]:
-            row[j] = g.degree(j) - common.get(j, 0)
-        for k, c in common.items():
-            if k not in g.adj[i]:
-                row[k] = -c
-        row[i] = -g.degree(i)
-    return NeighborhoodMatrix(entries=entries, labels=g.labels)
+    start = 0
+    for i, deg in enumerate(degrees.tolist()):
+        if deg:
+            a[heads[start:start + deg]].sum(axis=0, dtype=_ENTRY_DTYPE, out=entries[i])
+            start += deg
+    np.negative(entries, out=entries)
+    entries[tails, heads] += degrees[heads]
+    return NeighborhoodMatrix.adopt(entries, g.labels)
 
 
 def build_nm_product(g: Graph) -> NeighborhoodMatrix:
     """Oracle constructor: literally A @ (D - A) in exact integer arithmetic."""
     a = adjacency_matrix(g)
     d = np.diag([g.degree(v) for v in range(g.n)]).astype(_ENTRY_DTYPE)
-    return NeighborhoodMatrix(entries=a @ (d - a), labels=g.labels)
+    return NeighborhoodMatrix.adopt(a @ (d - a), g.labels)
 
 
 def build_mn(g: Graph) -> NeighborhoodMatrix:
@@ -104,26 +112,7 @@ def build_mn(g: Graph) -> NeighborhoodMatrix:
     diagonal -deg(i), |N(i) \\ N(j)| on edges, -|N(i) ∩ N(j)| on non-edges.
     Equals the transpose of build_nm(g) for undirected graphs.
     """
-    n = g.n
-    entries = np.zeros((n, n), dtype=_ENTRY_DTYPE)
-    for i in range(n):
-        row = entries[i]
-        common = _second_level_counts(g, i)
-        for j in g.adj[i]:
-            row[j] = g.degree(i) - common.get(j, 0)
-        for k, c in common.items():
-            if k not in g.adj[i]:
-                row[k] = -c
-        row[i] = -g.degree(i)
-    return NeighborhoodMatrix(entries=entries, labels=g.labels)
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=_ENTRY_DTYPE)
-    for u, v in g.edges():
-        a[u, v] = 1
-        a[v, u] = 1
-    return a
+    return NeighborhoodMatrix.adopt(set_based_entries(g, mirrored=True), g.labels)
 
 
 def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:

@@ -1,7 +1,8 @@
 """Brute-force ground truth, kept independent of the fast matrix paths.
 
-Everything here works from the Graph alone with naive dense products or
-subset enumeration, so agreement with the matrix formulas is meaningful
+Everything here works from the Graph alone, with set operations, naive
+dense products or subset enumeration, and imports nothing from the
+matrix modules, so agreement with the matrix formulas is meaningful
 evidence rather than a tautology.
 """
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from nmgraph.errors import SizeGuardError
 from nmgraph.graph import Graph
-from nmgraph.nm import adjacency_matrix
 
 ENUMERATION_LIMIT = 64
 
@@ -37,11 +37,48 @@ class SubgraphCensus:
             )
 
 
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges():
+        a[u, v] = 1
+        a[v, u] = 1
+    return a
+
+
+def set_based_entries(g: Graph, mirrored: bool = False) -> np.ndarray:
+    """The neighbourhood matrix entry by entry from its set definitions,
+    one row per vertex: diagonal -deg(i), -|N(i) ∩ N(k)| on non-edges,
+    and on edges |N(j) \\ N(i)| = deg(j) - |N(i) ∩ N(j)|.  mirrored=True
+    puts deg(i) in place of deg(j), giving |N(i) \\ N(j)|: the entries of
+    (D - A)A, the transpose.
+
+    Only vertices within distance 2 of the row vertex produce nonzeros,
+    so each row costs O(sum of neighbour degrees), not O(n).
+    """
+    n = g.n
+    entries = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        row = entries[i]
+        common: dict[int, int] = {}
+        for j in g.adj[i]:
+            for k in g.adj[j]:
+                if k != i:
+                    common[k] = common.get(k, 0) + 1
+        for j in g.adj[i]:
+            row[j] = g.degree(i if mirrored else j) - common.get(j, 0)
+        for k, c in common.items():
+            if k not in g.adj[i]:
+                row[k] = -c
+        row[i] = -g.degree(i)
+    return entries
+
+
 def triangle_count_trace(g: Graph) -> int:
     """trace(A^3) / 6 with dense integer matrix powers."""
     a = adjacency_matrix(g)
     trace = int(np.trace(a @ a @ a))
-    assert trace % 6 == 0
+    if trace % 6 != 0:
+        raise ValueError(f"trace(A^3) = {trace} is not divisible by 6")
     return trace // 6
 
 
@@ -50,6 +87,41 @@ def all_pairs_common_neighbors(g: Graph) -> np.ndarray:
     the diagonal."""
     a = adjacency_matrix(g)
     return a @ a
+
+
+def srg_parameters(g: Graph) -> tuple[int, int, int] | None:
+    """(k, mu1, mu2) when g is strongly regular, else None.
+
+    Follows the usual convention that a strongly regular graph is
+    k-regular with at least one adjacent and one non-adjacent pair, every
+    adjacent pair sharing exactly mu1 neighbours and every non-adjacent
+    pair exactly mu2.
+    """
+    if g.n < 2:
+        return None
+    degrees = {g.degree(v) for v in range(g.n)}
+    if len(degrees) != 1:
+        return None
+    k = degrees.pop()
+
+    mu1: int | None = None
+    mu2: int | None = None
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            shared = len(g.adj[u] & g.adj[v])
+            if v in g.adj[u]:
+                if mu1 is None:
+                    mu1 = shared
+                elif mu1 != shared:
+                    return None
+            else:
+                if mu2 is None:
+                    mu2 = shared
+                elif mu2 != shared:
+                    return None
+    if mu1 is None or mu2 is None:
+        return None
+    return (k, mu1, mu2)
 
 
 def subgraph_census(g: Graph, allow_large: bool = False) -> SubgraphCensus:

@@ -1,14 +1,16 @@
 """Cross-checking every matrix-level claim against the brute-force oracles.
 
-Each invariant is a named check returning None on success or a short
-failure description.  The runner applies all checks to a corpus of graphs
-and aggregates a per-invariant pass/fail table with the first
-counterexample serialized as an edge list.
+Each invariant is a named check on one graph's GraphContext, returning
+None on success or a short failure description.  The runner builds one
+context per graph, applies all checks to it, and aggregates a
+per-invariant pass/fail table with the first counterexample serialized
+as an edge list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,32 +39,50 @@ DETERMINANT_LIMIT = 12
 CENSUS_LIMIT = 16
 
 
-def _check_dual_path(g: Graph) -> str | None:
-    if build_nm(g) != build_nm_product(g):
-        return "set-based and product constructions disagree"
+class GraphContext:
+    """One graph of the corpus with the artefacts its checks share: the
+    matrix, built once, and the brute-force census, built on first use."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.m = build_nm(g)
+
+    @cached_property
+    def census(self) -> oracles.SubgraphCensus | None:
+        """None above CENSUS_LIMIT vertices, where enumeration is skipped."""
+        if self.g.n > CENSUS_LIMIT:
+            return None
+        return oracles.subgraph_census(self.g)
+
+
+def _check_dual_path(ctx: GraphContext) -> str | None:
+    if ctx.m != build_nm_product(ctx.g):
+        return "row-sum and product constructions disagree"
+    if not np.array_equal(ctx.m.entries, oracles.set_based_entries(ctx.g)):
+        return "row-sum and set-based constructions disagree"
     return None
 
 
-def _check_transpose(g: Graph) -> str | None:
-    if not np.array_equal(build_mn(g).entries, build_nm(g).entries.T):
+def _check_transpose(ctx: GraphContext) -> str | None:
+    if not np.array_equal(build_mn(ctx.g).entries, ctx.m.entries.T):
         return "mirrored product is not the transpose"
     return None
 
 
-def _check_row_sums(g: Graph) -> str | None:
-    sums = row_sums(build_nm(g))
+def _check_row_sums(ctx: GraphContext) -> str | None:
+    sums = row_sums(ctx.m)
     if any(s != 0 for s in sums):
         return f"row sums {sums}"
     return None
 
 
-def _check_column_sums(g: Graph) -> str | None:
-    column_sums(build_nm(g), g)  # raises on mismatch
+def _check_column_sums(ctx: GraphContext) -> str | None:
+    column_sums(ctx.m, ctx.g)  # raises on mismatch
     return None
 
 
-def _check_entry_shape(g: Graph) -> str | None:
-    m = build_nm(g)
+def _check_entry_shape(ctx: GraphContext) -> str | None:
+    g, m = ctx.g, ctx.m
     if any(int(m.entries[i, i]) != -g.degree(i) for i in range(g.n)):
         return "diagonal is not -degree"
     if g.n > 0 and int(np.abs(m.entries).max(initial=0)) > max(g.n - 1, 0):
@@ -70,38 +90,38 @@ def _check_entry_shape(g: Graph) -> str | None:
     return None
 
 
-def _check_determinant(g: Graph) -> str | None:
-    if g.n == 0 or g.n > DETERMINANT_LIMIT:
+def _check_determinant(ctx: GraphContext) -> str | None:
+    if ctx.g.n == 0 or ctx.g.n > DETERMINANT_LIMIT:
         return None
-    det = determinant_exact(build_nm(g))
+    det = determinant_exact(ctx.m)
     if det != 0:
         return f"determinant {det} != 0"
     return None
 
 
-def _check_symmetry_iff_regular(g: Graph) -> str | None:
+def _check_symmetry_iff_regular(ctx: GraphContext) -> str | None:
+    g = ctx.g
     parts = connected_components(g)
     regular = all(
         len({g.degree(v) for v in parts.vertices_of(c)}) <= 1
         for c in range(parts.count)
     )
-    if is_symmetric(build_nm(g)) != regular:
+    if is_symmetric(ctx.m) != regular:
         return f"symmetry={not regular} but regular-components={regular}"
     return None
 
 
-def _check_round_trip(g: Graph) -> str | None:
-    m = build_nm(g)
-    h = reconstruct_adjacency(m)
-    if h.adj != g.adj:
+def _check_round_trip(ctx: GraphContext) -> str | None:
+    h = reconstruct_adjacency(ctx.m)
+    if h.adj != ctx.g.adj:
         return "reconstructed edge set differs"
     return None
 
 
-def _check_row_profiles(g: Graph) -> str | None:
-    m = build_nm(g)
+def _check_row_profiles(ctx: GraphContext) -> str | None:
+    g = ctx.g
     for i in range(g.n):
-        p = row_profile(m, i)
+        p = row_profile(ctx.m, i)
         out = sum(p.out_edge_count.values())
         back = sum(p.level2.values())
         if out != back:
@@ -113,56 +133,53 @@ def _check_row_profiles(g: Graph) -> str | None:
     return None
 
 
-def _check_triangles(g: Graph) -> str | None:
-    fast = analytics.triangle_count(build_nm(g))
-    trace = oracles.triangle_count_trace(g)
+def _check_triangles(ctx: GraphContext) -> str | None:
+    fast = analytics.triangle_count(ctx.m)
+    trace = oracles.triangle_count_trace(ctx.g)
     if fast != trace:
         return f"matrix count {fast} != trace count {trace}"
-    if g.n <= CENSUS_LIMIT:
-        census = oracles.subgraph_census(g)
-        if fast != census.triangle_count:
-            return f"matrix count {fast} != enumeration {census.triangle_count}"
+    census = ctx.census
+    if census is not None and fast != census.triangle_count:
+        return f"matrix count {fast} != enumeration {census.triangle_count}"
     return None
 
 
-def _check_four_cycles(g: Graph) -> str | None:
-    if g.n > CENSUS_LIMIT:
+def _check_four_cycles(ctx: GraphContext) -> str | None:
+    census = ctx.census
+    if census is None:
         return None
-    m = build_nm(g)
-    total, _, _ = analytics.four_cycle_count(m)
-    census = oracles.subgraph_census(g)
+    total, _, _ = analytics.four_cycle_count(ctx.m)
     if total != census.c4_total:
         return f"matrix count {total} != enumeration {census.c4_total}"
-    if not analytics.c4_decomposition_check(m, g):
+    if not analytics.c4_decomposition_check(ctx.m, census):
         return "quarter-term decomposition mismatch"
     return None
 
 
-def _check_characterizations(g: Graph) -> str | None:
-    m = build_nm(g)
-    gr = girth(g)
+def _check_characterizations(ctx: GraphContext) -> str | None:
+    m = ctx.m
+    gr = girth(ctx.g)
     if analytics.is_triangle_free(m) != (gr != 3):
         return "triangle-free predicate vs girth oracle"
-    if g.n <= CENSUS_LIMIT:
-        census = oracles.subgraph_census(g)
-        if analytics.is_induced_c4_free(m) != (census.c4_induced == 0):
-            return "induced-C4-free predicate vs enumeration"
+    census = ctx.census
+    if census is not None and analytics.is_induced_c4_free(m) != (census.c4_induced == 0):
+        return "induced-C4-free predicate vs enumeration"
     if analytics.girth_at_least_5(m) != (gr >= 5):
         return f"girth>=5 predicate vs girth oracle {gr}"
     return None
 
 
-def _check_diameter(g: Graph) -> str | None:
-    m = build_nm(g)
-    diam = diameter(g)
-    if g.n >= 2 and analytics.diameter_at_most_2(m) != (diam <= 2):
+def _check_diameter(ctx: GraphContext) -> str | None:
+    m = ctx.m
+    diam = diameter(ctx.g)
+    if ctx.g.n >= 2 and analytics.diameter_at_most_2(m) != (diam <= 2):
         return f"diameter<=2 predicate vs oracle diameter {diam}"
     if analytics.some_row_has_no_zero(m) and not diam <= 4:
         return f"row without zeros but diameter {diam} > 4"
     return None
 
 
-INVARIANTS: list[tuple[str, Callable[[Graph], str | None]]] = [
+INVARIANTS: list[tuple[str, Callable[[GraphContext], str | None]]] = [
     ("dual-path-identity", _check_dual_path),
     ("transpose-identity", _check_transpose),
     ("row-sums-zero", _check_row_sums),
@@ -195,9 +212,10 @@ class InvariantResult:
 def run_suite(graphs: list[Graph]) -> list[InvariantResult]:
     results = [InvariantResult(name=name) for name, _ in INVARIANTS]
     for g in graphs:
+        ctx = GraphContext(g)
         for result, (_, check) in zip(results, INVARIANTS):
             result.checked += 1
-            detail = check(g)
+            detail = check(ctx)
             if detail is not None:
                 result.failures += 1
                 if result.first_failure is None:

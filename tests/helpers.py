@@ -113,6 +113,32 @@ def edgeless(n: int) -> Graph:
     return from_edges(n, [])
 
 
+def complete_multipartite(*sizes: int) -> Graph:
+    part = [p for p, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
+
+
+def paley(q: int) -> Graph:
+    """Paley graph on the prime q = 1 (mod 4): i ~ j iff j - i is a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return from_edges(q, [(i, j) for i, j in combinations(range(q), 2) if (j - i) % q in squares])
+
+
+def random_regular(n: int, d: int, seed: int) -> Graph:
+    """Uniform d-regular graph on n vertices by the pairing model: match
+    the n*d half-edges at random and retry until the result is simple."""
+    import random
+
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[k:k + 2])) for k in range(0, len(stubs), 2)}
+        if len(pairs) == n * d // 2 and all(u != v for u, v in pairs):
+            return from_edges(n, pairs)
+
+
 def all_graphs_up_to(max_n: int):
     """Every labelled graph on 0..max_n vertices (2^C(n,2) per n)."""
     for n in range(max_n + 1):

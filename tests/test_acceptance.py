@@ -146,11 +146,11 @@ def test_criterion_6_characterization_biconditionals():
 
 def test_criterion_7_strong_regularity():
     g = petersen()
-    values, ok, params = analytics.strong_regularity_profile(build_nm(g), g)
+    values, ok, params = analytics.strong_regularity_profile(build_nm(g))
     assert values == (-3, -1, 3) and ok and params == (3, 0, 1)
 
     g = two_squares_graph()
-    values, ok, params = analytics.strong_regularity_profile(build_nm(g), g)
+    values, ok, params = analytics.strong_regularity_profile(build_nm(g))
     assert len(values) == 3 and not ok and params is None
     print("ACCEPTANCE 7 (strong regularity): PASS")
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +13,22 @@ from nmgraph import analytics
 from nmgraph.errors import InvalidMatrixError
 from nmgraph.graph import diameter, from_edges, girth
 from nmgraph.nm import NeighborhoodMatrix, build_nm
-from nmgraph.oracles import subgraph_census
+from nmgraph.oracles import srg_parameters, subgraph_census
 from helpers import (
+    all_graphs_up_to,
     complete_graph,
+    complete_multipartite,
     cycle_graph,
     edgeless,
     example7_graph,
     two_squares_graph,
     k4_minus_edge,
+    paley,
     path_graph,
     petersen,
     q3_cube,
     random_corpus,
+    random_regular,
 )
 
 
@@ -54,6 +61,14 @@ class TestFourCycleCount:
         total, s1, s2 = analytics.four_cycle_count(build_nm(complete_graph(4)))
         assert (total, s1, s2) == (3, Fraction(0), Fraction(3))
 
+    def test_entry_out_of_range_rejected(self):
+        # |entry| <= n - 1 in every neighbourhood matrix
+        bad = NeighborhoodMatrix(entries=np.array([[-1, 2], [1, -1]]), labels=(0, 1))
+        with pytest.raises(InvalidMatrixError):
+            analytics.four_cycle_count(bad)
+        with pytest.raises(InvalidMatrixError):
+            analytics.strong_regularity_profile(bad)
+
     def test_k4_minus_edge_half_integers(self):
         total, s1, s2 = analytics.four_cycle_count(build_nm(k4_minus_edge()))
         assert (total, s1, s2) == (1, Fraction(1, 2), Fraction(1, 2))
@@ -62,19 +77,19 @@ class TestFourCycleCount:
 class TestDecomposition:
     def test_two_squares(self):
         g = two_squares_graph()
-        assert analytics.c4_decomposition_check(build_nm(g), g)
+        assert analytics.c4_decomposition_check(build_nm(g), subgraph_census(g))
 
     def test_k4(self):
         g = complete_graph(4)
-        assert analytics.c4_decomposition_check(build_nm(g), g)
+        assert analytics.c4_decomposition_check(build_nm(g), subgraph_census(g))
 
     def test_k4_minus_edge(self):
         g = k4_minus_edge()
-        assert analytics.c4_decomposition_check(build_nm(g), g)
+        assert analytics.c4_decomposition_check(build_nm(g), subgraph_census(g))
 
     def test_random(self):
         for g in random_corpus(25, 14, seed=81):
-            assert analytics.c4_decomposition_check(build_nm(g), g)
+            assert analytics.c4_decomposition_check(build_nm(g), subgraph_census(g))
 
 
 class TestPredicates:
@@ -92,13 +107,6 @@ class TestPredicates:
         # every 4-cycle in these graphs is chorded
         assert analytics.is_induced_c4_free(build_nm(k4_minus_edge()))
         assert analytics.is_induced_c4_free(build_nm(complete_graph(4)))
-
-    def test_shared_pair_screen(self):
-        # the coarser entry test: some non-edge entry <= -2
-        assert analytics.has_shared_pair(build_nm(example7_graph()))
-        assert analytics.has_shared_pair(build_nm(two_squares_graph()))
-        assert analytics.has_shared_pair(build_nm(k4_minus_edge()))
-        assert not analytics.has_shared_pair(build_nm(petersen()))
 
     def test_girth_at_least_5(self):
         assert analytics.girth_at_least_5(build_nm(petersen()))
@@ -139,31 +147,56 @@ class TestPredicates:
 class TestStrongRegularity:
     def test_petersen(self):
         g = petersen()
-        values, ok, params = analytics.strong_regularity_profile(build_nm(g), g)
+        values, ok, params = analytics.strong_regularity_profile(build_nm(g))
         assert values == (-3, -1, 3)
         assert ok and params == (3, 0, 1)
 
     def test_two_squares_three_values_not_srg(self):
         g = two_squares_graph()
-        values, ok, params = analytics.strong_regularity_profile(build_nm(g), g)
+        values, ok, params = analytics.strong_regularity_profile(build_nm(g))
         assert values == (-2, 0, 2)
         assert not ok and params is None
 
     def test_k3_two_values(self):
         g = complete_graph(3)
-        values, ok, _ = analytics.strong_regularity_profile(build_nm(g), g)
+        values, ok, _ = analytics.strong_regularity_profile(build_nm(g))
         assert values == (-2, 1)
 
     def test_c5_is_srg(self):
         g = cycle_graph(5)
-        values, ok, params = analytics.strong_regularity_profile(build_nm(g), g)
+        values, ok, params = analytics.strong_regularity_profile(build_nm(g))
         assert ok and params == (2, 0, 1)
         assert values == (-2, -1, 2)
+
+    def test_k33_degree_equals_mu2(self):
+        # -k = -mu2 = -3: the diagonal shares its value with every non-edge entry
+        g = complete_multipartite(3, 3)
+        values, ok, params = analytics.strong_regularity_profile(build_nm(g))
+        assert values == (-3, 3)
+        assert ok and params == (3, 0, 3) == srg_parameters(g)
+
+    def test_matches_oracle_on_all_graphs_up_to_5(self):
+        for g in all_graphs_up_to(5):
+            _, ok, params = analytics.strong_regularity_profile(build_nm(g))
+            assert params == srg_parameters(g)
+            assert ok == (params is not None)
+
+    def test_matches_oracle_on_fixtures(self):
+        fixtures = [petersen(), q3_cube(), cycle_graph(5), paley(13),
+                    complete_multipartite(3, 3, 3), complete_multipartite(3, 3)]
+        fixtures += [random_regular(n, 4, seed=n * 100 + s)
+                     for n in (9, 10, 12, 16, 20) for s in range(6)]
+        expected = [(3, 0, 1), None, (2, 0, 1), (6, 2, 3), (6, 3, 6), (3, 0, 3)]
+        for i, g in enumerate(fixtures):
+            _, _, params = analytics.strong_regularity_profile(build_nm(g))
+            assert params == srg_parameters(g)
+            if i < len(expected):
+                assert params == expected[i]
 
     def test_srg_implies_few_values(self):
         for g in random_corpus(30, 10, seed=89):
             m = build_nm(g)
-            values, ok, _ = analytics.strong_regularity_profile(m, g)
+            values, ok, _ = analytics.strong_regularity_profile(m)
             if ok:
                 assert len(values) in (2, 3)
 
@@ -171,15 +204,31 @@ class TestStrongRegularity:
 class TestReport:
     def test_example7_report(self):
         g = example7_graph()
-        r = analytics.structural_report(build_nm(g), g)
+        r = analytics.structural_report(build_nm(g))
         assert r.triangle_count == 1
         assert r.four_cycle_count == 1
         assert not r.triangle_free and not r.diameter_at_most_2
         assert r.distinct_entry_values == (-4, -3, -2, -1, 0, 1, 2, 3, 4)
 
+    def test_inconsistent_report_raises_under_optimize(self):
+        # the consistency checks must not be asserts, which -O strips
+        code = (
+            "from fractions import Fraction\n"
+            "from nmgraph.analytics import StructuralReport\n"
+            "try:\n"
+            "    StructuralReport(1, 0, Fraction(0), Fraction(0), True, True, True,\n"
+            "                     False, False, (), False, None)\n"
+            "except ValueError:\n"
+            "    print('raised')\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60, env={"PYTHONPATH": str(src)})
+        assert done.stdout.strip() == "raised", done.stderr
+
     def test_two_squares_report(self):
         g = two_squares_graph()
-        r = analytics.structural_report(build_nm(g), g)
+        r = analytics.structural_report(build_nm(g))
         assert r.triangle_free and not r.srg_consistent
         assert r.four_cycle_count == 2
         assert r.s1_term + r.s2_term == 2

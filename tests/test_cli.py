@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nmgraph import matio
-from nmgraph.cli import main
+from nmgraph.cli import _quarters, main
 from nmgraph.nm import build_nm
 from helpers import EXAMPLE7_EDGE_LINES, EXAMPLE7_MATRIX, example7_graph, two_squares_graph
 from nmgraph.graph import format_edge_list
@@ -127,6 +128,11 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["triangleCount"] == 0
         assert doc["diameterAtMost2"] is True
+
+    def test_quarters_rejects_other_denominators(self):
+        assert _quarters(Fraction(3, 2)) == "6/4"
+        with pytest.raises(ValueError):
+            _quarters(Fraction(1, 8))
 
     def test_integers_never_floats(self, example7_file, capsys):
         assert main(["analyze", str(example7_file)]) == 0

@@ -18,11 +18,13 @@ from nmgraph.nm import (
     row_sums,
     two_level_subgraph,
 )
+from nmgraph.oracles import set_based_entries
 from helpers import (
     EXAMPLE7_ADJACENCY,
     EXAMPLE7_MATRIX,
     TWO_SQUARES_MATRIX,
     all_graphs_up_to,
+    complete_graph,
     cycle_graph,
     edgeless,
     example7_graph,
@@ -69,10 +71,47 @@ class TestBuild:
             for u, v in zip(*np.nonzero(pos)):
                 assert g.has_edge(int(u), int(v))
 
+    @pytest.mark.parametrize("g", [
+        edgeless(0),
+        edgeless(1),
+        edgeless(5),
+        complete_graph(1),
+        complete_graph(2),
+        complete_graph(7),
+        from_edges(6, [(1, 2), (2, 4)]),  # vertices 0, 3 and 5 isolated
+    ], ids=["n0", "n1", "edgeless5", "k1", "k2", "k7", "isolated"])
+    def test_builders_agree_on_edge_cases(self, g):
+        m = build_nm(g)
+        assert m.entries.shape == (g.n, g.n)
+        assert m == build_nm_product(g)
+        assert np.array_equal(m.entries, set_based_entries(g))
+
     def test_entries_immutable(self):
         m = build_nm(example7_graph())
+        assert not m.entries.flags.writeable
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5
+
+    def test_caller_array_is_copied(self):
+        mine = EXAMPLE7_MATRIX.copy()
+        m = NeighborhoodMatrix(entries=mine, labels=tuple(range(1, 8)))
+        mine[0, 0] = 99
+        assert np.array_equal(m.entries, EXAMPLE7_MATRIX)
+        assert mine.flags.writeable
+
+    def test_read_only_view_of_caller_array_is_copied(self):
+        mine = EXAMPLE7_MATRIX.copy()
+        view = mine.view()
+        view.setflags(write=False)
+        m = NeighborhoodMatrix(entries=view, labels=tuple(range(1, 8)))
+        mine[0, 0] = 99
+        assert np.array_equal(m.entries, EXAMPLE7_MATRIX)
+
+    def test_adopt_freezes_without_copy(self):
+        fresh = EXAMPLE7_MATRIX.copy()
+        m = NeighborhoodMatrix.adopt(fresh, tuple(range(1, 8)))
+        assert m.entries is fresh
+        assert not fresh.flags.writeable
 
 
 class TestMirroredProduct:

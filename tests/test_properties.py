@@ -14,7 +14,7 @@ from nmgraph.nm import (
     row_profile,
     row_sums,
 )
-from nmgraph.oracles import triangle_count_trace
+from nmgraph.oracles import set_based_entries, triangle_count_trace
 
 
 @st.composite
@@ -25,9 +25,26 @@ def graphs(draw, max_n: int = 12) -> Graph:
     return from_edges(n, [p for p, keep in zip(pairs, mask) if keep])
 
 
+@st.composite
+def sparse_graphs(draw, max_n: int = 64) -> Graph:
+    """Up to 2n random edges, so isolated vertices are common."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
 @given(graphs())
 def test_dual_construction_agrees(g: Graph):
     assert build_nm(g) == build_nm_product(g)
+
+
+@settings(max_examples=60)
+@given(st.one_of(graphs(max_n=64), sparse_graphs(max_n=64)))
+def test_row_sum_builder_matches_both_oracles(g: Graph):
+    m = build_nm(g)
+    assert np.array_equal(m.entries, set_based_entries(g))
+    assert m == build_nm_product(g)
 
 
 @given(graphs())
