@@ -37,7 +37,10 @@ EXIT_INVALID_NM = 4
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -5,13 +5,24 @@ Two formats, both exact integer text (never floats):
 * dense: optional '#' comment lines, then a line with n, then n rows of
   n whitespace-separated integers;
 * Matrix Market coordinate, field integer, symmetry general, 1-based
-  indices.
+  indices.  Other symmetries are rejected, and so is a coordinate given
+  twice.
 
-Both carry the external vertex labels in a comment line so that a
-compute -> reconstruct -> compute round trip preserves labelling.
+Matrix entries and coordinates are plain ASCII decimal integers that
+fit in int64, with an optional sign; `1_0` or non-ASCII digits are
+rejected.  Both formats carry the external vertex labels in a comment
+line so that a compute -> reconstruct -> compute round trip preserves
+labelling; labels must be distinct and non-negative.
+
+Both writers share one whole-array integer formatter and both readers
+one whole-array parse, so no Python code runs per entry.  Error paths
+may re-scan the text to name the offending line.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,106 +31,77 @@ from nmgraph.nm import NeighborhoodMatrix
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 
+# Entries formatted per pass: bounds the formatter's temporaries.
+_BLOCK = 1 << 16
+_TENS = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
+
 
 def write_dense(m: NeighborhoodMatrix) -> str:
-    lines = [f"# labels: {' '.join(str(x) for x in m.labels)}", str(m.n)]
-    for row in m.entries:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    return f"# labels: {' '.join(map(str, m.labels))}\n{m.n}\n" + _int_lines(m.entries)
 
 
 def read_dense(text: str) -> NeighborhoodMatrix:
-    labels: tuple[int, ...] | None = None
-    body: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            labels = _parse_label_comment(line, "#", labels, lineno)
-            continue
-        body.append((lineno, line))
+    lines = text.splitlines()
+    labels, body = _scan(lines, "#")
     if not body:
         raise ParseError("empty dense matrix file")
-    first_lineno, first = body[0]
     try:
-        n = int(first)
+        n = int(body[0])
     except ValueError:
-        raise ParseError(f"expected dimension, got {first!r}", first_lineno) from None
+        raise _row_error(lines, body, 0, f"expected dimension, got {body[0]!r}") from None
     if n < 0:
-        raise ParseError(f"negative dimension {n}", first_lineno)
+        raise _row_error(lines, body, 0, f"negative dimension {n}")
     if len(body) - 1 != n:
         raise ParseError(f"expected {n} matrix rows, found {len(body) - 1}")
-    entries = np.zeros((n, n), dtype=np.int64)
-    for i, (lineno, line) in enumerate(body[1:]):
-        parts = line.split()
-        if len(parts) != n:
-            raise ParseError(f"expected {n} entries, got {len(parts)}", lineno)
-        try:
-            entries[i] = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"non-integer entry in {line!r}", lineno) from None
-    if labels is None:
-        labels = tuple(range(n))
-    if len(labels) != n:
-        raise ParseError(f"{len(labels)} labels for dimension {n}")
-    return NeighborhoodMatrix.adopt(entries, labels)
+    labels = _check_labels(labels, n)
+    return NeighborhoodMatrix.adopt(_int_table(lines, body, n), labels)
 
 
 def write_matrix_market(m: NeighborhoodMatrix) -> str:
-    trip = m.triplets()
-    lines = [
-        _MM_HEADER,
-        f"% labels: {' '.join(str(x) for x in m.labels)}",
-        f"{m.n} {m.n} {len(trip)}",
-    ]
-    for r, c, v in trip:
-        lines.append(f"{r + 1} {c + 1} {v}")
-    return "\n".join(lines) + "\n"
+    r, c = np.nonzero(m.entries)
+    header = f"{_MM_HEADER}\n% labels: {' '.join(map(str, m.labels))}\n{m.n} {m.n} {len(r)}\n"
+    return header + _int_lines(np.column_stack((r + 1, c + 1, m.entries[r, c])))
 
 
 def read_matrix_market(text: str) -> NeighborhoodMatrix:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParseError("missing MatrixMarket header", 1)
-    header = lines[0].lower().split()
-    if header[1:4] != ["matrix", "coordinate", "integer"]:
-        raise ParseError(f"unsupported MatrixMarket type {lines[0]!r}", 1)
+    if lines[0].lower().split() != _MM_HEADER.lower().split():
+        raise ParseError(f"unsupported MatrixMarket type {lines[0]!r}, expected {_MM_HEADER!r}", 1)
 
-    labels: tuple[int, ...] | None = None
-    body: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("%"):
-            labels = _parse_label_comment(line, "%", labels, lineno)
-            continue
-        body.append((lineno, line))
+    labels, body = _scan(lines, "%")
     if not body:
         raise ParseError("missing size line")
-    size_lineno, size_line = body[0]
     try:
-        rows, cols, nnz = (int(p) for p in size_line.split())
+        rows, cols, nnz = map(int, body[0].split())
     except ValueError:
-        raise ParseError(f"bad size line {size_line!r}", size_lineno) from None
+        raise _row_error(lines, body, 0, f"bad size line {body[0]!r}") from None
     if rows != cols:
-        raise ParseError(f"matrix is {rows}x{cols}, expected square", size_lineno)
+        raise _row_error(lines, body, 0, f"matrix is {rows}x{cols}, expected square")
+    # Checked before allocating rows x rows: a file compute writes names
+    # every vertex in its labels comment, so it is longer than its dimension.
+    if not 0 <= rows <= len(text):
+        raise _row_error(lines, body, 0,
+                         f"dimension {rows} out of range for a {len(text)}-character file")
     if len(body) - 1 != nnz:
         raise ParseError(f"expected {nnz} entries, found {len(body) - 1}")
+    labels = _check_labels(labels, rows)
+
+    table = _int_table(lines, body, 3)
+    r, c = table[:, 0] - 1, table[:, 1] - 1
+    outside = (r < 0) | (r >= rows) | (c < 0) | (c >= rows)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise _row_error(lines, body, k + 1, f"index ({r[k] + 1},{c[k] + 1}) out of range")
+    flat = r * rows + c
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise _row_error(lines, body, k + 1, f"duplicate coordinate ({r[k] + 1},{c[k] + 1})")
     entries = np.zeros((rows, rows), dtype=np.int64)
-    for lineno, line in body[1:]:
-        try:
-            r, c, v = (int(p) for p in line.split())
-        except ValueError:
-            raise ParseError(f"bad coordinate line {line!r}", lineno) from None
-        if not (1 <= r <= rows and 1 <= c <= rows):
-            raise ParseError(f"index ({r},{c}) out of range", lineno)
-        entries[r - 1, c - 1] = v
-    if labels is None:
-        labels = tuple(range(rows))
-    if len(labels) != rows:
-        raise ParseError(f"{len(labels)} labels for dimension {rows}")
+    entries[r, c] = table[:, 2]
     return NeighborhoodMatrix.adopt(entries, labels)
 
 
@@ -130,12 +112,115 @@ def read_auto(text: str) -> NeighborhoodMatrix:
     return read_dense(text)
 
 
-def _parse_label_comment(line: str, marker: str, current: tuple[int, ...] | None,
-                         lineno: int) -> tuple[int, ...] | None:
+def _int_lines(table: np.ndarray) -> str:
+    """Each row of a 2-D int64 array as a line of space-separated decimals.
+
+    Byte for byte " ".join(str(int(x)) for x in row) + "\\n" per row.
+    Works through row blocks of about _BLOCK entries.
+    """
+    step = max(1, _BLOCK // max(table.shape[1], 1))
+    return "".join(_format_block(table[i:i + step]) for i in range(0, len(table), step))
+
+
+def _format_block(block: np.ndarray) -> str:
+    cols = block.shape[1]
+    values = block.ravel()
+    negative = values < 0
+    # Read as uint64, abs() is |v| even for the int64 minimum, where it wraps.
+    magnitude = np.abs(values).view(np.uint64)
+    digits = np.ones(len(values), dtype=np.intp)
+    for ten in _TENS[_TENS <= magnitude.max()]:
+        digits += magnitude >= ten
+    width = digits + negative + 1  # sign, digits, separator
+    ends = np.cumsum(width)
+    out = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+    out[ends[cols - 1::cols] - 1] = ord("\n")
+    out[(ends - width)[negative]] = ord("-")
+    # One place value per pass, least significant first, over the fields
+    # that still have digits left.
+    pos = ends - 2
+    while pos.size:
+        magnitude, digit = np.divmod(magnitude, 10)
+        out[pos] = digit + ord("0")
+        more = magnitude > 0
+        pos, magnitude = pos[more] - 1, magnitude[more]
+    return out.tobytes().decode("ascii")
+
+
+def _scan(lines: list[str], marker: str) -> tuple[tuple[int, ...] | None, list[str]]:
+    """Split lines into the labels comment and the body.
+
+    The body is every non-blank line that is not a comment, stripped.
+    Lines are stripped and classified by their first character through
+    C-level calls; Python code runs only per comment line.
+    """
+    kept = list(filter(None, map(str.strip, lines)))
+    firsts = "".join(map(itemgetter(0), kept))
+    labels = None
+    body: list[str] = []
+    start = 0
+    while (k := firsts.find(marker, start)) >= 0:
+        body += kept[start:k]
+        labels = _parse_label_comment(lines, kept[k], marker, labels)
+        start = k + 1
+    body += kept[start:]
+    return labels, body
+
+
+def _int_table(lines: list[str], body: list[str], ncols: int) -> np.ndarray:
+    """The body lines after the first, parsed as an int64 array with ncols
+    columns."""
+    if len(body) == 1:
+        return np.zeros((0, ncols), dtype=np.int64)
+    try:
+        table = np.loadtxt(body[1:], dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if table is not None and table.shape[1] == ncols:
+        return table
+    # Error path: name the first line that fails on its own.
+    for k, line in enumerate(body[1:], start=1):
+        try:
+            got = np.loadtxt([line], dtype=np.int64, comments=None, ndmin=2).shape[1]
+        except ValueError:
+            raise _row_error(lines, body, k, f"entry is not an int64 integer in {line!r}") from None
+        if got != ncols:
+            raise _row_error(lines, body, k, f"expected {ncols} entries, got {got}")
+    raise ParseError("malformed matrix body")
+
+
+def _check_labels(labels: tuple[int, ...] | None, n: int) -> tuple[int, ...]:
+    if labels is None:
+        return tuple(range(n))
+    if len(labels) != n:
+        raise ParseError(f"{len(labels)} labels for dimension {n}")
+    return labels
+
+
+def _parse_label_comment(lines: list[str], line: str, marker: str,
+                         current: tuple[int, ...] | None) -> tuple[int, ...] | None:
     stripped = line.lstrip(marker).strip()
     if not stripped.startswith("labels:"):
         return current
     try:
-        return tuple(int(p) for p in stripped[len("labels:"):].split())
+        labels = tuple(map(int, stripped[len("labels:"):].split()))
     except ValueError:
-        raise ParseError(f"bad labels comment {line!r}", lineno) from None
+        labels = None
+    if labels is None or min(labels, default=0) < 0 or len(set(labels)) != len(labels):
+        raise ParseError(
+            f"bad labels comment {line!r}: labels must be distinct non-negative integers",
+            _lineno(lines, line),
+        )
+    return labels
+
+
+def _row_error(lines: list[str], body: list[str], k: int, message: str) -> ParseError:
+    """A ParseError naming the file line of body[k]."""
+    return ParseError(message, _lineno(lines, body[k], body[:k].count(body[k])))
+
+
+def _lineno(lines: list[str], line: str, nth: int = 0) -> int:
+    """1-based number of the nth file line that strips to `line`.  Error
+    path only: it re-scans the file."""
+    hits = (i for i, raw in enumerate(lines, start=1) if raw.strip() == line)
+    return next(islice(hits, nth, None))

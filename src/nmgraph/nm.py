@@ -68,11 +68,6 @@ class NeighborhoodMatrix:
     def row(self, i: int) -> np.ndarray:
         return self.entries[i]
 
-    def triplets(self) -> list[tuple[int, int, int]]:
-        """Sparse (row, col, value) view of the nonzero entries, 0-based."""
-        rows, cols = np.nonzero(self.entries)
-        return [(int(r), int(c), int(self.entries[r, c])) for r, c in zip(rows, cols)]
-
 
 def build_nm(g: Graph) -> NeighborhoodMatrix:
     """M = A(D - A) built from adjacency row sums.

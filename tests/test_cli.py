@@ -103,6 +103,27 @@ class TestReconstruct:
         assert m1.read_bytes() == m2.read_bytes()
 
 
+class TestTextInput:
+    @pytest.mark.parametrize("text", [
+        "1\n9223372036854775808\n",
+        "%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1 9223372036854775808\n",
+    ])
+    def test_int64_overflow_exit_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "big.txt"
+        bad.write_text(text)
+        assert main(["reconstruct", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["compute", "reconstruct", "analyze"])
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"1 2\n3 \xe9\n")
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and err.count("\n") == 1
+
+
 class TestAnalyze:
     def test_example7(self, example7_file, capsys):
         assert main(["analyze", str(example7_file)]) == 0
