@@ -15,7 +15,6 @@ from nmgraph.graph import (
     common_neighbors,
     connected_components,
     diameter,
-    exclusive_neighbors,
     girth,
     parse_edge_list,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "connected_components",
     "determinant_exact",
     "diameter",
-    "exclusive_neighbors",
     "girth",
     "is_symmetric",
     "parse_edge_list",

@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 import nmgraph
-from nmgraph import analytics, matio, verify
+from nmgraph import analytics, matio, oracles, verify
 from nmgraph.errors import InvalidMatrixError, ParseError
 from nmgraph.graph import (
     Graph,
@@ -26,7 +25,6 @@ from nmgraph.graph import (
     parse_edge_list,
 )
 from nmgraph.nm import NeighborhoodMatrix, build_nm, reconstruct_adjacency
-from nmgraph.oracles import adjacency_matrix
 from nmgraph.random_graphs import corpus, gnp
 
 EXIT_OK = 0
@@ -56,6 +54,20 @@ def _quarters(fr: Fraction) -> str:
     if scaled.denominator != 1:
         raise ValueError(f"{fr} is not a multiple of 1/4")
     return f"{scaled.numerator}/4"
+
+
+def _in_range(kind: type, low: float, high: float = math.inf):
+    """An argparse type: a value of `kind` in [low, high]."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__} in [{low}, {high}], got {text!r}")
+        return value
+    return parse
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -180,8 +192,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         nm_times.append(time.perf_counter_ns() - t0)
 
         t0 = time.perf_counter_ns()
-        a = adjacency_matrix(graph)
-        dense_count = int(np.trace(a @ a @ a)) // 6
+        dense_count = oracles.triangle_count_trace(graph)
         dense_times.append(time.perf_counter_ns() - t0)
 
     if nm_count != dense_count:
@@ -229,18 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("input", nargs="?", default=None, help="edge-list file (default: random corpus)")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--size", type=int, default=16)
+    p.add_argument("--trials", type=_in_range(int, 0), default=50)
+    p.add_argument("--size", type=_in_range(int, 0), default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--self-test", action="store_true",
                    help="negative control: corrupt a matrix, expect exit 1")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time the matrix triangle count vs the dense trace")
-    p.add_argument("--size", type=int, default=1024)
-    p.add_argument("--density", type=float, default=None,
+    p.add_argument("--size", type=_in_range(int, 0), default=1024)
+    p.add_argument("--density", type=_in_range(float, 0, 1), default=None,
                    help="edge probability (default: average degree 8)")
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_in_range(int, 1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -2,7 +2,8 @@
 
 Vertices are dense 0-based internal indices; the original external labels
 (edge lists are typically 1-based) are kept alongside and used for all
-user-facing output.
+user-facing output.  Edge-list text is read and written through
+`textio`, the same integer-text kernel the matrix formats use.
 """
 
 from __future__ import annotations
@@ -10,9 +11,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
-from nmgraph.errors import ParseError
+import numpy as np
+
+from nmgraph import textio
 
 UNREACHABLE = -1
 
@@ -39,9 +43,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
@@ -51,9 +52,6 @@ class Graph:
             for v in nbrs:
                 if u < v:
                     yield (u, v)
-
-    def index_of(self, label: int) -> int:
-        return self.labels.index(label)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -107,51 +105,37 @@ class ComponentPartition:
 def parse_edge_list(text: str) -> Graph:
     """Parse "u v" lines into a Graph.
 
-    Labels are arbitrary non-negative integers; they are remapped to dense
-    internal indices in first-appearance order (reading each line left to
-    right).  '#' lines and blank lines are ignored; duplicate edges
-    collapse.  Self-loops and non-integer tokens are rejected with the
-    offending line number.
+    Labels are non-negative integers in the one integer grammar of
+    `textio` (ASCII int64); they are remapped to dense internal indices in
+    first-appearance order (reading each line left to right).  '#' lines
+    and blank lines are ignored; duplicate edges collapse.  A line with
+    other than two integers, a negative label or a self-loop is rejected
+    with its line number.
     """
-    label_to_index: dict[int, int] = {}
-    labels: list[int] = []
-    edges: list[tuple[int, int]] = []
-
-    def intern(label: int) -> int:
-        idx = label_to_index.get(label)
-        if idx is None:
-            idx = len(labels)
-            label_to_index[label] = idx
-            labels.append(label)
-        return idx
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected two tokens, got {len(parts)}: {line!r}", lineno)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer token in {line!r}", lineno) from None
-        if a < 0 or b < 0:
-            raise ParseError(f"negative label in {line!r}", lineno)
-        if a == b:
-            raise ParseError(f"self-loop {a}-{b} not allowed", lineno)
-        edges.append((intern(a), intern(b)))
-
-    return from_edges(len(labels), edges, labels=tuple(labels))
+    lines = text.splitlines()
+    _, body = textio.scan(lines, "#")
+    pairs = textio.int_table(lines, body, 2, 0)
+    bad = (pairs < 0).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
+    if bad.any():
+        k = int(np.argmax(bad))
+        a, b = pairs[k].tolist()
+        if min(a, b) < 0:
+            raise textio.row_error(lines, body, k, f"negative label in {body[k]!r}")
+        raise textio.row_error(lines, body, k, f"self-loop {a}-{b} not allowed")
+    values, first, index = np.unique(pairs.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)  # labels by first appearance
+    edges = np.argsort(order)[index].reshape(-1, 2).tolist()
+    return from_edges(len(values), edges, labels=tuple(values[order].tolist()))
 
 
 def format_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list: one "u v" line per edge, sorted by label."""
-    lines = sorted(
-        (min(g.labels[u], g.labels[v]), max(g.labels[u], g.labels[v]))
-        for u, v in g.edges()
-    )
-    return "".join(f"{a} {b}\n" for a, b in lines)
+    labels = np.array(g.labels, dtype=np.int64)
+    tails = np.repeat(np.arange(g.n), list(map(len, g.adj)))
+    heads = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=len(tails))
+    once = tails < heads
+    pairs = np.sort(labels[np.column_stack((tails[once], heads[once]))], axis=1)
+    return textio.int_lines(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
@@ -159,13 +143,6 @@ def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
     g._check_vertex(u)
     g._check_vertex(v)
     return g.adj[u] & g.adj[v]
-
-
-def exclusive_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
-    """N(u) \\ N(v); argument order matters."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    return g.adj[u] - g.adj[v]
 
 
 def bfs_levels(g: Graph, root: int) -> LevelAssignment:

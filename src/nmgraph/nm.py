@@ -121,8 +121,9 @@ def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:
     pos = m.entries > 0
     if not np.array_equal(pos, pos.T):
         raise InvalidMatrixError("not a valid NM: asymmetric positivity pattern")
-    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(pos)))]
-    g = from_edges(m.n, edges, labels=m.labels)
+    # Edges from the strict upper triangle: a positive diagonal entry is
+    # left for the rebuild comparison to reject.
+    g = from_edges(m.n, np.argwhere(np.triu(pos, 1)).tolist(), labels=m.labels)
     if not np.array_equal(build_nm(g).entries, m.entries):
         raise InvalidMatrixError("not a valid NM: entries inconsistent with the recovered graph")
     return g

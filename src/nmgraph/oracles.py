@@ -82,13 +82,6 @@ def triangle_count_trace(g: Graph) -> int:
     return trace // 6
 
 
-def all_pairs_common_neighbors(g: Graph) -> np.ndarray:
-    """A^2: entry (i, j) counts common neighbours for i != j, degree on
-    the diagonal."""
-    a = adjacency_matrix(g)
-    return a @ a
-
-
 def srg_parameters(g: Graph) -> tuple[int, int, int] | None:
     """(k, mu1, mu2) when g is strongly regular, else None.
 

@@ -1,10 +1,11 @@
 """Cross-checking every matrix-level claim against the brute-force oracles.
 
 Each invariant is a named check on one graph's GraphContext, returning
-None on success or a short failure description.  The runner builds one
-context per graph, applies all checks to it, and aggregates a
-per-invariant pass/fail table with the first counterexample serialized
-as an edge list.
+None on success or a short failure description; a check that raises
+ValueError fails with the exception as its description.  The runner
+builds one context per graph, applies all checks to it, and aggregates
+a per-invariant pass/fail table with the first counterexample
+serialized as an edge list.
 """
 
 from __future__ import annotations
@@ -215,7 +216,10 @@ def run_suite(graphs: list[Graph]) -> list[InvariantResult]:
         ctx = GraphContext(g)
         for result, (_, check) in zip(results, INVARIANTS):
             result.checked += 1
-            detail = check(ctx)
+            try:
+                detail = check(ctx)
+            except ValueError as exc:  # a check that raises has failed
+                detail = f"{type(exc).__name__}: {exc}"
             if detail is not None:
                 result.failures += 1
                 if result.first_failure is None:

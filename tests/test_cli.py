@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nmgraph import matio
+from nmgraph import matio, verify
 from nmgraph.cli import _quarters, main
-from nmgraph.nm import build_nm
+from nmgraph.nm import NeighborhoodMatrix, build_nm
 from helpers import EXAMPLE7_EDGE_LINES, EXAMPLE7_MATRIX, example7_graph, two_squares_graph
 from nmgraph.graph import format_edge_list
 
@@ -84,6 +84,20 @@ class TestReconstruct:
         assert main(["reconstruct", str(bad)]) == 4
         assert "not a valid NM" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1\n5\n", "2\n1 1\n1 -1\n"])
+    def test_positive_diagonal_exit_4(self, tmp_path, capsys, text):
+        bad = tmp_path / "diag.txt"
+        bad.write_text(text)
+        assert main(["reconstruct", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "not a valid NM" in err and err.count("\n") == 1
+
+    def test_matrix_market_after_blank_line(self, tmp_path, capsys):
+        mfile = tmp_path / "m.mtx"
+        mfile.write_text("\n" + matio.write_matrix_market(build_nm(example7_graph())))
+        assert main(["reconstruct", str(mfile)]) == 0
+        assert capsys.readouterr().out == format_edge_list(example7_graph())
+
     def test_malformed_matrix_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n1 2 3\n")
@@ -114,6 +128,17 @@ class TestTextInput:
         assert main(["reconstruct", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        f"# labels: {2**70}\n1\n0\n",
+        "1_0\n" + "0 " * 10 + "\n",
+    ])
+    def test_header_outside_the_integer_grammar_exit_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "header.txt"
+        bad.write_text(text)
+        assert main(["reconstruct", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["compute", "reconstruct", "analyze"])
     def test_non_utf8_input_exit_2(self, tmp_path, capsys, command):
@@ -184,6 +209,22 @@ class TestVerify:
         assert main(["verify", "--self-test"]) == 1
         assert "corruption detected" in capsys.readouterr().out
 
+    def test_raising_check_is_a_fail_row(self, monkeypatch, capsys):
+        def corrupted(g):
+            entries = build_nm(g).entries.copy()
+            if g.n:
+                entries[0, 0] -= 1
+            return NeighborhoodMatrix(entries=entries, labels=g.labels)
+
+        monkeypatch.setattr(verify, "build_nm", corrupted)
+        assert main(["verify", "--trials", "3", "--size", "6", "--seed", "1"]) == 1
+        out = capsys.readouterr().out
+        # column_sums and reconstruct_adjacency raise on this matrix
+        assert "column-sum-formula               FAIL" in out
+        assert "detail: InvalidMatrixError: column sums" in out
+        assert "reconstruction-round-trip        FAIL" in out
+        assert "counterexample edge list:" in out
+
 
 class TestBench:
     def test_small_counts_equal(self, capsys):
@@ -197,3 +238,27 @@ class TestBench:
     def test_empty(self, capsys):
         assert main(["bench", "--size", "0"]) == 0
         assert json.loads(capsys.readouterr().out) == {"rows": []}
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--reps", "0"],
+        ["bench", "--size", "-1"],
+        ["bench", "--density", "1.5"],
+        ["bench", "--density", "nan"],
+        ["verify", "--size", "-1"],
+        ["verify", "--trials", "-1"],
+        ["verify", "--trials", "x"],
+    ])
+    def test_bad_count_exit_2_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nmgraph") and f"argument {argv[1]}" in err
+
+    def test_bounds_are_inclusive(self, capsys):
+        assert main(["verify", "--trials", "0", "--size", "0"]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--size", "4", "--reps", "1", "--density", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["triangleCount"] == 4  # K4

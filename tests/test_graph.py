@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmgraph.errors import ParseError
 from nmgraph.graph import (
@@ -10,7 +12,6 @@ from nmgraph.graph import (
     common_neighbors,
     connected_components,
     diameter,
-    exclusive_neighbors,
     format_edge_list,
     from_edges,
     girth,
@@ -34,7 +35,7 @@ class TestParseEdgeList:
         assert g.n == 7
         assert g.edge_count == 8
         # N(5) = {2, 4, 6, 7} in external labels
-        idx5 = g.index_of(5)
+        idx5 = g.labels.index(5)
         assert {g.labels[v] for v in g.adj[idx5]} == {2, 4, 6, 7}
 
     def test_empty_input(self):
@@ -75,6 +76,79 @@ class TestParseEdgeList:
         assert as_labels(h) == as_labels(g)
 
 
+# -- the whole-array parse and format against per-line references -------------
+
+def reference_parse(text: str) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
+    """Labels in first-appearance order and adjacency, one line at a time."""
+    index: dict[int, int] = {}
+    edges = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            a, b = (index.setdefault(int(tok), len(index)) for tok in line.split())
+            edges.append((a, b))
+    adj: list[set[int]] = [set() for _ in index]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return tuple(index), tuple(frozenset(s) for s in adj)
+
+
+def reference_format(g) -> str:
+    pairs = sorted((min(g.labels[u], g.labels[v]), max(g.labels[u], g.labels[v]))
+                   for u, v in g.edges())
+    return "".join(f"{a} {b}\n" for a, b in pairs)
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Small and full-range int64 labels with optional '+' signs, mixed
+    separators and padding, comments, blank lines and duplicate edges in
+    both orientations."""
+    label = st.one_of(st.integers(0, 20), st.integers(0, 2**63 - 1), st.just(2**63 - 1))
+    pool = draw(st.lists(label, min_size=2, max_size=10, unique=True))
+    pair = st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True)
+    token = st.sampled_from(["", "+"])
+    space = st.sampled_from([" ", "\t", "  ", " \t "])
+    pad = st.sampled_from(["", " ", "\t"])
+    edge = st.builds(lambda p, s1, s2, sep, left, right: f"{left}{s1}{p[0]}{sep}{s2}{p[1]}{right}",
+                     pair, token, token, space, pad, pad)
+    other = st.sampled_from(["", "   ", "\t", "#", "# comment", "  # 1 2 3", "#1 1"])
+    lines = draw(st.lists(st.one_of(edge, edge, other), max_size=40))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestWholeArrayEdgeList:
+    @settings(max_examples=200)
+    @given(edge_list_texts())
+    def test_parse_and_format_match_references(self, text):
+        g = parse_edge_list(text)
+        assert (g.labels, g.adj) == reference_parse(text)
+        assert format_edge_list(g) == reference_format(g)
+
+    def test_int64_extremes(self):
+        g = parse_edge_list("9223372036854775807 0\n+5 9223372036854775807\n")
+        assert g.labels == (2**63 - 1, 0, 5)
+        assert format_edge_list(g) == "0 9223372036854775807\n5 9223372036854775807\n"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1 2\n1 2 3\n", 2, "expected 2 entries, got 3"),
+        ("# c\n\n7\n", 3, "expected 2 entries, got 1"),
+        ("1 2\n1 x\n", 2, "not an int64 integer"),
+        ("1 2\n1_0 2\n", 2, "not an int64 integer"),
+        ("1 \uff12\n", 1, "not an int64 integer"),           # full-width digit two
+        ("1 2\n\n1 9223372036854775808\n", 3, "not an int64 integer"),
+        ("1 2\n3 -4\n", 2, "negative label"),
+        ("1 2\n  3 3  \n", 2, "self-loop 3-3"),
+        ("1 2\n-1 -1\n", 2, "negative label"),             # reported before the self-loop
+        ("3 3\n1 2\n3 3\n", 1, "self-loop"),               # the first of identical lines
+    ])
+    def test_malformed_line_is_named(self, text, line, message):
+        with pytest.raises(ParseError, match=message) as excinfo:
+            parse_edge_list(text)
+        assert excinfo.value.line_number == line
+
+
 class TestNeighborSets:
     def test_common_neighbors_example7(self):
         g = example7_graph()
@@ -88,34 +162,18 @@ class TestNeighborSets:
         g = example7_graph()
         assert common_neighbors(g, 2, 5) == frozenset()
 
-    def test_exclusive_neighbors_example7(self):
-        g = example7_graph()
-        # N(6) \ N(1) = {1, 5, 7}
-        assert {g.labels[v] for v in exclusive_neighbors(g, 5, 0)} == {1, 5, 7}
-
-    def test_exclusive_neighbors_self(self):
-        g = example7_graph()
-        assert exclusive_neighbors(g, 3, 3) == frozenset()
-
-    def test_exclusive_neighbors_order_matters(self):
-        g = example7_graph()
-        # N(2) \ N(5) = {1, 5} minus {2, 4, 6, 7} = {1, 5}
-        assert {g.labels[v] for v in exclusive_neighbors(g, 1, 4)} == {1, 5}
-        # reversed: N(5) \ N(2) = {2, 4, 6, 7}
-        assert {g.labels[v] for v in exclusive_neighbors(g, 4, 1)} == {2, 4, 6, 7}
-
     def test_out_of_range(self):
         g = example7_graph()
         with pytest.raises(IndexError):
             common_neighbors(g, 0, 7)
         with pytest.raises(IndexError):
-            exclusive_neighbors(g, -1, 0)
+            common_neighbors(g, -1, 0)
 
 
 class TestBfsLevels:
     def test_example7_from_5(self):
         g = example7_graph()
-        levels = bfs_levels(g, g.index_of(5))
+        levels = bfs_levels(g, g.labels.index(5))
         assert {g.labels[v] for v in levels.vertices_at(1)} == {2, 4, 6, 7}
         assert {g.labels[v] for v in levels.vertices_at(2)} == {1, 3}
 

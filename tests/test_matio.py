@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmgraph import matio
+from nmgraph import matio, textio
 from nmgraph.errors import ParseError
 from nmgraph.nm import NeighborhoodMatrix, build_nm
 from helpers import edgeless, example7_graph, random_corpus
@@ -129,7 +129,7 @@ class TestWholeArrayFormat:
     @given(matrices(), st.integers(min_value=1, max_value=40))
     def test_writers_match_reference_and_readers_invert(self, m, block):
         # a small block size makes most matrices span several row blocks
-        with mock.patch.object(matio, "_BLOCK", block):
+        with mock.patch.object(textio, "_BLOCK", block):
             dense = matio.write_dense(m)
             mm = matio.write_matrix_market(m)
         assert dense == reference_dense(m)
@@ -147,7 +147,7 @@ class TestWholeArrayFormat:
 
     def test_many_row_blocks_at_the_default_size(self):
         n = 300  # 90 000 entries: more than one block of _BLOCK entries
-        assert n * n > matio._BLOCK
+        assert n * n > textio._BLOCK
         rng = np.random.default_rng(5)
         entries = rng.integers(-2**63, 2**63 - 1, size=(n, n), dtype=np.int64, endpoint=True)
         entries[rng.random((n, n)) < 0.5] = 0
@@ -199,6 +199,24 @@ class TestMalformedDense:
             matio.read_dense("# c\n-1\n")
         assert excinfo.value.line_number == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("1_0\n", 1),                                      # int() accepted this
+        ("# c\n\uff11\n0\n", 2),                            # full-width digit one
+        ("9223372036854775808\n", 1),
+        ("1 1\n0\n", 1),
+        ("# labels: 9223372036854775808\n1\n0\n", 1),     # a label past int64
+        ("# labels: 1_0\n1\n0\n", 1),
+    ])
+    def test_header_integers_follow_the_entry_grammar(self, text, line):
+        with pytest.raises(ParseError) as excinfo:
+            matio.read_dense(text)
+        assert excinfo.value.line_number == line
+
+    def test_largest_int64_label(self):
+        m = matio.read_dense("# labels: 9223372036854775807\n1\n0\n")
+        assert m.labels == (2**63 - 1,)
+        assert matio.read_dense(matio.write_dense(m)) == m
+
 
 class TestMalformedMatrixMarket:
     @pytest.mark.parametrize("body, line", [
@@ -239,6 +257,27 @@ class TestMalformedMatrixMarket:
     def test_dimension_checked_before_allocation(self, text):
         with pytest.raises(ParseError):
             matio.read_matrix_market(text)
+
+    @pytest.mark.parametrize("body", [
+        "2 2 1_0\n",
+        "2 2\n",
+        "2 2 0 0\n",
+        "2 9223372036854775808 0\n",
+        "% labels: 1 18446744073709551616\n2 2 0\n",   # a label of 2^64
+    ])
+    def test_size_line_and_labels_follow_the_entry_grammar(self, body):
+        with pytest.raises(ParseError) as excinfo:
+            matio.read_matrix_market(f"{MM_HEADER}\n{body}")
+        assert excinfo.value.line_number == 2
+
+    def test_banner_after_blank_lines(self):
+        m = build_nm(example7_graph())
+        text = "\n  \n" + matio.write_matrix_market(m)
+        assert matio.read_matrix_market(text) == m
+        assert matio.read_auto(text) == m
+        with pytest.raises(ParseError) as excinfo:
+            matio.read_matrix_market("\n%%MatrixMarket matrix coordinate real general\n1 1 0\n")
+        assert excinfo.value.line_number == 2
 
     def test_label_count_must_match(self):
         with pytest.raises(ParseError, match="2 labels for dimension 3"):

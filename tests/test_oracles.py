@@ -8,7 +8,7 @@ from nmgraph.graph import from_edges
 from nmgraph.nm import build_nm
 from nmgraph.oracles import (
     SubgraphCensus,
-    all_pairs_common_neighbors,
+    adjacency_matrix,
     subgraph_census,
     triangle_count_trace,
 )
@@ -65,6 +65,12 @@ class TestCensus:
         with pytest.raises(ValueError):
             SubgraphCensus(triangle_count=0, c4_total=5, c4_induced=1,
                            k4_count=1, k4_minus_edge_count=0)
+
+
+def all_pairs_common_neighbors(g):
+    """A^2: common neighbours off the diagonal, degrees on it."""
+    a = adjacency_matrix(g)
+    return a @ a
 
 
 class TestCommonNeighborMatrix:
