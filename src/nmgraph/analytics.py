@@ -2,10 +2,10 @@
 
 Every analytic here recovers adjacency from the matrix itself (entry
 positive iff edge), demonstrating that the matrix alone carries the
-structure; only the decomposition cross-check also consults a brute-force
-census of the graph.  Counts come from whole-array passes over the
-entries: one over the positive entries for codegrees, and one value
-histogram.  No pass makes an n x n int64 temporary.
+structure: this module imports nothing from the brute-force oracles.
+Counts come from whole-array passes over the entries: one over the
+positive entries for codegrees, and one value histogram.  No pass makes
+an n x n int64 temporary.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from nmgraph.errors import InvalidMatrixError
 from nmgraph.nm import NeighborhoodMatrix
-from nmgraph.oracles import SubgraphCensus
 
 # Entries per block of the histogram pass: its int64 temporaries stay near 1 MiB.
 _HISTOGRAM_BLOCK_ENTRIES = 1 << 17
@@ -112,18 +111,6 @@ def four_cycle_count(m: NeighborhoodMatrix) -> tuple[int, Fraction, Fraction]:
     return _four_cycles(m, _codegrees(m), _value_histogram(m))
 
 
-def c4_decomposition_check(m: NeighborhoodMatrix, census: SubgraphCensus) -> bool:
-    """Verify the two quarter-terms against a brute-force census of the
-    same graph: s1 = #induced C4 + (1/2) #K4-e and s2 = 3 #K4 + (1/2) #K4-e.
-    """
-    _, s1, s2 = four_cycle_count(m)
-    half_k4e = Fraction(census.k4_minus_edge_count, 2)
-    return (
-        s1 == census.c4_induced + half_k4e
-        and s2 == 3 * census.k4_count + half_k4e
-    )
-
-
 def is_triangle_free(m: NeighborhoodMatrix) -> bool:
     """True iff every positive entry equals the magnitude of its column's
     diagonal (edge endpoints then share no neighbour)."""
@@ -156,8 +143,9 @@ def girth_at_least_5(m: NeighborhoodMatrix) -> bool:
 
 
 def diameter_at_most_2(m: NeighborhoodMatrix) -> bool:
-    """True iff no entry is zero."""
-    return bool((m.entries != 0).all())
+    """True iff the matrix is non-empty and no entry is zero (the graph
+    of no vertices, like that of one, has no finite diameter)."""
+    return m.n > 0 and bool((m.entries != 0).all())
 
 
 def some_row_has_no_zero(m: NeighborhoodMatrix) -> bool:

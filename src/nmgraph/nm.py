@@ -192,7 +192,6 @@ class RowProfile:
     level2: dict[int, int]
     out_edge_count: dict[int, int]
     diagonal_candidates: frozenset[int]
-    zero_positions: frozenset[int]
     degree: int
 
 
@@ -212,14 +211,12 @@ def row_profile(m: NeighborhoodMatrix, i: int) -> RowProfile:
     out_edge_count = {j: int(row[j]) - 1 for j in level1}
     row_min = int(row.min()) if m.n else 0
     candidates = frozenset(int(j) for j in np.nonzero(row == row_min)[0])
-    zeros = frozenset(int(j) for j in np.nonzero(row == 0)[0])
     return RowProfile(
         row_index=i,
         level1=level1,
         level2=level2,
         out_edge_count=out_edge_count,
         diagonal_candidates=candidates,
-        zero_positions=zeros,
         degree=-int(row[i]),
     )
 

@@ -5,12 +5,14 @@ None on success or a short failure description; a check that raises
 ValueError fails with the exception as its description.  The runner
 builds one context per graph, applies all checks to it, and aggregates
 a per-invariant pass/fail table with the first counterexample
-serialized as an edge list.
+serialized as an edge list under a '#' line giving its vertex count and
+isolated vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -42,11 +44,18 @@ CENSUS_LIMIT = 16
 
 class GraphContext:
     """One graph of the corpus with the artefacts its checks share: the
-    matrix, built once, and the brute-force census, built on first use."""
+    matrix, built once, and the structural report and brute-force census,
+    each built on first use.  As properties, a report or census that
+    raises does so inside the check that asked for it."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.m = build_nm(g)
+
+    @cached_property
+    def report(self) -> analytics.StructuralReport:
+        """The report `analyze` prints, read off the matrix alone."""
+        return analytics.structural_report(self.m)
 
     @cached_property
     def census(self) -> oracles.SubgraphCensus | None:
@@ -135,7 +144,7 @@ def _check_row_profiles(ctx: GraphContext) -> str | None:
 
 
 def _check_triangles(ctx: GraphContext) -> str | None:
-    fast = analytics.triangle_count(ctx.m)
+    fast = ctx.report.triangle_count
     trace = oracles.triangle_count_trace(ctx.g)
     if fast != trace:
         return f"matrix count {fast} != trace count {trace}"
@@ -149,33 +158,39 @@ def _check_four_cycles(ctx: GraphContext) -> str | None:
     census = ctx.census
     if census is None:
         return None
-    total, _, _ = analytics.four_cycle_count(ctx.m)
-    if total != census.c4_total:
-        return f"matrix count {total} != enumeration {census.c4_total}"
-    if not analytics.c4_decomposition_check(ctx.m, census):
-        return "quarter-term decomposition mismatch"
+    # s1 = #induced C4 + #K4-e / 2 and s2 = 3 #K4 + #K4-e / 2.  The report
+    # and the census each check that their terms add up to their total, so
+    # the totals agree whenever the terms do.
+    report = ctx.report
+    half_k4e = Fraction(census.k4_minus_edge_count, 2)
+    s1, s2 = census.c4_induced + half_k4e, 3 * census.k4_count + half_k4e
+    if (report.s1_term, report.s2_term) != (s1, s2):
+        return f"quarter terms {report.s1_term}, {report.s2_term} != enumeration {s1}, {s2}"
     return None
 
 
 def _check_characterizations(ctx: GraphContext) -> str | None:
-    m = ctx.m
+    report = ctx.report
     gr = girth(ctx.g)
-    if analytics.is_triangle_free(m) != (gr != 3):
+    if report.triangle_free != (gr != 3):
         return "triangle-free predicate vs girth oracle"
     census = ctx.census
-    if census is not None and analytics.is_induced_c4_free(m) != (census.c4_induced == 0):
+    if census is not None and report.induced_c4_free != (census.c4_induced == 0):
         return "induced-C4-free predicate vs enumeration"
-    if analytics.girth_at_least_5(m) != (gr >= 5):
+    if report.girth_at_least_5 != (gr >= 5):
         return f"girth>=5 predicate vs girth oracle {gr}"
+    srg = oracles.srg_parameters(ctx.g)
+    if report.srg_parameters != srg:
+        return f"strong-regularity parameters {report.srg_parameters} vs oracle {srg}"
     return None
 
 
 def _check_diameter(ctx: GraphContext) -> str | None:
-    m = ctx.m
+    report = ctx.report
     diam = diameter(ctx.g)
-    if ctx.g.n >= 2 and analytics.diameter_at_most_2(m) != (diam <= 2):
+    if report.diameter_at_most_2 != (diam <= 2):
         return f"diameter<=2 predicate vs oracle diameter {diam}"
-    if analytics.some_row_has_no_zero(m) and not diam <= 4:
+    if report.diameter_upper_bound_4 and not diam <= 4:
         return f"row without zeros but diameter {diam} > 4"
     return None
 
@@ -224,5 +239,12 @@ def run_suite(graphs: list[Graph]) -> list[InvariantResult]:
                 result.failures += 1
                 if result.first_failure is None:
                     result.first_failure = detail
-                    result.counterexample = format_edge_list(g) or "(edgeless)\n"
+                    result.counterexample = _counterexample(g)
     return results
+
+
+def _counterexample(g: Graph) -> str:
+    """The edge list behind a '#' line, which parse_edge_list skips, giving
+    what edge lines cannot: the vertex count and the isolated vertices."""
+    isolated = " ".join(str(label) for label, nbrs in zip(g.labels, g.adj) if not nbrs)
+    return f"# n={g.n} isolated: {isolated or 'none'}\n" + format_edge_list(g)

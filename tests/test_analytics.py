@@ -74,24 +74,6 @@ class TestFourCycleCount:
         assert (total, s1, s2) == (1, Fraction(1, 2), Fraction(1, 2))
 
 
-class TestDecomposition:
-    def test_two_squares(self):
-        g = two_squares_graph()
-        assert analytics.c4_decomposition_check(build_nm(g), subgraph_census(g))
-
-    def test_k4(self):
-        g = complete_graph(4)
-        assert analytics.c4_decomposition_check(build_nm(g), subgraph_census(g))
-
-    def test_k4_minus_edge(self):
-        g = k4_minus_edge()
-        assert analytics.c4_decomposition_check(build_nm(g), subgraph_census(g))
-
-    def test_random(self):
-        for g in random_corpus(25, 14, seed=81):
-            assert analytics.c4_decomposition_check(build_nm(g), subgraph_census(g))
-
-
 class TestPredicates:
     def test_triangle_free(self):
         assert analytics.is_triangle_free(build_nm(two_squares_graph()))
@@ -118,6 +100,9 @@ class TestPredicates:
         assert analytics.diameter_at_most_2(build_nm(cycle_graph(5)))
         assert not analytics.diameter_at_most_2(build_nm(example7_graph()))
         assert analytics.diameter_at_most_2(build_nm(from_edges(2, [(0, 1)])))
+        # no finite diameter below two vertices
+        assert not analytics.diameter_at_most_2(build_nm(edgeless(0)))
+        assert not analytics.diameter_at_most_2(build_nm(edgeless(1)))
 
     def test_some_row_has_no_zero(self):
         # row 5 of the 7-vertex example is (-2, 2, -1, 2, -4, 2, 1): no zeros

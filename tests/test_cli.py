@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmgraph import matio, verify
 from nmgraph.cli import _quarters, main
@@ -175,6 +179,14 @@ class TestAnalyze:
         assert doc["triangleCount"] == 0
         assert doc["diameterAtMost2"] is True
 
+    def test_empty_graph_has_no_diameter(self, tmp_path, capsys):
+        src = tmp_path / "empty.edges"
+        src.write_text("")
+        assert main(["analyze", str(src)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n"] == 0
+        assert doc["diameterAtMost2"] is False
+
     def test_quarters_rejects_other_denominators(self):
         assert _quarters(Fraction(3, 2)) == "6/4"
         with pytest.raises(ValueError):
@@ -262,3 +274,33 @@ class TestCountArguments:
         capsys.readouterr()
         assert main(["bench", "--size", "4", "--reps", "1", "--density", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["rows"][0]["triangleCount"] == 4  # K4
+
+
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+class TestTotalInputContract:
+    """Any input bytes end in exit 0, 2, 3 or 4 with at most one line on
+    stderr, never an exception out of main."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compute"],
+        ["compute", "--format", "mm"],
+        ["reconstruct"],
+        ["analyze"],
+        ["verify"],
+    ])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=200)
+           | st.text(alphabet="0123456789 -#%\n", max_size=200).map(str.encode)
+           | st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=20)
+             .map(lambda pairs: "".join(f"{u} {v}\n" for u, v in pairs).encode()))
+    def test_arbitrary_bytes(self, fuzz_input, argv, data):
+        fuzz_input.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv[:1], str(fuzz_input), *argv[1:]])
+        assert code in {0, 2, 3, 4}
+        assert err.getvalue().count("\n") <= 1

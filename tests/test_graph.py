@@ -149,6 +149,17 @@ class TestWholeArrayEdgeList:
         assert excinfo.value.line_number == line
 
 
+class TestFromEdges:
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+            from_edges(3, [(0, 1), (1, 1)])
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 0)])
+    def test_index_out_of_range_rejected(self, edge):
+        with pytest.raises(ValueError, match=rf"^edge \({edge[0]},{edge[1]}\) out of bounds for n=3$"):
+            from_edges(3, [edge])
+
+
 class TestNeighborSets:
     def test_common_neighbors_example7(self):
         g = example7_graph()

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
-from nmgraph import oracles, verify
+import pytest
+
+from nmgraph import analytics, oracles, verify
+from nmgraph.graph import from_edges, parse_edge_list
+from nmgraph.nm import build_nm
 from nmgraph.random_graphs import corpus
-from helpers import random_corpus
+from helpers import edgeless, random_corpus
 
 
 def test_census_built_at_most_once_per_graph(monkeypatch):
@@ -21,3 +26,44 @@ def test_census_built_at_most_once_per_graph(monkeypatch):
     assert all(r.passed for r in results)
     assert max(calls.values()) == 1
     assert set(calls) == {id(g) for g in graphs if g.n <= verify.CENSUS_LIMIT}
+
+
+def test_report_built_once_per_graph(monkeypatch):
+    seen = []
+    report = analytics.structural_report
+
+    def recorded(m):
+        seen.append(m)
+        return report(m)
+
+    monkeypatch.setattr(analytics, "structural_report", recorded)
+    graphs = corpus(20, 16, 7) + random_corpus(10, 24, seed=3)
+    results = verify.run_suite(graphs)
+    assert all(r.passed for r in results)
+    assert seen == [build_nm(g) for g in graphs]  # one call per graph, in order
+
+
+def test_wrong_srg_parameters_fail_characterizations(monkeypatch):
+    report = analytics.structural_report
+    monkeypatch.setattr(
+        analytics, "structural_report",
+        lambda m: dataclasses.replace(report(m), srg_parameters=(99, 0, 0)))
+    results = verify.run_suite(corpus(5, 8, 2))
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["characterization-biconditionals"]
+    assert failed[0].first_failure.startswith("strong-regularity parameters (99, 0, 0)")
+
+
+@pytest.mark.parametrize("g, header, edges", [
+    (edgeless(0), "# n=0 isolated: none", 0),
+    (edgeless(3), "# n=3 isolated: 0 1 2", 0),
+    (from_edges(4, [(0, 1), (1, 3)], labels=(5, 6, 7, 8)), "# n=4 isolated: 7", 2),
+])
+def test_counterexample_keeps_vertices(monkeypatch, g, header, edges):
+    monkeypatch.setattr(verify, "INVARIANTS", [("always-fails", lambda ctx: "forced")])
+    (result,) = verify.run_suite([g])
+    text = result.counterexample
+    assert text.splitlines()[0] == header
+    replayed = parse_edge_list(text)  # the '#' line is skipped
+    assert replayed.edge_count == g.edge_count == edges
+    assert set(replayed.labels) == {g.labels[v] for v in range(g.n) if g.adj[v]}
