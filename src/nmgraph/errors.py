@@ -21,4 +21,5 @@ class InvalidMatrixError(ValueError):
 
 
 class SizeGuardError(ValueError):
-    """Brute-force enumeration refused because the input is too large."""
+    """Input too large for brute-force enumeration or for an exact
+    floating-point product."""

@@ -58,20 +58,32 @@ class Graph:
             raise IndexError(f"vertex index {v} out of range for n={self.n}")
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]],
+def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
                labels: tuple[int, ...] | None = None) -> Graph:
-    """Build a Graph from 0-based index pairs; duplicates collapse."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
+    """Build a Graph from 0-based index pairs, an int array of shape (k, 2)
+    or any iterable of pairs; duplicates collapse.
+
+    The first bad pair is reported: a self-loop before an index out of
+    range.
+    """
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        u, v = pairs[int(np.argmax(bad))].tolist()
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of bounds for n={n}")
-        adj[u].add(v)
-        adj[v].add(u)
+        raise ValueError(f"edge ({u},{v}) out of bounds for n={n}")
+    tails = pairs.ravel()  # each pair in both orientations: u0 v0 u1 v1 ...
+    heads = pairs[:, ::-1].ravel()  # v0 u0 v1 u1 ...
+    order = np.argsort(tails, kind="stable")
+    nbrs = heads[order].tolist()
+    ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
     if labels is None:
         labels = tuple(range(n))
-    return Graph(labels=labels, adj=tuple(frozenset(a) for a in adj))
+    return Graph(labels=labels,
+                 adj=tuple(frozenset(nbrs[s:e]) for s, e in zip([0] + ends, ends)))
 
 
 @dataclass(frozen=True)
@@ -124,7 +136,7 @@ def parse_edge_list(text: str) -> Graph:
         raise textio.row_error(lines, body, k, f"self-loop {a}-{b} not allowed")
     values, first, index = np.unique(pairs.ravel(), return_index=True, return_inverse=True)
     order = np.argsort(first)  # labels by first appearance
-    edges = np.argsort(order)[index].reshape(-1, 2).tolist()
+    edges = np.argsort(order)[index].reshape(-1, 2)
     return from_edges(len(values), edges, labels=tuple(values[order].tolist()))
 
 
@@ -202,6 +214,8 @@ def girth(g: Graph) -> int | float:
         dist = _distance_avoiding_edge(g, u, v)
         if dist is not None:
             best = min(best, dist + 1)
+            if best == 3:  # no simple graph has a shorter cycle
+                break
     return best
 
 

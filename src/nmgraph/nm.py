@@ -8,21 +8,30 @@ Entry conventions for the matrix M = [m_ij]:
   m_ij = -|N(i) ∩ N(j)|        when i != j, non-edge    (always <= 0)
 
 which coincides with the product A(D - A) of the adjacency matrix with
-the Laplacian.  Rows are built independently, so entries for row i touch
-only vertices within distance 2 of i.
+the Laplacian: -A^2 plus deg(j) at each edge (i, j).  A^2 comes from one
+of two whole-array kernels, chosen by the work each would do: counting
+the 2-paths i-j-k, or a float32 BLAS product when the graph is dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from nmgraph.errors import InvalidMatrixError
+from nmgraph.errors import InvalidMatrixError, SizeGuardError
 from nmgraph.graph import Graph, bfs_levels, from_edges
-from nmgraph.oracles import adjacency_matrix, set_based_entries
+from nmgraph.oracles import adjacency_matrix  # noqa: F401  (re-exported)
+from nmgraph.oracles import blas_adjacency, set_based_entries
 
 _ENTRY_DTYPE = np.int64
+# The 2-path kernel runs when SPARSE_WORK_RATIO * P < n^3.  On a 2-core
+# x86-64 VM (OpenBLAS, 2 threads) the two kernels break even at n^3 / P
+# between about 1000 and 1700 for n = 1024 and 2048, and near 500 for
+# n = 256 and 512.
+SPARSE_WORK_RATIO = 1000
+FLOAT32_EXACT = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -70,36 +79,62 @@ class NeighborhoodMatrix:
 
 
 def build_nm(g: Graph) -> NeighborhoodMatrix:
-    """M = A(D - A) built from adjacency row sums.
+    """M = A(D - A) as -A^2 plus deg(j) at each edge (i, j).
 
-    Row i of A^2 is the sum of A[j] over j in N(i); M is -A^2 plus deg(j)
-    at each edge (i, j).  A is a uint8 adjacency matrix, and every step
-    writes into the one int64 buffer the result keeps, so no second
-    n x n int64 array is made.
+    -A^2 comes from `_negated_square_by_paths` when the P 2-paths are few
+    against the n^3 steps of a dense product (SPARSE_WORK_RATIO * P < n^3),
+    else from `_negated_square_by_blas`.  Either kernel returns the one
+    int64 buffer the result keeps, so `adopt` copies nothing.
     """
     n = g.n
-    degrees = np.fromiter((len(nbrs) for nbrs in g.adj), dtype=np.intp, count=n)
+    degrees = np.fromiter(map(len, g.adj), dtype=np.intp, count=n)
     tails = np.repeat(np.arange(n), degrees)
-    heads = np.fromiter((j for nbrs in g.adj for j in nbrs), dtype=np.intp, count=len(tails))
-    a = np.zeros((n, n), dtype=np.uint8)
-    a[tails, heads] = 1
-
-    entries = np.zeros((n, n), dtype=_ENTRY_DTYPE)
-    start = 0
-    for i, deg in enumerate(degrees.tolist()):
-        if deg:
-            a[heads[start:start + deg]].sum(axis=0, dtype=_ENTRY_DTYPE, out=entries[i])
-            start += deg
-    np.negative(entries, out=entries)
+    heads = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=len(tails))
+    paths = int(degrees[heads].sum())
+    if SPARSE_WORK_RATIO * paths < n ** 3:
+        entries = _negated_square_by_paths(n, degrees, tails, heads)
+    else:
+        entries = _negated_square_by_blas(n, tails, heads)
     entries[tails, heads] += degrees[heads]
     return NeighborhoodMatrix.adopt(entries, g.labels)
 
 
+def _negated_square_by_paths(n: int, degrees: np.ndarray, tails: np.ndarray,
+                             heads: np.ndarray) -> np.ndarray:
+    """-A^2 by counting 2-paths (Latapy 2008): A^2[i, k] is the number of
+    paths i-j-k.  heads holds each vertex's neighbours in one run, the runs
+    in vertex order, and tails the vertex of each run.  Every directed edge
+    (i, j) expands into deg(j) paths, whose ends k are read from j's run.
+    """
+    fan = degrees[heads]  # paths through each directed edge
+    run_start = np.cumsum(degrees) - degrees
+    path_start = np.cumsum(fan) - fan
+    keys = np.repeat(run_start[heads] - path_start, fan)
+    keys += np.arange(len(keys))  # where each path's end k sits in heads
+    keys = heads[keys]
+    keys += np.repeat(tails * n, fan)  # i * n + k
+    entries = np.bincount(keys, minlength=n * n)
+    entries.shape = (n, n)  # in place: reshape() would give adopt a view to copy
+    return np.negative(entries, out=entries)
+
+
+def _negated_square_by_blas(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """-A^2 by a float32 product, exact because every partial sum is an
+    integer at most n - 1 < 2^24."""
+    if n >= FLOAT32_EXACT:
+        raise SizeGuardError(f"n={n} too large for an exact float32 product (limit {FLOAT32_EXACT})")
+    a = np.zeros((n, n), dtype=np.float32)
+    a[tails, heads] = 1
+    entries = np.empty((n, n), dtype=_ENTRY_DTYPE)
+    return np.negative(a @ a, out=entries, casting="unsafe")
+
+
 def build_nm_product(g: Graph) -> NeighborhoodMatrix:
-    """Oracle constructor: literally A @ (D - A) in exact integer arithmetic."""
-    a = adjacency_matrix(g)
-    d = np.diag([g.degree(v) for v in range(g.n)]).astype(_ENTRY_DTYPE)
-    return NeighborhoodMatrix.adopt(a @ (d - a), g.labels)
+    """Oracle constructor: literally A @ (D - A), by a float64 BLAS product
+    that is exact (see `oracles.blas_adjacency`)."""
+    a = blas_adjacency(g)
+    d = np.diag(np.array([g.degree(v) for v in range(g.n)], dtype=np.float64))
+    return NeighborhoodMatrix.adopt((a @ (d - a)).astype(_ENTRY_DTYPE), g.labels)
 
 
 def build_mn(g: Graph) -> NeighborhoodMatrix:
@@ -121,9 +156,11 @@ def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:
     pos = m.entries > 0
     if not np.array_equal(pos, pos.T):
         raise InvalidMatrixError("not a valid NM: asymmetric positivity pattern")
-    # Edges from the strict upper triangle: a positive diagonal entry is
-    # left for the rebuild comparison to reject.
-    g = from_edges(m.n, np.argwhere(np.triu(pos, 1)).tolist(), labels=m.labels)
+    # Edges from the strict upper triangle, found by one flat scan: a
+    # positive diagonal entry is left for the rebuild comparison to reject.
+    rows, cols = np.divmod(np.flatnonzero(pos), m.n)
+    upper = rows < cols
+    g = from_edges(m.n, np.column_stack((rows[upper], cols[upper])), labels=m.labels)
     if not np.array_equal(build_nm(g).entries, m.entries):
         raise InvalidMatrixError("not a valid NM: entries inconsistent with the recovered graph")
     return g

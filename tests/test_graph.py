@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +159,33 @@ class TestFromEdges:
     def test_index_out_of_range_rejected(self, edge):
         with pytest.raises(ValueError, match=rf"^edge \({edge[0]},{edge[1]}\) out of bounds for n=3$"):
             from_edges(3, [edge])
+
+    def test_first_bad_pair_is_reported(self):
+        with pytest.raises(ValueError, match=r"^edge \(0,5\) out of bounds for n=3$"):
+            from_edges(3, np.array([[0, 1], [0, 5], [1, 1]]))
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 3$"):  # loop before bounds
+            from_edges(3, [(0, 1), (3, 3)])
+
+    def test_array_input_matches_pairs(self):
+        pairs = [(0, 1), (2, 3), (1, 2)]
+        g = from_edges(4, np.array(pairs))
+        assert g == from_edges(4, pairs)
+        assert g.adj == (frozenset({1}), frozenset({0, 2}), frozenset({1, 3}), frozenset({2}))
+
+    def test_duplicates_in_both_orientations_collapse(self):
+        g = from_edges(3, [(0, 1), (1, 0), (0, 1), (2, 1), (1, 2)])
+        assert g.adj == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
+        assert g.edge_count == 2
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2), dtype=np.int64)], ids=["list", "array"])
+    def test_no_edges(self, edges):
+        g = from_edges(3, edges)
+        assert g.adj == (frozenset(),) * 3
+        assert g.labels == (0, 1, 2)
+
+    def test_no_vertices(self):
+        g = from_edges(0, [])
+        assert g.n == 0 and g.labels == () and g.adj == ()
 
 
 class TestNeighborSets:

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nmgraph.errors import InvalidMatrixError
-from nmgraph.graph import connected_components, from_edges
+from nmgraph import nm
+from nmgraph.errors import InvalidMatrixError, SizeGuardError
+from nmgraph.graph import Graph, connected_components, from_edges
 from nmgraph.nm import (
     NeighborhoodMatrix,
     build_mn,
@@ -19,6 +22,7 @@ from nmgraph.nm import (
     two_level_subgraph,
 )
 from nmgraph.oracles import set_based_entries
+from nmgraph.random_graphs import gnp
 from helpers import (
     EXAMPLE7_ADJACENCY,
     EXAMPLE7_MATRIX,
@@ -112,6 +116,70 @@ class TestBuild:
         m = NeighborhoodMatrix.adopt(fresh, tuple(range(1, 8)))
         assert m.entries is fresh
         assert not fresh.flags.writeable
+
+
+KERNELS = {
+    "paths": nm._negated_square_by_paths,
+    "blas": lambda n, degrees, tails, heads: nm._negated_square_by_blas(n, tails, heads),
+}
+
+
+def kernel_matrix(g: Graph, kernel: str) -> np.ndarray:
+    """M from one A^2 kernel: its -A^2 plus deg(j) at each edge (i, j)."""
+    degrees = np.array([g.degree(v) for v in range(g.n)], dtype=np.intp)
+    tails = np.repeat(np.arange(g.n), degrees)
+    heads = np.array([j for nbrs in g.adj for j in nbrs], dtype=np.intp)
+    entries = KERNELS[kernel](g.n, degrees, tails, heads)
+    assert entries.dtype == np.int64 and entries.shape == (g.n, g.n)
+    assert entries.base is None  # adopt keeps it without a copy
+    entries[tails, heads] += degrees[heads]
+    return entries
+
+
+class TestSquareKernels:
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @given(n=st.integers(0, 64), p=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_matches_set_based(self, kernel, n, p, seed):
+        g = gnp(n, p, seed)
+        assert np.array_equal(kernel_matrix(g, kernel), set_based_entries(g))
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("g", [
+        edgeless(0),
+        edgeless(1),
+        edgeless(6),
+        complete_graph(2),
+        complete_graph(9),
+        from_edges(7, [(1, 2), (2, 4), (4, 1)]),  # vertices 0, 3, 5 and 6 isolated
+    ], ids=["n0", "n1", "edgeless6", "k2", "k9", "isolated"])
+    def test_edge_cases(self, kernel, g):
+        assert np.array_equal(kernel_matrix(g, kernel), set_based_entries(g))
+
+    @pytest.mark.parametrize("g, kernel", [
+        (cycle_graph(100), "paths"),  # 1000 * 400 2-paths < 100^3
+        (edgeless(50), "paths"),
+        (complete_graph(7), "blas"),  # 1000 * 252 2-paths >= 7^3
+        (edgeless(0), "blas"),
+    ])
+    def test_rule_picks_kernel_by_work(self, monkeypatch, g, kernel):
+        picked = []
+        for name in ("paths", "blas"):
+            real = getattr(nm, f"_negated_square_by_{name}")
+            monkeypatch.setattr(nm, f"_negated_square_by_{name}",
+                                lambda *args, real=real, name=name: picked.append(name) or real(*args))
+        assert np.array_equal(build_nm(g).entries, set_based_entries(g))
+        assert picked == [kernel]
+
+    @pytest.mark.parametrize("g", [cycle_graph(100), complete_graph(7), edgeless(0)])
+    def test_build_keeps_the_kernel_buffer(self, g):
+        entries = build_nm(g).entries
+        assert entries.dtype == np.int64
+        assert entries.base is None  # adopt did not copy a view
+
+    def test_float32_guard_raises_before_allocating(self):
+        empty = np.empty(0, dtype=np.intp)
+        with pytest.raises(SizeGuardError, match="float32"):
+            nm._negated_square_by_blas(nm.FLOAT32_EXACT, empty, empty)
 
 
 class TestMirroredProduct:

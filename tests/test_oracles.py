@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nmgraph.errors import SizeGuardError
-from nmgraph.graph import from_edges
-from nmgraph.nm import build_nm
+from nmgraph.graph import Graph, from_edges
+from nmgraph.nm import build_nm, build_nm_product
 from nmgraph.oracles import (
     SubgraphCensus,
     adjacency_matrix,
@@ -36,6 +36,16 @@ class TestTriangleTrace:
     def test_matches_census(self):
         for g in random_corpus(25, 14, seed=71):
             assert triangle_count_trace(g) == subgraph_census(g).triangle_count
+
+
+class TestFloat64Guard:
+    def test_too_large_for_exact_products(self):
+        n = 2**18  # n(n-1)^2 >= 2^53; nothing n x n is allocated
+        g = Graph(labels=tuple(range(n)), adj=(frozenset(),) * n)
+        with pytest.raises(SizeGuardError, match="float64"):
+            triangle_count_trace(g)
+        with pytest.raises(SizeGuardError, match="float64"):
+            build_nm_product(g)
 
 
 class TestCensus:
