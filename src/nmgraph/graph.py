@@ -19,6 +19,7 @@ import numpy as np
 from nmgraph import textio
 
 UNREACHABLE = -1
+BFS_ROOT_BLOCK = 256  # roots per whole-array BFS in diameter; temporaries O(block * n)
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,17 @@ def parse_edge_list(text: str) -> Graph:
 def format_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list: one "u v" line per edge, sorted by label."""
     labels = np.array(g.labels, dtype=np.int64)
-    tails = np.repeat(np.arange(g.n), list(map(len, g.adj)))
-    heads = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=len(tails))
+    tails, heads = _arcs(g)
     once = tails < heads
     pairs = np.sort(labels[np.column_stack((tails[once], heads[once]))], axis=1)
     return textio.int_lines(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+
+
+def _arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge in both orientations, as (tails, heads) grouped by tail."""
+    tails = np.repeat(np.arange(g.n), list(map(len, g.adj)))
+    heads = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=len(tails))
+    return tails, heads
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
@@ -191,15 +198,32 @@ def connected_components(g: Graph) -> ComponentPartition:
 
 
 def diameter(g: Graph) -> int | float:
-    """Max pairwise distance; inf for disconnected graphs and n <= 1."""
-    if g.n <= 1:
+    """Max pairwise distance; inf for disconnected graphs and n <= 1.
+
+    Breadth-first search from BFS_ROOT_BLOCK roots at once: with their
+    frontiers as the rows of a 0/1 matrix F, the next frontiers are the
+    unreached positions of F @ A > 0.  The product is float32 BLAS, exact
+    enough because a sum of non-negative terms never rounds to zero.  A
+    block's largest eccentricity is the number of steps until every
+    frontier is empty.
+    """
+    n = g.n
+    if n <= 1:
         return math.inf
+    a = np.zeros((n, n), dtype=np.float32)
+    a[_arcs(g)] = 1
     best = 0
-    for root in range(g.n):
-        ecc = bfs_levels(g, root).eccentricity()
-        if ecc == math.inf:
+    for start in range(0, n, BFS_ROOT_BLOCK):
+        roots = np.arange(start, min(start + BFS_ROOT_BLOCK, n))
+        reached = np.zeros((len(roots), n), dtype=bool)
+        reached[np.arange(len(roots)), roots] = True
+        frontier, depth = reached, 0
+        while (frontier := (frontier.astype(np.float32) @ a > 0) & ~reached).any():
+            reached |= frontier
+            depth += 1
+        if not reached.all():
             return math.inf
-        best = max(best, ecc)
+        best = max(best, depth)
     return best
 
 

@@ -49,7 +49,7 @@ def read_dense(text: str) -> NeighborhoodMatrix:
 
 
 def write_matrix_market(m: NeighborhoodMatrix) -> str:
-    r, c = np.nonzero(m.entries)
+    r, c = np.divmod(np.flatnonzero(m.entries), m.n)  # np.nonzero order, by a faster flat scan
     header = f"{_MM_HEADER}\n% labels: {' '.join(map(str, m.labels))}\n{m.n} {m.n} {len(r)}\n"
     return header + textio.int_lines(np.column_stack((r + 1, c + 1, m.entries[r, c])))
 

@@ -1,15 +1,18 @@
 """Brute-force ground truth, kept independent of the fast matrix paths.
 
 Everything here works from the Graph alone, with set operations, dense
-float64 BLAS products or subset enumeration, and imports nothing from the
-matrix modules, so agreement with the matrix formulas is meaningful
-evidence rather than a tautology.
+float64 BLAS products, or lookups in the uint8 adjacency matrix at every
+3- and 4-subset (whole-array passes over subset index arrays), and
+imports nothing from the matrix modules, so agreement with the matrix
+formulas is meaningful evidence rather than a tautology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
+from math import comb
+from typing import Iterator
 
 import numpy as np
 
@@ -129,40 +132,37 @@ def srg_parameters(g: Graph) -> tuple[int, int, int] | None:
 
 
 def subgraph_census(g: Graph, allow_large: bool = False) -> SubgraphCensus:
-    """Classify every 3- and 4-vertex induced subgraph.
+    """Classify every 3- and 4-vertex induced subgraph by whole-array
+    lookups in the uint8 adjacency matrix.
 
-    A 4-set contributes to c4_total according to its induced shape: K4
-    holds three 4-cycles, K4 minus an edge holds one, an induced C4 holds
-    one.  Guarded at n = 64 because C(n, 4) enumeration beyond that is
-    pointless for an oracle.
+    A 3-subset is a triangle when all three of its pairs are edges.  The
+    six pair lookups of a 4-subset give each of its vertices' degree
+    inside it, and half their sum is its edge count: 6 edges make a K4
+    (three 4-cycles), 5 a K4 minus an edge (one), and every inside degree
+    2 (so 4 edges) an induced C4 (one).  Guarded at n = 64 because C(n, 4)
+    enumeration beyond that is pointless for an oracle.
     """
     if g.n > ENUMERATION_LIMIT and not allow_large:
         raise SizeGuardError(
             f"n={g.n} exceeds enumeration limit {ENUMERATION_LIMIT}; "
             "pass allow_large=True to override"
         )
+    a = adjacency_matrix(g, np.uint8)
 
-    triangles = sum(
-        1
-        for a, b, c in combinations(range(g.n), 3)
-        if b in g.adj[a] and c in g.adj[a] and c in g.adj[b]
-    )
+    triangles = 0
+    for u, v, w in _subset_blocks(g.n, 3):
+        triangles += int(np.count_nonzero(a[u, v] & a[u, w] & a[v, w]))
 
     induced_c4 = 0
     k4 = 0
     k4_minus_edge = 0
-    for quad in combinations(range(g.n), 4):
-        edge_count = sum(
-            1 for u, v in combinations(quad, 2) if v in g.adj[u]
-        )
-        if edge_count == 6:
-            k4 += 1
-        elif edge_count == 5:
-            k4_minus_edge += 1
-        elif edge_count == 4:
-            degrees = [sum(1 for v in quad if v in g.adj[u]) for u in quad]
-            if all(d == 2 for d in degrees):
-                induced_c4 += 1
+    for u, v, w, x in _subset_blocks(g.n, 4):
+        uv, uw, ux, vw, vx, wx = a[u, v], a[u, w], a[u, x], a[v, w], a[v, x], a[w, x]
+        inside = np.stack((uv + uw + ux, uv + vw + vx, uw + vw + wx, ux + vx + wx))
+        edge_count = inside.sum(axis=0) // 2
+        k4 += int(np.count_nonzero(edge_count == 6))
+        k4_minus_edge += int(np.count_nonzero(edge_count == 5))
+        induced_c4 += int(np.count_nonzero((inside == 2).all(axis=0)))  # 2-regular: a C4
 
     return SubgraphCensus(
         triangle_count=triangles,
@@ -171,3 +171,35 @@ def subgraph_census(g: Graph, allow_large: bool = False) -> SubgraphCensus:
         k4_count=k4,
         k4_minus_edge_count=k4_minus_edge,
     )
+
+
+# Subset index arrays are kept for n <= SUBSET_CACHE_LIMIT, the verify
+# census limit: read-only, a function of (n, k) alone, about 250 KB for
+# all such n together.  Larger n get their subsets built per call,
+# SUBSET_BLOCK at a time, and never cached, so memory stays bounded.
+SUBSET_CACHE_LIMIT = 16
+SUBSET_BLOCK = 1 << 16
+_SUBSETS: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _subset_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+    """The k-subsets of range(n) in lexicographic order, as (k, rows)
+    index arrays, row i holding every subset's i-th smallest vertex: one
+    cached array when n <= SUBSET_CACHE_LIMIT, else blocks of at most
+    SUBSET_BLOCK subsets."""
+    if n <= SUBSET_CACHE_LIMIT:
+        if (n, k) not in _SUBSETS:
+            subsets = _take(combinations(range(n), k), k, comb(n, k))
+            subsets.flags.writeable = False
+            _SUBSETS[n, k] = subsets
+        yield _SUBSETS[n, k]
+        return
+    subsets = combinations(range(n), k)
+    while (block := _take(subsets, k, SUBSET_BLOCK)).size:
+        yield block
+
+
+def _take(subsets: Iterator[tuple[int, ...]], k: int, rows: int) -> np.ndarray:
+    """The next `rows` k-subsets (fewer at the end) as a (k, rows) array."""
+    flat = np.fromiter(chain.from_iterable(islice(subsets, rows)), dtype=np.intp)
+    return np.ascontiguousarray(flat.reshape(-1, k).T)

@@ -6,11 +6,15 @@ example (labels 1..8) appear throughout with their frozen matrices.
 
 from __future__ import annotations
 
+import ast
+import math
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
-from nmgraph.graph import Graph, from_edges
+from nmgraph.graph import Graph, bfs_levels, from_edges
+from nmgraph.oracles import SubgraphCensus
 from nmgraph.random_graphs import gnp
 
 # 7-vertex example: edges 1-2, 1-6, 2-5, 3-4, 4-5, 5-6, 5-7, 6-7.
@@ -155,3 +159,80 @@ def random_corpus(trials: int, max_n: int, seed: int) -> list[Graph]:
         gnp(rng.randint(0, max_n), rng.random(), seed=rng.randrange(2**32))
         for _ in range(trials)
     ]
+
+
+def paw() -> Graph:
+    """A triangle 0-1-2 with the pendant edge 2-3."""
+    return from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+@st.composite
+def graphs(draw, max_n: int = 12) -> Graph:
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_edges(n, [p for p, keep in zip(pairs, mask) if keep])
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 64) -> Graph:
+    """Up to 2n random edges, so isolated vertices are common."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
+@st.composite
+def graphs_of_any_density(draw, max_n: int = 16) -> Graph:
+    """G(n, p) with p drawn from [0, 1], edgeless and complete included."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    p = draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0))
+    return gnp(n, p, seed=draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+def census_by_subsets(g: Graph) -> SubgraphCensus:
+    """Reference classifier for `subgraph_census`: each 3- and 4-subset in
+    turn, by neighbour-set lookups."""
+    triangles = sum(
+        1
+        for a, b, c in combinations(range(g.n), 3)
+        if b in g.adj[a] and c in g.adj[a] and c in g.adj[b]
+    )
+    induced_c4 = k4 = k4_minus_edge = 0
+    for quad in combinations(range(g.n), 4):
+        edge_count = sum(1 for u, v in combinations(quad, 2) if v in g.adj[u])
+        if edge_count == 6:
+            k4 += 1
+        elif edge_count == 5:
+            k4_minus_edge += 1
+        elif edge_count == 4:
+            degrees = [sum(1 for v in quad if v in g.adj[u]) for u in quad]
+            if all(d == 2 for d in degrees):
+                induced_c4 += 1
+    return SubgraphCensus(
+        triangle_count=triangles,
+        c4_total=induced_c4 + k4_minus_edge + 3 * k4,
+        c4_induced=induced_c4,
+        k4_count=k4,
+        k4_minus_edge_count=k4_minus_edge,
+    )
+
+
+def diameter_by_bfs(g: Graph) -> int | float:
+    """Reference for `graph.diameter`: one queue BFS per root."""
+    if g.n <= 1:
+        return math.inf
+    return max(bfs_levels(g, root).eccentricity() for root in range(g.n))
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module a source text imports: `from a import b` gives both
+    `a` and `a.b`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+    return names

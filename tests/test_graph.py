@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmgraph import graph
 from nmgraph.errors import ParseError
 from nmgraph.graph import (
     bfs_levels,
@@ -21,12 +22,15 @@ from nmgraph.graph import (
 from helpers import (
     EXAMPLE7_EDGE_LINES,
     complete_graph,
+    diameter_by_bfs,
     edgeless,
     example7_graph,
+    graphs,
     two_squares_graph,
     path_graph,
     q3_cube,
     random_corpus,
+    sparse_graphs,
 )
 
 
@@ -296,6 +300,23 @@ class TestDiameterGirth:
     def test_disconnected_and_trivial_diameter(self):
         assert diameter(two_squares_graph()) == math.inf
         assert diameter(edgeless(1)) == math.inf
+        assert diameter(edgeless(0)) == math.inf
+        assert diameter(edgeless(2)) == math.inf
+        assert diameter(from_edges(2, [(0, 1)])) == 1
+
+    @settings(max_examples=80)
+    @given(st.one_of(graphs(max_n=20), sparse_graphs(max_n=40)))
+    def test_matches_bfs_per_root(self, g):
+        assert diameter(g) == diameter_by_bfs(g)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_root_blocks(self, monkeypatch, block):
+        # the farthest pair of a path is its two ends, in different blocks
+        monkeypatch.setattr(graph, "BFS_ROOT_BLOCK", block)
+        assert diameter(path_graph(11)) == 10
+        assert diameter(from_edges(11, [(i, i + 1) for i in range(9)])) == math.inf
+        for g in random_corpus(20, 14, seed=29):
+            assert diameter(g) == diameter_by_bfs(g)
 
     def test_example7_girth(self):
         assert girth(example7_graph()) == 3

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import inspect
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from nmgraph import oracles, verify
 from nmgraph.errors import SizeGuardError
 from nmgraph.graph import Graph, from_edges
 from nmgraph.nm import build_nm, build_nm_product
@@ -12,13 +17,19 @@ from nmgraph.oracles import (
     subgraph_census,
     triangle_count_trace,
 )
+from nmgraph.random_graphs import gnp
 from helpers import (
+    census_by_subsets,
     complete_graph,
+    cycle_graph,
     edgeless,
     example7_graph,
+    graphs_of_any_density,
+    imported_modules,
     two_squares_graph,
     k4_minus_edge,
     path_graph,
+    paw,
     random_corpus,
 )
 
@@ -70,6 +81,62 @@ class TestCensus:
         with pytest.raises(SizeGuardError):
             subgraph_census(g)
         assert subgraph_census(g, allow_large=True).c4_total == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_fewest_vertices(self, n):
+        # no 3-subset below n = 3, no 4-subset below n = 4, one at n = 4
+        for g in (edgeless(n), complete_graph(n)):
+            assert subgraph_census(g) == census_by_subsets(g)
+        expected = SubgraphCensus(comb(n, 3), 3 * comb(n, 4), 0, comb(n, 4), 0)
+        assert subgraph_census(complete_graph(n)) == expected
+
+    @pytest.mark.parametrize("g, expected", [
+        (complete_graph(4), SubgraphCensus(4, 3, 0, 1, 0)),
+        (k4_minus_edge(), SubgraphCensus(2, 1, 0, 0, 1)),
+        (cycle_graph(4), SubgraphCensus(0, 1, 1, 0, 0)),
+        (paw(), SubgraphCensus(1, 0, 0, 0, 0)),
+        (path_graph(4), SubgraphCensus(0, 0, 0, 0, 0)),
+    ], ids=["K4", "K4-e", "C4", "paw", "P4"])
+    def test_four_vertex_shapes(self, g, expected):
+        assert subgraph_census(g) == expected == census_by_subsets(g)
+
+    @settings(max_examples=120)
+    @given(graphs_of_any_density(max_n=16))
+    def test_matches_reference_classifier(self, g):
+        assert subgraph_census(g) == census_by_subsets(g)
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_blocks_above_cache_limit(self, monkeypatch, n):
+        # blocks of 7 subsets: many blocks, the last one short
+        monkeypatch.setattr(oracles, "SUBSET_BLOCK", 7)
+        for p in (0.2, 0.6, 0.95):
+            g = gnp(n, p, seed=n)
+            assert subgraph_census(g) == census_by_subsets(g)
+
+    def test_allow_large_at_65_with_edges(self):
+        n = 65
+        assert subgraph_census(complete_graph(n), allow_large=True) == SubgraphCensus(
+            comb(n, 3), 3 * comb(n, 4), 0, comb(n, 4), 0)
+        # a K4, an induced C4 and a paw on disjoint vertices, the rest isolated
+        planted = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                   (10, 11), (11, 12), (12, 13), (13, 10),
+                   (60, 61), (60, 62), (61, 62), (62, 64)]
+        c = subgraph_census(from_edges(n, planted), allow_large=True)
+        assert c == SubgraphCensus(triangle_count=5, c4_total=4, c4_induced=1,
+                                   k4_count=1, k4_minus_edge_count=0)
+
+    def test_cache_holds_no_entry_above_16(self):
+        assert oracles.SUBSET_CACHE_LIMIT == verify.CENSUS_LIMIT == 16
+        for n in (16, 17, 30, 65):
+            subgraph_census(edgeless(n), allow_large=True)
+        cached = {n for n, _ in oracles._SUBSETS}
+        assert 16 in cached and max(cached) <= 16
+
+    def test_reads_only_the_graph(self):
+        # independent of the fast path: no import of the matrix modules
+        imported = imported_modules(inspect.getsource(oracles))
+        assert "nmgraph.graph" in imported
+        assert not imported & {"nmgraph.nm", "nmgraph.analytics", "nmgraph.verify"}
 
     def test_internal_identity_rechecked(self):
         with pytest.raises(ValueError):

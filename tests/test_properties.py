@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmgraph import analytics
-from nmgraph.graph import Graph, from_edges, girth
+from nmgraph.graph import Graph, girth
 from nmgraph.nm import (
     build_mn,
     build_nm,
@@ -15,23 +15,7 @@ from nmgraph.nm import (
     row_sums,
 )
 from nmgraph.oracles import set_based_entries, triangle_count_trace
-
-
-@st.composite
-def graphs(draw, max_n: int = 12) -> Graph:
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return from_edges(n, [p for p, keep in zip(pairs, mask) if keep])
-
-
-@st.composite
-def sparse_graphs(draw, max_n: int = 64) -> Graph:
-    """Up to 2n random edges, so isolated vertices are common."""
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
-    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
-    return from_edges(n, [(u, v) for u, v in pairs if u != v])
+from helpers import graphs, sparse_graphs
 
 
 @given(graphs())
