@@ -3,9 +3,11 @@
 Every analytic here recovers adjacency from the matrix itself (entry
 positive iff edge), demonstrating that the matrix alone carries the
 structure: this module imports nothing from the brute-force oracles.
-Counts come from whole-array passes over the entries: one over the
-positive entries for codegrees, and one value histogram.  No pass makes
-an n x n int64 temporary.
+It sees M only through `NeighborhoodMatrix.nonzeros`: the diagonal and
+the row-major off-diagonal nonzeros (rows, cols, vals).  Every count is
+a sum over those entries: codegrees over the positive ones, and one
+histogram of the off-diagonal values, whose zeros are the n(n - 1) - nnz
+off-diagonal entries the view does not list.
 """
 
 from __future__ import annotations
@@ -18,26 +20,15 @@ import numpy as np
 from nmgraph.errors import InvalidMatrixError
 from nmgraph.nm import NeighborhoodMatrix
 
-# Entries per block of the histogram pass: its int64 temporaries stay near 1 MiB.
-_HISTOGRAM_BLOCK_ENTRIES = 1 << 17
 
-
-def _neighbor_mask(m: NeighborhoodMatrix) -> np.ndarray:
-    """Adjacency recovered from the matrix: entry > 0 iff edge."""
-    return m.entries > 0
-
-
-def _positions(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the true entries of a square mask.  A flat
-    scan is several times faster than the 2-D np.nonzero."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[0])
-
-
-def _codegrees(m: NeighborhoodMatrix) -> np.ndarray:
-    """c = |m_jj| - m_ij over the positive entries (i, j): the number of
-    common neighbours of each ordered adjacent pair."""
-    rows, cols = _positions(_neighbor_mask(m))
-    return np.abs(np.diagonal(m.entries))[cols] - m.entries[rows, cols]
+def _adjacency(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tails, heads, c) over the positive entries (i, j) of the view: the
+    ordered adjacent pairs in row-major order, and c = |m_jj| - m_ij, the
+    number of common neighbours of each."""
+    positive = np.flatnonzero(vals > 0)  # indices: taking by them beats a boolean mask
+    heads = cols[positive]
+    return rows[positive], heads, np.abs(diagonal)[heads] - vals[positive]
 
 
 def _pairs(c: np.ndarray) -> int:
@@ -45,23 +36,17 @@ def _pairs(c: np.ndarray) -> int:
     return int((c * (c - 1)).sum()) // 2
 
 
-def _value_histogram(m: NeighborhoodMatrix) -> np.ndarray:
-    """counts[v + n - 1] = number of entries equal to v.
+def _off_diagonal_histogram(n: int, diagonal: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """counts[v + n] = number of off-diagonal entries equal to v.
 
     Every entry of a valid neighbourhood matrix lies in [-(n-1), n-1];
     anything outside raises InvalidMatrixError.
     """
-    n = m.n
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    e = m.entries
-    if int(e.min()) < -(n - 1) or int(e.max()) > n - 1:
+    bound = max(n - 1, 0)
+    if any(a.size and (int(a.min()) < -bound or int(a.max()) > bound) for a in (diagonal, vals)):
         raise InvalidMatrixError(f"entry magnitude exceeds n - 1 = {n - 1}: not a valid NM")
-    counts = np.zeros(2 * n - 1, dtype=np.int64)
-    step = max(1, _HISTOGRAM_BLOCK_ENTRIES // n)
-    for start in range(0, n, step):
-        block = e[start:start + step] + (n - 1)
-        counts += np.bincount(block.ravel(), minlength=2 * n - 1)
+    counts = np.bincount(vals + n, minlength=2 * n + 1)
+    counts[n] = n * (n - 1) - len(vals)
     return counts
 
 
@@ -72,19 +57,38 @@ def _triangles(c: np.ndarray) -> int:
     return total // 6
 
 
-def _four_cycles(
-    m: NeighborhoodMatrix, c: np.ndarray, counts: np.ndarray
-) -> tuple[int, Fraction, Fraction]:
-    n = m.n
-    magnitudes = np.arange(n - 1, 0, -1, dtype=np.int64)  # |v| for v = -(n-1), ..., -1
-    negative_pairs = int((counts[:n - 1] * magnitudes * (magnitudes - 1)).sum()) // 2
-    degrees = -np.minimum(np.diagonal(m.entries), 0)
-    s1 = Fraction(negative_pairs - _pairs(degrees), 4)
+def _four_cycles(n: int, c: np.ndarray, counts: np.ndarray) -> tuple[int, Fraction, Fraction]:
+    magnitudes = np.arange(n, 0, -1, dtype=np.int64)  # |v| for v = -n, ..., -1
+    s1 = Fraction(int((counts[:n] * magnitudes * (magnitudes - 1)).sum()) // 2, 4)
     s2 = Fraction(_pairs(c), 4)
     total = s1 + s2
     if total.denominator != 1:
         raise InvalidMatrixError(f"4-cycle total {total} is not an integer: not a valid NM")
     return int(total), s1, s2
+
+
+def _induced_c4_free(n: int, tails: np.ndarray, heads: np.ndarray,
+                     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> bool:
+    """No pair (i, j) above the diagonal with entry <= -2 has two
+    non-adjacent common neighbours.  N(i) is row i's range of the positive
+    entries (tails, heads); adjacency is looked up in their sorted keys
+    i * n + j.  Candidate pairs are visited lazily, so the scan stops at
+    the first induced C4."""
+    keys = tails * n  # sorted: the view is row-major
+    keys += heads
+    starts = tails.searchsorted(np.arange(n + 1))
+
+    def adjacent(pairs: np.ndarray) -> np.ndarray:
+        return keys[keys.searchsorted(pairs).clip(max=len(keys) - 1)] == pairs
+
+    for k in np.flatnonzero((vals <= -2) & (rows < cols)):
+        i, j = rows[k], cols[k]
+        neighbours = heads[starts[i]:starts[i + 1]]
+        shared = neighbours[adjacent(j * n + neighbours)]  # N(i) ∩ N(j)
+        inside = adjacent((shared[:, None] * n + shared).ravel())
+        if np.count_nonzero(inside) < len(shared) * (len(shared) - 1):
+            return False
+    return True
 
 
 def triangle_count(m: NeighborhoodMatrix) -> int:
@@ -93,7 +97,7 @@ def triangle_count(m: NeighborhoodMatrix) -> int:
     Each adjacent pair contributes its common-neighbour count, so the
     double sum counts every triangle six times.
     """
-    return _triangles(_codegrees(m))
+    return _triangles(_adjacency(*m.nonzeros())[2])
 
 
 def four_cycle_count(m: NeighborhoodMatrix) -> tuple[int, Fraction, Fraction]:
@@ -105,16 +109,17 @@ def four_cycle_count(m: NeighborhoodMatrix) -> tuple[int, Fraction, Fraction]:
     whenever the graph contains a K4 minus an edge); their sum is always
     an integer.  These are the codegree sums of Chiba and Nishizeki,
     "Arboricity and subgraph listing algorithms", SIAM J. Comput. 14
-    (1985): s1 is read off the value histogram (every negative entry,
-    less the diagonal), s2 off the codegrees of the positive entries.
+    (1985): s1 is read off the histogram of the negative off-diagonal
+    entries, s2 off the codegrees of the positive entries.
     """
-    return _four_cycles(m, _codegrees(m), _value_histogram(m))
+    r = structural_report(m)
+    return r.four_cycle_count, r.s1_term, r.s2_term
 
 
 def is_triangle_free(m: NeighborhoodMatrix) -> bool:
     """True iff every positive entry equals the magnitude of its column's
     diagonal (edge endpoints then share no neighbour)."""
-    return not _codegrees(m).any()
+    return structural_report(m).triangle_free
 
 
 def is_induced_c4_free(m: NeighborhoodMatrix) -> bool:
@@ -127,78 +132,59 @@ def is_induced_c4_free(m: NeighborhoodMatrix) -> bool:
     common neighbours.  Only the pairs above the diagonal with entry <= -2
     are visited.
     """
-    pos = _neighbor_mask(m)
-    rows, cols = _positions(m.entries <= -2)
-    above = rows < cols
-    for i, j in zip(rows[above].tolist(), cols[above].tolist()):
-        shared = np.nonzero(pos[i] & pos[j])[0]
-        s = len(shared)
-        if np.count_nonzero(pos[np.ix_(shared, shared)]) < s * (s - 1):
-            return False
-    return True
+    return structural_report(m).induced_c4_free
 
 
 def girth_at_least_5(m: NeighborhoodMatrix) -> bool:
-    return is_triangle_free(m) and is_induced_c4_free(m)
+    return structural_report(m).girth_at_least_5
 
 
 def diameter_at_most_2(m: NeighborhoodMatrix) -> bool:
-    """True iff the matrix is non-empty and no entry is zero (the graph
-    of no vertices, like that of one, has no finite diameter)."""
-    return m.n > 0 and bool((m.entries != 0).all())
+    """True iff there are at least two vertices and no off-diagonal entry
+    is zero, i.e. all n(n - 1) are stored (the graph of no vertices, like
+    that of one, has no finite diameter)."""
+    return structural_report(m).diameter_at_most_2
 
 
 def some_row_has_no_zero(m: NeighborhoodMatrix) -> bool:
-    """True iff some row is entirely nonzero; implies diameter <= 4
+    """True iff some row is entirely nonzero: it stores n - 1 off-diagonal
+    entries and its diagonal is nonzero.  Implies diameter <= 4
     (one-directional: the converse fails, e.g. the 3-cube)."""
-    if m.n == 0:
-        return False
-    return bool((m.entries != 0).all(axis=1).any())
-
-
-def _distinct_values(counts: np.ndarray) -> tuple[int, ...]:
-    offset = (len(counts) - 1) // 2  # counts[v + n - 1] holds v
-    return tuple(int(v) - offset for v in np.nonzero(counts)[0])
+    return structural_report(m).diameter_upper_bound_4
 
 
 def _srg_parameters(
-    m: NeighborhoodMatrix, counts: np.ndarray
+    n: int, diagonal: np.ndarray, counts: np.ndarray
 ) -> tuple[int, int, int] | None:
-    """(k, mu1, mu2) read off the diagonal and the value histogram.
+    """(k, mu1, mu2) read off the diagonal and the off-diagonal histogram.
 
     The graph is strongly regular (k-regular, with at least one adjacent
     and one non-adjacent pair, every adjacent pair sharing mu1 neighbours
     and every non-adjacent pair mu2) iff the diagonal is constant -k, the
-    only positive entry value is k - mu1, and the only non-positive
-    off-diagonal value is -mu2.  The n diagonal entries are taken out of
-    the histogram first, because -k can equal -mu2 (K3,3).
+    only positive off-diagonal value is k - mu1, and the only non-positive
+    one is -mu2.
     """
-    n = m.n
-    diagonal = np.diagonal(m.entries)
     if n < 2 or (diagonal != diagonal[0]).any():
         return None
-    off_diagonal = counts.copy()
-    off_diagonal[int(diagonal[0]) + n - 1] -= n
-    positive = np.nonzero(off_diagonal[n:])[0]
-    non_positive = np.nonzero(off_diagonal[:n])[0]
+    positive = np.flatnonzero(counts[n + 1:])
+    non_positive = np.flatnonzero(counts[:n + 1])
     if len(positive) != 1 or len(non_positive) != 1:
         return None
     k = -int(diagonal[0])
-    return k, k - (int(positive[0]) + 1), n - 1 - int(non_positive[0])
+    return k, k - (int(positive[0]) + 1), n - int(non_positive[0])
 
 
 def strong_regularity_profile(
     m: NeighborhoodMatrix,
 ) -> tuple[tuple[int, ...], bool, tuple[int, int, int] | None]:
     """Distinct entry values plus the strong-regularity verdict and
-    parameters, all from one value histogram.
+    parameters, all from the diagonal and one off-diagonal histogram.
 
     When the graph is strongly regular the value set is
     {-k, k - mu1, -mu2} (two values only when k = mu2).
     """
-    counts = _value_histogram(m)
-    params = _srg_parameters(m, counts)
-    return _distinct_values(counts), params is not None, params
+    r = structural_report(m)
+    return r.distinct_entry_values, r.srg_consistent, r.srg_parameters
 
 
 @dataclass(frozen=True)
@@ -237,12 +223,16 @@ class StructuralReport:
 
 
 def structural_report(m: NeighborhoodMatrix) -> StructuralReport:
-    c = _codegrees(m)
-    counts = _value_histogram(m)
-    total, s1, s2 = _four_cycles(m, c, counts)
-    params = _srg_parameters(m, counts)
+    n = m.n
+    diagonal, rows, cols, vals = m.nonzeros()
+    counts = _off_diagonal_histogram(n, diagonal, vals)
+    tails, heads, c = _adjacency(diagonal, rows, cols, vals)
+    total, s1, s2 = _four_cycles(n, c, counts)
+    params = _srg_parameters(n, diagonal, counts)
     triangle_free = not c.any()
-    induced_c4_free = is_induced_c4_free(m)
+    induced_c4_free = _induced_c4_free(n, tails, heads, rows, cols, vals)
+    stored = np.diff(rows.searchsorted(np.arange(n + 1)))  # off-diagonal nonzeros per row
+    all_counts = counts + np.bincount(diagonal + n, minlength=2 * n + 1)  # the diagonal too
     return StructuralReport(
         triangle_count=_triangles(c),
         four_cycle_count=total,
@@ -251,9 +241,9 @@ def structural_report(m: NeighborhoodMatrix) -> StructuralReport:
         triangle_free=triangle_free,
         induced_c4_free=induced_c4_free,
         girth_at_least_5=triangle_free and induced_c4_free,
-        diameter_at_most_2=diameter_at_most_2(m),
-        diameter_upper_bound_4=some_row_has_no_zero(m),
-        distinct_entry_values=_distinct_values(counts),
+        diameter_at_most_2=n >= 2 and len(vals) == n * (n - 1),
+        diameter_upper_bound_4=bool(((stored == n - 1) & (diagonal != 0)).any()),
+        distinct_entry_values=tuple((np.flatnonzero(all_counts) - n).tolist()),
         srg_consistent=params is not None,
         srg_parameters=params,
     )

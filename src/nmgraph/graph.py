@@ -144,14 +144,15 @@ def parse_edge_list(text: str) -> Graph:
 def format_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list: one "u v" line per edge, sorted by label."""
     labels = np.array(g.labels, dtype=np.int64)
-    tails, heads = _arcs(g)
+    tails, heads = arcs(g)
     once = tails < heads
     pairs = np.sort(labels[np.column_stack((tails[once], heads[once]))], axis=1)
     return textio.int_lines(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
 
 
-def _arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge in both orientations, as (tails, heads) grouped by tail."""
+def arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge in both orientations, as (tails, heads): each vertex's
+    neighbours in one run of heads, the runs in vertex order."""
     tails = np.repeat(np.arange(g.n), list(map(len, g.adj)))
     heads = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=len(tails))
     return tails, heads
@@ -211,7 +212,7 @@ def diameter(g: Graph) -> int | float:
     if n <= 1:
         return math.inf
     a = np.zeros((n, n), dtype=np.float32)
-    a[_arcs(g)] = 1
+    a[arcs(g)] = 1
     best = 0
     for start in range(0, n, BFS_ROOT_BLOCK):
         roots = np.arange(start, min(start + BFS_ROOT_BLOCK, n))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 import subprocess
 import sys
@@ -109,6 +111,11 @@ class TestPredicates:
         assert analytics.some_row_has_no_zero(build_nm(example7_graph()))
         assert analytics.some_row_has_no_zero(build_nm(cycle_graph(5)))
         assert not analytics.some_row_has_no_zero(build_nm(q3_cube()))
+        # edgeless(1) catches a view that ignores the diagonal; K3 plus an isolated
+        # vertex, one that counts the diagonal among a row's n - 1 stored entries
+        assert not analytics.some_row_has_no_zero(build_nm(edgeless(1)))
+        k3_and_isolated = from_edges(4, [(0, 1), (0, 2), (1, 2)])
+        assert not analytics.some_row_has_no_zero(build_nm(k3_and_isolated))
 
     def test_q3_one_zero_per_row_but_diameter_3(self):
         m = build_nm(q3_cube())
@@ -217,3 +224,11 @@ class TestReport:
         assert r.triangle_free and not r.srg_consistent
         assert r.four_cycle_count == 2
         assert r.s1_term + r.s2_term == 2
+
+
+def test_reads_m_only_through_the_nonzero_view():
+    # how M is stored is nm's decision: no analytic touches m.entries
+    tree = ast.parse(inspect.getsource(analytics))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "entries"]
+    assert reads == []

@@ -118,6 +118,25 @@ class TestBuild:
         assert not fresh.flags.writeable
 
 
+class TestNonzeroView:
+    def test_row_major_order_without_the_diagonal(self):
+        off_diagonal = EXAMPLE7_MATRIX.copy()
+        np.fill_diagonal(off_diagonal, 0)
+        expected_rows, expected_cols = np.nonzero(off_diagonal)
+        column_major = np.asfortranarray(EXAMPLE7_MATRIX)
+        column_major.setflags(write=False)  # kept as stored, not copied
+        for entries in (EXAMPLE7_MATRIX, column_major):
+            m = NeighborhoodMatrix(entries=entries, labels=tuple(range(1, 8)))
+            diagonal, rows, cols, vals = m.nonzeros()
+            assert np.array_equal(diagonal, np.diagonal(EXAMPLE7_MATRIX))
+            assert np.array_equal(rows, expected_rows)
+            assert np.array_equal(cols, expected_cols)
+            assert np.array_equal(vals, EXAMPLE7_MATRIX[expected_rows, expected_cols])
+
+    def test_empty_at_n_0(self):
+        assert [a.size for a in build_nm(edgeless(0)).nonzeros()] == [0, 0, 0, 0]
+
+
 KERNELS = {
     "paths": nm._negated_square_by_paths,
     "blas": lambda n, degrees, tails, heads: nm._negated_square_by_blas(n, tails, heads),

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmgraph import analytics
-from nmgraph.graph import Graph, girth
+from nmgraph.graph import Graph, from_edges, girth
 from nmgraph.nm import (
     build_mn,
     build_nm,
@@ -15,7 +15,7 @@ from nmgraph.nm import (
     row_sums,
 )
 from nmgraph.oracles import set_based_entries, triangle_count_trace
-from helpers import graphs, sparse_graphs
+from helpers import edgeless, graphs, graphs_of_any_density, sparse_graphs
 
 
 @given(graphs())
@@ -69,3 +69,19 @@ def test_girth_predicates(g: Graph):
     gr = girth(g)
     assert analytics.is_triangle_free(m) == (gr != 3)
     assert analytics.girth_at_least_5(m) == (gr >= 5)
+
+
+@settings(max_examples=80)
+@given(st.one_of(graphs(), sparse_graphs(max_n=24), graphs_of_any_density(max_n=16)))
+@example(edgeless(0))
+@example(edgeless(1))
+@example(edgeless(2))
+@example(from_edges(2, [(0, 1)]))
+@example(from_edges(4, [(0, 1), (0, 2), (1, 2)]))
+def test_zero_reading_fields_match_the_oracle_matrix(g: Graph):
+    # the report sees only the stored nonzeros; the oracle matrix holds every entry
+    e = set_based_entries(g)
+    r = analytics.structural_report(build_nm(g))
+    assert r.distinct_entry_values == tuple(np.unique(e).tolist())
+    assert r.diameter_at_most_2 == (e.size > 0 and bool((e != 0).all()))
+    assert r.diameter_upper_bound_4 == bool((e != 0).all(axis=1).any())
