@@ -31,6 +31,7 @@ from nmgraph.nm import (
     reconstruct_adjacency,
     row_profile,
     row_sums,
+    transpose,
     two_level_subgraph,
 )
 
@@ -61,5 +62,6 @@ __all__ = [
     "reconstruct_adjacency",
     "row_profile",
     "row_sums",
+    "transpose",
     "two_level_subgraph",
 ]

@@ -156,11 +156,9 @@ def _print_verify_table(results: list[verify.InvariantResult]) -> int:
 def _verify_self_test(seed: int) -> int:
     """Negative control: corrupt one entry and require detection."""
     graph = gnp(8, 0.4, seed=seed)
-    m = build_nm(graph)
-    entries = m.entries.copy()
-    entries.setflags(write=True)
+    entries = oracles.set_based_entries(graph)
     entries[0, 1] += 1
-    corrupted = NeighborhoodMatrix(entries=entries, labels=m.labels)
+    corrupted = NeighborhoodMatrix.adopt(entries, graph.labels)
     try:
         reconstruct_adjacency(corrupted)
     except InvalidMatrixError as exc:

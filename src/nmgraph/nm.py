@@ -73,9 +73,6 @@ class NeighborhoodMatrix:
     def __hash__(self):
         return hash((self.labels, self.entries.tobytes()))
 
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
-
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(diagonal, rows, cols, vals): the n diagonal entries, then every
         nonzero off-diagonal entry, m[rows[k], cols[k]] = vals[k], in
@@ -147,7 +144,7 @@ def build_nm_product(g: Graph) -> NeighborhoodMatrix:
     """Oracle constructor: literally A @ (D - A), by a float64 BLAS product
     that is exact (see `oracles.blas_adjacency`)."""
     a = blas_adjacency(g)
-    d = np.diag(np.array([g.degree(v) for v in range(g.n)], dtype=np.float64))
+    d = np.diag(a.sum(axis=1))
     return NeighborhoodMatrix.adopt((a @ (d - a)).astype(_ENTRY_DTYPE), g.labels)
 
 
@@ -205,8 +202,13 @@ def column_sums(m: NeighborhoodMatrix, g: Graph) -> tuple[list[int], list[int]]:
     return totals, formula
 
 
+def transpose(m: NeighborhoodMatrix) -> NeighborhoodMatrix:
+    """M^T under the same labels: for a graph, the mirrored product (D - A)A."""
+    return NeighborhoodMatrix.adopt(m.entries.T.copy(), m.labels)
+
+
 def is_symmetric(m: NeighborhoodMatrix) -> bool:
-    return bool(np.array_equal(m.entries, m.entries.T))
+    return m == transpose(m)
 
 
 def determinant_exact(m: NeighborhoodMatrix) -> int:
@@ -265,7 +267,7 @@ def row_profile(m: NeighborhoodMatrix, i: int) -> RowProfile:
         if int(j) != i
     }
     out_edge_count = {j: int(row[j]) - 1 for j in level1}
-    row_min = int(row.min()) if m.n else 0
+    row_min = int(row.min())
     candidates = frozenset(int(j) for j in np.nonzero(row == row_min)[0])
     return RowProfile(
         row_index=i,

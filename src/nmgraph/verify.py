@@ -27,6 +27,7 @@ from nmgraph.graph import (
     girth,
 )
 from nmgraph.nm import (
+    NeighborhoodMatrix,
     build_mn,
     build_nm,
     build_nm_product,
@@ -36,6 +37,7 @@ from nmgraph.nm import (
     reconstruct_adjacency,
     row_profile,
     row_sums,
+    transpose,
 )
 
 DETERMINANT_LIMIT = 12
@@ -68,13 +70,13 @@ class GraphContext:
 def _check_dual_path(ctx: GraphContext) -> str | None:
     if ctx.m != build_nm_product(ctx.g):
         return "row-sum and product constructions disagree"
-    if not np.array_equal(ctx.m.entries, oracles.set_based_entries(ctx.g)):
+    if ctx.m != NeighborhoodMatrix.adopt(oracles.set_based_entries(ctx.g), ctx.g.labels):
         return "row-sum and set-based constructions disagree"
     return None
 
 
 def _check_transpose(ctx: GraphContext) -> str | None:
-    if not np.array_equal(build_mn(ctx.g).entries, ctx.m.entries.T):
+    if build_mn(ctx.g) != transpose(ctx.m):
         return "mirrored product is not the transpose"
     return None
 
@@ -92,10 +94,12 @@ def _check_column_sums(ctx: GraphContext) -> str | None:
 
 
 def _check_entry_shape(ctx: GraphContext) -> str | None:
-    g, m = ctx.g, ctx.m
-    if any(int(m.entries[i, i]) != -g.degree(i) for i in range(g.n)):
+    # Once the diagonal is -degree, its magnitudes are at most n - 1, so
+    # only the off-diagonal nonzeros need the bound.
+    diagonal, _, _, vals = ctx.m.nonzeros()
+    if not np.array_equal(diagonal, [-len(nbrs) for nbrs in ctx.g.adj]):
         return "diagonal is not -degree"
-    if g.n > 0 and int(np.abs(m.entries).max(initial=0)) > max(g.n - 1, 0):
+    if (np.abs(vals) > ctx.g.n - 1).any():
         return "entry magnitude exceeds n - 1"
     return None
 
@@ -110,12 +114,9 @@ def _check_determinant(ctx: GraphContext) -> str | None:
 
 
 def _check_symmetry_iff_regular(ctx: GraphContext) -> str | None:
-    g = ctx.g
-    parts = connected_components(g)
-    regular = all(
-        len({g.degree(v) for v in parts.vertices_of(c)}) <= 1
-        for c in range(parts.count)
-    )
+    # Regular components: each component pairs with exactly one degree.
+    parts = connected_components(ctx.g)
+    regular = len(set(zip(parts.membership, map(len, ctx.g.adj)))) == parts.count
     if is_symmetric(ctx.m) != regular:
         return f"symmetry={not regular} but regular-components={regular}"
     return None

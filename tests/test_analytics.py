@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import inspect
 import math
 import subprocess
 import sys
@@ -11,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nmgraph
 from nmgraph import analytics
 from nmgraph.errors import InvalidMatrixError
 from nmgraph.graph import diameter, from_edges, girth
@@ -226,9 +226,14 @@ class TestReport:
         assert r.s1_term + r.s2_term == 2
 
 
-def test_reads_m_only_through_the_nonzero_view():
-    # how M is stored is nm's decision: no analytic touches m.entries
-    tree = ast.parse(inspect.getsource(analytics))
+@pytest.mark.parametrize("source", [
+    path for path in sorted(Path(nmgraph.__file__).parent.glob("*.py"))
+    if path.stem not in ("nm", "matio")
+], ids=lambda path: path.stem)
+def test_reads_m_only_through_the_nonzero_view(source):
+    # how M is stored is known to nm and matio alone: no other module
+    # touches m.entries
+    tree = ast.parse(source.read_text(encoding="utf-8"))
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "entries"]
     assert reads == []

@@ -235,6 +235,8 @@ class TestVerify:
         assert "column-sum-formula               FAIL" in out
         assert "detail: InvalidMatrixError: column sums" in out
         assert "reconstruction-round-trip        FAIL" in out
+        assert "entry-shape                      FAIL" in out
+        assert "detail: diagonal is not -degree" in out
         assert "counterexample edge list:" in out
 
 

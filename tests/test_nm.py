@@ -19,6 +19,7 @@ from nmgraph.nm import (
     reconstruct_adjacency,
     row_profile,
     row_sums,
+    transpose,
     two_level_subgraph,
 )
 from nmgraph.oracles import set_based_entries
@@ -43,7 +44,7 @@ class TestBuild:
     def test_example7_golden(self):
         m = build_nm(example7_graph())
         assert np.array_equal(m.entries, EXAMPLE7_MATRIX)
-        assert np.array_equal(m.row(4), [-2, 2, -1, 2, -4, 2, 1])
+        assert np.array_equal(m.entries[4], [-2, 2, -1, 2, -4, 2, 1])
 
     def test_edgeless_zero_matrix(self):
         m = build_nm(edgeless(4))
@@ -205,6 +206,7 @@ class TestMirroredProduct:
     def test_example7_transpose(self):
         g = example7_graph()
         assert np.array_equal(build_mn(g).entries, EXAMPLE7_MATRIX.T)
+        assert build_mn(g) == transpose(build_nm(g))
 
     def test_regular_graph_coincides(self):
         g = cycle_graph(5)
@@ -216,6 +218,15 @@ class TestMirroredProduct:
     def test_transpose_identity_random(self):
         for g in random_corpus(30, 24, seed=13):
             assert np.array_equal(build_mn(g).entries, build_nm(g).entries.T)
+            assert build_mn(g) == transpose(build_nm(g))
+
+    def test_transpose_is_an_involution_keeping_labels(self):
+        g = from_edges(4, [(0, 1), (1, 2), (1, 3)], labels=(9, 4, 7, 2))
+        m = build_nm(g)
+        t = transpose(m)
+        assert t.labels == m.labels == (9, 4, 7, 2)
+        assert t != m  # a star is not regular, so M is not symmetric
+        assert transpose(t) == m
 
 
 class TestReconstruction:

@@ -7,7 +7,7 @@ import pytest
 
 from nmgraph import analytics, oracles, verify
 from nmgraph.graph import from_edges, parse_edge_list
-from nmgraph.nm import build_nm
+from nmgraph.nm import NeighborhoodMatrix, build_nm
 from nmgraph.random_graphs import corpus
 from helpers import edgeless, random_corpus
 
@@ -52,6 +52,35 @@ def test_wrong_srg_parameters_fail_characterizations(monkeypatch):
     failed = [r for r in results if not r.passed]
     assert [r.name for r in failed] == ["characterization-biconditionals"]
     assert failed[0].first_failure.startswith("strong-regularity parameters (99, 0, 0)")
+
+
+def test_set_based_disagreement_fails_dual_path(monkeypatch):
+    set_based = oracles.set_based_entries
+
+    def corrupted(g):
+        entries = set_based(g)
+        entries[0, 0] -= 1
+        return entries
+
+    monkeypatch.setattr(oracles, "set_based_entries", corrupted)
+    results = verify.run_suite([from_edges(3, [(0, 1)])])
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["dual-path-identity"]
+    assert failed[0].first_failure == "row-sum and set-based constructions disagree"
+
+
+def test_off_diagonal_magnitude_fails_entry_shape(monkeypatch):
+    def corrupted(g):
+        entries = build_nm(g).entries.copy()
+        entries[0, g.n - 1] = -g.n  # a non-edge sharing n common neighbours
+        return NeighborhoodMatrix(entries=entries, labels=g.labels)
+
+    monkeypatch.setattr(verify, "build_nm", corrupted)
+    results = {r.name: r for r in verify.run_suite([from_edges(4, [(0, 1), (1, 2)])])}
+    shape = results["entry-shape"]
+    assert not shape.passed
+    assert shape.first_failure == "entry magnitude exceeds n - 1"
+    assert shape.counterexample.splitlines()[0] == "# n=4 isolated: 3"
 
 
 @pytest.mark.parametrize("g, header, edges", [
