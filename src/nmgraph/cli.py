@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 invariant failure, 2 parse error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -213,7 +214,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call to `main` can share it."""
     parser = argparse.ArgumentParser(
         prog="nmgraph",
         description="Neighbourhood-matrix toolkit for undirected simple graphs",

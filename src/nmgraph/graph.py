@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -22,37 +22,62 @@ UNREACHABLE = -1
 BFS_ROOT_BLOCK = 256  # roots per whole-array BFS in diameter; temporaries O(block * n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph stored as per-vertex neighbour sets.
+    """Undirected simple graph stored as compressed neighbour runs (CSR).
 
-    labels[i] is the external label of internal vertex i; adj[i] is the
-    frozenset of internal neighbour indices.  No self-loops, symmetric.
+    labels[i] is the external label of internal vertex i.  The sorted
+    neighbours of vertex i are indices[indptr[i]:indptr[i + 1]]; the runs
+    are in vertex order and both arrays are read-only.  No self-loops,
+    symmetric.
     """
 
     labels: tuple[int, ...]
-    adj: tuple[frozenset[int], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.adj)
+        return len(self.indptr) - 1
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.indices) // 2
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """degrees[i] is the length of vertex i's run; read-only."""
+        degrees = np.diff(self.indptr)
+        degrees.setflags(write=False)
+        return degrees
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """adj[i] is the frozenset of i's neighbours: the view the
+        set-based oracles work on, built on first use."""
+        nbrs, ends = self.indices.tolist(), self.indptr.tolist()
+        return tuple(frozenset(nbrs[s:e]) for s, e in zip(ends, ends[1:]))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.degrees[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v."""
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        tails, heads = arcs(self)
+        once = tails < heads
+        return zip(tails[once].tolist(), heads[once].tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.labels == other.labels and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self):
+        return hash((self.labels, self.indptr.tobytes(), self.indices.tobytes()))
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -65,7 +90,8 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
     or any iterable of pairs; duplicates collapse.
 
     The first bad pair is reported: a self-loop before an index out of
-    range.
+    range.  The runs come from one sort of the arc keys u * n + v, each
+    pair in both orientations, with repeated keys dropped.
     """
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
@@ -76,15 +102,26 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"edge ({u},{v}) out of bounds for n={n}")
-    tails = pairs.ravel()  # each pair in both orientations: u0 v0 u1 v1 ...
-    heads = pairs[:, ::-1].ravel()  # v0 u0 v1 u1 ...
-    order = np.argsort(tails, kind="stable")
-    nbrs = heads[order].tolist()
-    ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
+    u, v = pairs.T
+    keys = np.concatenate((u * n + v, v * n + u))
+    keys.sort()
+    keys = keys[_run_starts(keys)]
+    tails = keys // n
+    indices = keys - tails * n
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
     if labels is None:
         labels = tuple(range(n))
-    return Graph(labels=labels,
-                 adj=tuple(frozenset(nbrs[s:e]) for s, e in zip([0] + ends, ends)))
+    return Graph(labels=labels, indptr=indptr, indices=indices)
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    starts = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
 
 
 @dataclass(frozen=True)
@@ -135,10 +172,15 @@ def parse_edge_list(text: str) -> Graph:
         if min(a, b) < 0:
             raise textio.row_error(lines, body, k, f"negative label in {body[k]!r}")
         raise textio.row_error(lines, body, k, f"self-loop {a}-{b} not allowed")
-    values, first, index = np.unique(pairs.ravel(), return_index=True, return_inverse=True)
+    flat = pairs.ravel()
+    by_label = np.argsort(flat)
+    starts = _run_starts(flat[by_label])  # one run per distinct label
+    first = np.minimum.reduceat(by_label, np.flatnonzero(starts))  # its first position
+    index = np.empty_like(by_label)
+    index[by_label] = np.cumsum(starts) - 1  # the rank of each entry's label
     order = np.argsort(first)  # labels by first appearance
     edges = np.argsort(order)[index].reshape(-1, 2)
-    return from_edges(len(values), edges, labels=tuple(values[order].tolist()))
+    return from_edges(len(first), edges, labels=tuple(flat[first[order]].tolist()))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -151,11 +193,10 @@ def format_edge_list(g: Graph) -> str:
 
 
 def arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge in both orientations, as (tails, heads): each vertex's
-    neighbours in one run of heads, the runs in vertex order."""
-    tails = np.repeat(np.arange(g.n), list(map(len, g.adj)))
-    heads = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=len(tails))
-    return tails, heads
+    """Every edge in both orientations, as (tails, heads): heads is the
+    stored `indices`, each vertex's sorted neighbours in one run, the runs
+    in vertex order."""
+    return np.repeat(np.arange(g.n), g.degrees), g.indices
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
@@ -181,21 +222,31 @@ def bfs_levels(g: Graph, root: int) -> LevelAssignment:
 
 
 def connected_components(g: Graph) -> ComponentPartition:
-    membership = [UNREACHABLE] * g.n
-    count = 0
-    for start in range(g.n):
-        if membership[start] != UNREACHABLE:
-            continue
-        membership[start] = count
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if membership[v] == UNREACHABLE:
-                    membership[v] = count
-                    queue.append(v)
-        count += 1
-    return ComponentPartition(count=count, membership=tuple(membership))
+    """Components by hooking and pointer jumping (Shiloach & Vishkin 1982).
+
+    Every vertex points to a root of its tree, at first itself.  A round
+    hooks each root onto the smallest root across its arcs, then jumps
+    pointers until every tree is a star.  A root only ever hooks onto a
+    smaller one, so the last root of a component is its smallest vertex;
+    numbering the roots in order gives ids in first-seen order.  Every
+    tree that survives a round unmerged merges in the next, so there are
+    O(log n) rounds.
+    """
+    tails, heads = arcs(g)
+    parent = np.arange(g.n)
+    while ((tail_roots := parent[tails]) != (head_roots := parent[heads])).any():
+        _hook(parent, tail_roots, head_roots)
+        while ((grand := parent[parent]) != parent).any():
+            parent = grand
+    roots = parent == np.arange(g.n)
+    membership = (np.cumsum(roots) - 1)[parent]
+    return ComponentPartition(count=int(roots.sum()), membership=tuple(membership.tolist()))
+
+
+def _hook(parent: np.ndarray, tail_roots: np.ndarray, head_roots: np.ndarray) -> None:
+    """One round's hooks: each root r takes the smallest head root over
+    the arcs whose tail root is r, when that is smaller than r."""
+    np.minimum.at(parent, tail_roots, head_roots)
 
 
 def diameter(g: Graph) -> int | float:

@@ -16,6 +16,7 @@ the 2-paths i-j-k, or a float32 BLAS product when the graph is dense.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,13 +82,21 @@ class NeighborhoodMatrix:
         The one read of M that analytics and reconstruction make, so they
         need not know how M is stored.  Every structural count is a sum
         over these entries; an off-diagonal entry not listed is zero.
+        Built once per matrix; the arrays are read-only.
         """
+        return self._nonzeros
+
+    @cached_property
+    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = self.n
         mask = self.entries != 0
         np.fill_diagonal(mask, False)
         flat = np.flatnonzero(mask)  # a flat scan is several times faster than 2-D np.nonzero
         rows = flat // n  # this and a subtraction: several times faster than np.divmod
-        return self.entries.diagonal(), rows, flat - rows * n, self.entries.ravel()[flat]
+        view = (self.entries.diagonal(), rows, flat - rows * n, self.entries.ravel()[flat])
+        for a in view:
+            a.setflags(write=False)
+        return view
 
 
 def build_nm(g: Graph) -> NeighborhoodMatrix:
@@ -100,7 +109,7 @@ def build_nm(g: Graph) -> NeighborhoodMatrix:
     """
     n = g.n
     tails, heads = arcs(g)
-    degrees = np.bincount(tails, minlength=n)
+    degrees = g.degrees
     paths = int(degrees[heads].sum())
     if SPARSE_WORK_RATIO * paths < n ** 3:
         entries = _negated_square_by_paths(n, degrees, tails, heads)
@@ -188,13 +197,13 @@ def row_sums(m: NeighborhoodMatrix) -> list[int]:
 
 def column_sums(m: NeighborhoodMatrix, g: Graph) -> tuple[list[int], list[int]]:
     """Per-column totals alongside the closed form
-    sum over j in N(i) of (deg(i) - deg(j)); asserts they agree.
+    sum over j in N(i) of (deg(i) - deg(j)) = deg(i)^2 - sum over j in N(i)
+    of deg(j); asserts they agree.
     """
     totals = [int(s) for s in m.entries.sum(axis=0)]
-    formula = [
-        sum(g.degree(i) - g.degree(j) for j in g.adj[i])
-        for i in range(g.n)
-    ]
+    degrees = g.degrees
+    prefix = np.concatenate(([0], np.cumsum(degrees[g.indices])))
+    formula = (degrees * degrees - np.diff(prefix[g.indptr])).tolist()
     if totals != formula:
         raise InvalidMatrixError(
             f"column sums {totals} disagree with degree formula {formula}"

@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from nmgraph.errors import SizeGuardError
-from nmgraph.graph import Graph
+from nmgraph.graph import Graph, arcs
 
 ENUMERATION_LIMIT = 64
 FLOAT64_EXACT = 2 ** 53
@@ -43,9 +43,7 @@ class SubgraphCensus:
 
 def adjacency_matrix(g: Graph, dtype: type = np.int64) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=dtype)
-    for u, v in g.edges():
-        a[u, v] = 1
-        a[v, u] = 1
+    a[arcs(g)] = 1
     return a
 
 
@@ -59,21 +57,21 @@ def set_based_entries(g: Graph, mirrored: bool = False) -> np.ndarray:
     Only vertices within distance 2 of the row vertex produce nonzeros,
     so each row costs O(sum of neighbour degrees), not O(n).
     """
-    n = g.n
+    n, adj = g.n, g.adj
     entries = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         row = entries[i]
         common: dict[int, int] = {}
-        for j in g.adj[i]:
-            for k in g.adj[j]:
+        for j in adj[i]:
+            for k in adj[j]:
                 if k != i:
                     common[k] = common.get(k, 0) + 1
-        for j in g.adj[i]:
-            row[j] = g.degree(i if mirrored else j) - common.get(j, 0)
+        for j in adj[i]:
+            row[j] = len(adj[i if mirrored else j]) - common.get(j, 0)
         for k, c in common.items():
-            if k not in g.adj[i]:
+            if k not in adj[i]:
                 row[k] = -c
-        row[i] = -g.degree(i)
+        row[i] = -len(adj[i])
     return entries
 
 
@@ -106,7 +104,7 @@ def srg_parameters(g: Graph) -> tuple[int, int, int] | None:
     """
     if g.n < 2:
         return None
-    degrees = {g.degree(v) for v in range(g.n)}
+    degrees = {len(nbrs) for nbrs in g.adj}
     if len(degrees) != 1:
         return None
     k = degrees.pop()

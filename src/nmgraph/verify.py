@@ -97,7 +97,7 @@ def _check_entry_shape(ctx: GraphContext) -> str | None:
     # Once the diagonal is -degree, its magnitudes are at most n - 1, so
     # only the off-diagonal nonzeros need the bound.
     diagonal, _, _, vals = ctx.m.nonzeros()
-    if not np.array_equal(diagonal, [-len(nbrs) for nbrs in ctx.g.adj]):
+    if not np.array_equal(diagonal, -ctx.g.degrees):
         return "diagonal is not -degree"
     if (np.abs(vals) > ctx.g.n - 1).any():
         return "entry magnitude exceeds n - 1"
@@ -116,22 +116,20 @@ def _check_determinant(ctx: GraphContext) -> str | None:
 def _check_symmetry_iff_regular(ctx: GraphContext) -> str | None:
     # Regular components: each component pairs with exactly one degree.
     parts = connected_components(ctx.g)
-    regular = len(set(zip(parts.membership, map(len, ctx.g.adj)))) == parts.count
+    regular = len(set(zip(parts.membership, ctx.g.degrees.tolist()))) == parts.count
     if is_symmetric(ctx.m) != regular:
         return f"symmetry={not regular} but regular-components={regular}"
     return None
 
 
 def _check_round_trip(ctx: GraphContext) -> str | None:
-    h = reconstruct_adjacency(ctx.m)
-    if h.adj != ctx.g.adj:
+    if reconstruct_adjacency(ctx.m) != ctx.g:
         return "reconstructed edge set differs"
     return None
 
 
 def _check_row_profiles(ctx: GraphContext) -> str | None:
-    g = ctx.g
-    for i in range(g.n):
+    for i, degree in enumerate(ctx.g.degrees.tolist()):
         p = row_profile(ctx.m, i)
         out = sum(p.out_edge_count.values())
         back = sum(p.level2.values())
@@ -139,8 +137,8 @@ def _check_row_profiles(ctx: GraphContext) -> str | None:
             return f"row {i}: level1->level2 edges {out} != {back}"
         if i not in p.diagonal_candidates:
             return f"row {i}: diagonal not among argmin positions"
-        if p.degree != g.degree(i):
-            return f"row {i}: decoded degree {p.degree} != {g.degree(i)}"
+        if p.degree != degree:
+            return f"row {i}: decoded degree {p.degree} != {degree}"
     return None
 
 
@@ -247,5 +245,5 @@ def run_suite(graphs: list[Graph]) -> list[InvariantResult]:
 def _counterexample(g: Graph) -> str:
     """The edge list behind a '#' line, which parse_edge_list skips, giving
     what edge lines cannot: the vertex count and the isolated vertices."""
-    isolated = " ".join(str(label) for label, nbrs in zip(g.labels, g.adj) if not nbrs)
+    isolated = " ".join(str(g.labels[v]) for v in np.flatnonzero(g.degrees == 0).tolist())
     return f"# n={g.n} isolated: {isolated or 'none'}\n" + format_edge_list(g)

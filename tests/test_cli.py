@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmgraph import matio, verify
-from nmgraph.cli import _quarters, main
+from nmgraph.cli import _quarters, build_parser, main
 from nmgraph.nm import NeighborhoodMatrix, build_nm
 from helpers import EXAMPLE7_EDGE_LINES, EXAMPLE7_MATRIX, example7_graph, two_squares_graph
 from nmgraph.graph import format_edge_list
@@ -59,6 +59,13 @@ class TestCompute:
 
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["compute", str(tmp_path / "nope.edges")]) == 3
+
+    def test_shared_parser_keeps_no_options_between_calls(self, example7_file, tmp_path):
+        assert build_parser() is build_parser()
+        first, second = tmp_path / "m.mtx", tmp_path / "m.txt"
+        assert main(["compute", str(example7_file), "--format", "mm", "-o", str(first)]) == 0
+        assert main(["compute", str(example7_file), "-o", str(second)]) == 0
+        assert second.read_text() == matio.write_dense(matio.read_auto(first.read_text()))
 
 
 class TestReconstruct:

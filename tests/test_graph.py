@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import ast
 import math
+import time
+from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nmgraph
 from nmgraph import graph
+from nmgraph.cli import main
 from nmgraph.errors import ParseError
 from nmgraph.graph import (
+    Graph,
     bfs_levels,
     common_neighbors,
     connected_components,
@@ -191,6 +198,28 @@ class TestFromEdges:
         g = from_edges(0, [])
         assert g.n == 0 and g.labels == () and g.adj == ()
 
+    @settings(max_examples=200)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                       st.integers(0, max(n - 1, 0))), max_size=30))))
+    def test_from_edges_and_parse_match_reference(self, case):
+        # duplicates in both orientations, vertices no pair names, and n = 0
+        n, pairs = case
+        pairs = [(u, v) for u, v in pairs if u != v]
+        text = "".join(f"{u} {v}\n" for u, v in pairs)
+        labels, adj = reference_parse(text)
+        g = parse_edge_list(text)
+        assert (g.labels, g.adj) == (labels, adj)
+        by_label = {label: {labels[w] for w in nbrs} for label, nbrs in zip(labels, adj)}
+        h = from_edges(n, pairs)
+        assert h.labels == tuple(range(n))
+        assert h.adj == tuple(frozenset(by_label.get(v, ())) for v in range(n))
+        assert h == from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        # the stored runs: sorted, in vertex order, read-only
+        assert h.indptr.tolist() == [0, *accumulate(len(nbrs) for nbrs in h.adj)]
+        assert h.indices.tolist() == [w for nbrs in h.adj for w in sorted(nbrs)]
+        assert not h.indptr.flags.writeable and not h.indices.flags.writeable
+
 
 class TestNeighborSets:
     def test_common_neighbors_example7(self):
@@ -274,6 +303,27 @@ class TestComponents:
         assert parts.count == 3
         assert parts.membership == (0, 1, 2)
 
+    @settings(max_examples=150)
+    @given(st.one_of(graphs(max_n=14), sparse_graphs(max_n=60)))
+    def test_matches_reference_bfs(self, g):
+        parts = connected_components(g)
+        assert (parts.count, parts.membership) == reference_components(g)
+
+    def test_shuffled_path_takes_logarithmic_rounds(self, monkeypatch):
+        # without pointer jumping, min-label propagation needs tens of thousands of rounds here
+        n = 10**5
+        order = np.random.default_rng(7).permutation(n)
+        g = from_edges(n, np.column_stack((order[:-1], order[1:])))
+        rounds = []
+        hook = graph._hook
+        monkeypatch.setattr(graph, "_hook", lambda *args: (rounds.append(1), hook(*args)))
+        start = time.perf_counter()
+        parts = connected_components(g)
+        elapsed = time.perf_counter() - start
+        assert parts.count == 1 and set(parts.membership) == {0}
+        assert len(rounds) <= 2 * math.ceil(math.log2(n))
+        assert elapsed < 1.0
+
     def test_count_matches_bfs_exhaustion(self):
         for g in random_corpus(15, 14, seed=5):
             roots = 0
@@ -284,6 +334,23 @@ class TestComponents:
                     levels = bfs_levels(g, v)
                     seen |= {u for u, d in enumerate(levels.level) if d >= 0}
             assert connected_components(g).count == roots
+
+
+def reference_components(g) -> tuple[int, tuple[int, ...]]:
+    """Component ids in first-seen order, by one stack search per new root."""
+    membership = [-1] * g.n
+    count = 0
+    for root in range(g.n):
+        if membership[root] < 0:
+            membership[root] = count
+            stack = [root]
+            while stack:
+                for v in g.adj[stack.pop()]:
+                    if membership[v] < 0:
+                        membership[v] = count
+                        stack.append(v)
+            count += 1
+    return count, tuple(membership)
 
 
 class TestDiameterGirth:
@@ -332,3 +399,39 @@ class TestDiameterGirth:
         from helpers import petersen
 
         assert girth(petersen()) == 5
+
+
+# -- the neighbour sets are built only for the set-based oracles ---------------
+
+SET_BASED_READERS = {
+    "graph.has_edge", "graph.common_neighbors", "graph.bfs_levels",
+    "graph._distance_avoiding_edge", "nm.two_level_subgraph",
+    "oracles.set_based_entries", "oracles.srg_parameters",
+}
+
+
+def test_only_set_based_functions_read_adj():
+    readers = set()
+    for path in sorted(Path(nmgraph.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "adj"
+                    for node in ast.walk(fn)):
+                readers.add(f"{path.stem}.{fn.name}")
+    assert readers == SET_BASED_READERS
+
+
+def test_compute_reconstruct_and_analyze_never_build_adj(monkeypatch, tmp_path, capsys):
+    def refuse(g):
+        raise AssertionError("Graph.adj built")
+
+    monkeypatch.setattr(Graph, "adj", property(refuse))
+    edges = tmp_path / "g.edges"
+    edges.write_text(format_edge_list(two_squares_graph()))
+    for fmt in ("dense", "mm"):
+        matrix = tmp_path / f"m.{fmt}"
+        assert main(["compute", str(edges), "--format", fmt, "-o", str(matrix)]) == 0
+        assert main(["reconstruct", str(matrix), "-o", str(tmp_path / "r.edges")]) == 0
+        assert (tmp_path / "r.edges").read_text() == edges.read_text()
+    assert main(["analyze", str(edges)]) == 0
+    assert '"componentCount": 2' in capsys.readouterr().out

@@ -137,6 +137,14 @@ class TestNonzeroView:
     def test_empty_at_n_0(self):
         assert [a.size for a in build_nm(edgeless(0)).nonzeros()] == [0, 0, 0, 0]
 
+    def test_built_once_and_read_only(self):
+        m = build_nm(example7_graph())
+        view = m.nonzeros()
+        assert m.nonzeros() is view
+        for a in view:
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = 0
+
 
 KERNELS = {
     "paths": nm._negated_square_by_paths,
@@ -290,6 +298,12 @@ class TestSums:
     def test_random_column_formula(self):
         for g in random_corpus(40, 28, seed=37):
             column_sums(build_nm(g), g)  # raises on mismatch
+
+    def test_formula_matches_neighbour_loop(self):
+        for g in random_corpus(40, 28, seed=41):
+            _, formula = column_sums(build_nm(g), g)
+            assert formula == [sum(len(g.adj[i]) - len(g.adj[j]) for j in g.adj[i])
+                               for i in range(g.n)]
 
 
 class TestSymmetry:
