@@ -2,24 +2,24 @@
 
 Everything here works from the Graph alone, with set operations, dense
 float64 BLAS products, or lookups in the uint8 adjacency matrix at every
-3- and 4-subset (whole-array passes over subset index arrays), and
-imports nothing from the matrix modules, so agreement with the matrix
-formulas is meaningful evidence rather than a tautology.
+3- and 4-subset (whole-array passes over one cached subset index array
+per (n, k), for n up to ENUMERATION_LIMIT), and imports nothing from the
+matrix modules, so agreement with the matrix formulas is meaningful
+evidence rather than a tautology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
-from math import comb
-from typing import Iterator
+from functools import cache
+from itertools import chain, combinations
 
 import numpy as np
 
 from nmgraph.errors import SizeGuardError
 from nmgraph.graph import Graph, arcs
 
-ENUMERATION_LIMIT = 64
+ENUMERATION_LIMIT = 16
 FLOAT64_EXACT = 2 ** 53
 
 
@@ -100,36 +100,24 @@ def srg_parameters(g: Graph) -> tuple[int, int, int] | None:
     Follows the usual convention that a strongly regular graph is
     k-regular with at least one adjacent and one non-adjacent pair, every
     adjacent pair sharing exactly mu1 neighbours and every non-adjacent
-    pair exactly mu2.
+    pair exactly mu2.  Read off one product, A^2 = kI + mu1 A +
+    mu2 (J - I - A) (Godsil & Royle, Algebraic Graph Theory, 10.1):
+    A^2 must take one value on the edges and one on the non-edges.
     """
-    if g.n < 2:
+    if g.n < 2 or g.degrees.min() != g.degrees.max():
         return None
-    degrees = {len(nbrs) for nbrs in g.adj}
-    if len(degrees) != 1:
+    a = blas_adjacency(g)
+    square = a @ a
+    adjacent = square[a == 1]
+    apart = square[(a == 0) & ~np.eye(g.n, dtype=bool)]
+    if not (adjacent.size and apart.size):
         return None
-    k = degrees.pop()
-
-    mu1: int | None = None
-    mu2: int | None = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            shared = len(g.adj[u] & g.adj[v])
-            if v in g.adj[u]:
-                if mu1 is None:
-                    mu1 = shared
-                elif mu1 != shared:
-                    return None
-            else:
-                if mu2 is None:
-                    mu2 = shared
-                elif mu2 != shared:
-                    return None
-    if mu1 is None or mu2 is None:
+    if adjacent.min() != adjacent.max() or apart.min() != apart.max():
         return None
-    return (k, mu1, mu2)
+    return (int(g.degrees[0]), int(adjacent[0]), int(apart[0]))
 
 
-def subgraph_census(g: Graph, allow_large: bool = False) -> SubgraphCensus:
+def subgraph_census(g: Graph) -> SubgraphCensus:
     """Classify every 3- and 4-vertex induced subgraph by whole-array
     lookups in the uint8 adjacency matrix.
 
@@ -137,30 +125,23 @@ def subgraph_census(g: Graph, allow_large: bool = False) -> SubgraphCensus:
     six pair lookups of a 4-subset give each of its vertices' degree
     inside it, and half their sum is its edge count: 6 edges make a K4
     (three 4-cycles), 5 a K4 minus an edge (one), and every inside degree
-    2 (so 4 edges) an induced C4 (one).  Guarded at n = 64 because C(n, 4)
-    enumeration beyond that is pointless for an oracle.
+    2 (so 4 edges) an induced C4 (one).  Guarded at n = ENUMERATION_LIMIT,
+    the largest graph `verify` enumerates.
     """
-    if g.n > ENUMERATION_LIMIT and not allow_large:
-        raise SizeGuardError(
-            f"n={g.n} exceeds enumeration limit {ENUMERATION_LIMIT}; "
-            "pass allow_large=True to override"
-        )
+    if g.n > ENUMERATION_LIMIT:
+        raise SizeGuardError(f"n={g.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
     a = adjacency_matrix(g, np.uint8)
 
-    triangles = 0
-    for u, v, w in _subset_blocks(g.n, 3):
-        triangles += int(np.count_nonzero(a[u, v] & a[u, w] & a[v, w]))
+    u, v, w = _subsets(g.n, 3)
+    triangles = int(np.count_nonzero(a[u, v] & a[u, w] & a[v, w]))
 
-    induced_c4 = 0
-    k4 = 0
-    k4_minus_edge = 0
-    for u, v, w, x in _subset_blocks(g.n, 4):
-        uv, uw, ux, vw, vx, wx = a[u, v], a[u, w], a[u, x], a[v, w], a[v, x], a[w, x]
-        inside = np.stack((uv + uw + ux, uv + vw + vx, uw + vw + wx, ux + vx + wx))
-        edge_count = inside.sum(axis=0) // 2
-        k4 += int(np.count_nonzero(edge_count == 6))
-        k4_minus_edge += int(np.count_nonzero(edge_count == 5))
-        induced_c4 += int(np.count_nonzero((inside == 2).all(axis=0)))  # 2-regular: a C4
+    u, v, w, x = _subsets(g.n, 4)
+    uv, uw, ux, vw, vx, wx = a[u, v], a[u, w], a[u, x], a[v, w], a[v, x], a[w, x]
+    inside = np.stack((uv + uw + ux, uv + vw + vx, uw + vw + wx, ux + vx + wx))
+    edge_count = inside.sum(axis=0) // 2
+    k4 = int(np.count_nonzero(edge_count == 6))
+    k4_minus_edge = int(np.count_nonzero(edge_count == 5))
+    induced_c4 = int(np.count_nonzero((inside == 2).all(axis=0)))  # 2-regular: a C4
 
     return SubgraphCensus(
         triangle_count=triangles,
@@ -171,33 +152,12 @@ def subgraph_census(g: Graph, allow_large: bool = False) -> SubgraphCensus:
     )
 
 
-# Subset index arrays are kept for n <= SUBSET_CACHE_LIMIT, the verify
-# census limit: read-only, a function of (n, k) alone, about 250 KB for
-# all such n together.  Larger n get their subsets built per call,
-# SUBSET_BLOCK at a time, and never cached, so memory stays bounded.
-SUBSET_CACHE_LIMIT = 16
-SUBSET_BLOCK = 1 << 16
-_SUBSETS: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _subset_blocks(n: int, k: int) -> Iterator[np.ndarray]:
-    """The k-subsets of range(n) in lexicographic order, as (k, rows)
-    index arrays, row i holding every subset's i-th smallest vertex: one
-    cached array when n <= SUBSET_CACHE_LIMIT, else blocks of at most
-    SUBSET_BLOCK subsets."""
-    if n <= SUBSET_CACHE_LIMIT:
-        if (n, k) not in _SUBSETS:
-            subsets = _take(combinations(range(n), k), k, comb(n, k))
-            subsets.flags.writeable = False
-            _SUBSETS[n, k] = subsets
-        yield _SUBSETS[n, k]
-        return
-    subsets = combinations(range(n), k)
-    while (block := _take(subsets, k, SUBSET_BLOCK)).size:
-        yield block
-
-
-def _take(subsets: Iterator[tuple[int, ...]], k: int, rows: int) -> np.ndarray:
-    """The next `rows` k-subsets (fewer at the end) as a (k, rows) array."""
-    flat = np.fromiter(chain.from_iterable(islice(subsets, rows)), dtype=np.intp)
-    return np.ascontiguousarray(flat.reshape(-1, k).T)
+@cache
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in lexicographic order as one read-only
+    (k, C(n, k)) index array, row i holding every subset's i-th smallest
+    vertex: a function of (n, k) alone, about 250 KB for all n <= 16."""
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.intp)
+    subsets = np.ascontiguousarray(flat.reshape(-1, k).T)
+    subsets.flags.writeable = False
+    return subsets

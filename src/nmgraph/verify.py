@@ -41,7 +41,6 @@ from nmgraph.nm import (
 )
 
 DETERMINANT_LIMIT = 12
-CENSUS_LIMIT = 16
 
 
 class GraphContext:
@@ -61,8 +60,8 @@ class GraphContext:
 
     @cached_property
     def census(self) -> oracles.SubgraphCensus | None:
-        """None above CENSUS_LIMIT vertices, where enumeration is skipped."""
-        if self.g.n > CENSUS_LIMIT:
+        """None above ENUMERATION_LIMIT vertices, where enumeration is skipped."""
+        if self.g.n > oracles.ENUMERATION_LIMIT:
             return None
         return oracles.subgraph_census(self.g)
 

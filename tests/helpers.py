@@ -129,6 +129,11 @@ def paley(q: int) -> Graph:
     return from_edges(q, [(i, j) for i, j in combinations(range(q), 2) if (j - i) % q in squares])
 
 
+def circulant(n: int, jumps) -> Graph:
+    """i ~ i ± j (mod n) for each jump j."""
+    return from_edges(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
+
+
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Uniform d-regular graph on n vertices by the pairing model: match
     the n*d half-edges at random and retry until the result is simple."""
@@ -217,6 +222,36 @@ def census_by_subsets(g: Graph) -> SubgraphCensus:
         k4_count=k4,
         k4_minus_edge_count=k4_minus_edge,
     )
+
+
+def srg_by_pairs(g: Graph) -> tuple[int, int, int] | None:
+    """Reference for `oracles.srg_parameters`: every pair in turn, by
+    neighbour-set intersections."""
+    if g.n < 2:
+        return None
+    degrees = {len(nbrs) for nbrs in g.adj}
+    if len(degrees) != 1:
+        return None
+    k = degrees.pop()
+
+    mu1: int | None = None
+    mu2: int | None = None
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            shared = len(g.adj[u] & g.adj[v])
+            if v in g.adj[u]:
+                if mu1 is None:
+                    mu1 = shared
+                elif mu1 != shared:
+                    return None
+            else:
+                if mu2 is None:
+                    mu2 = shared
+                elif mu2 != shared:
+                    return None
+    if mu1 is None or mu2 is None:
+        return None
+    return (k, mu1, mu2)
 
 
 def diameter_by_bfs(g: Graph) -> int | float:

@@ -406,7 +406,7 @@ class TestDiameterGirth:
 SET_BASED_READERS = {
     "graph.has_edge", "graph.common_neighbors", "graph.bfs_levels",
     "graph._distance_avoiding_edge", "nm.two_level_subgraph",
-    "oracles.set_based_entries", "oracles.srg_parameters",
+    "oracles.set_based_entries",
 }
 
 

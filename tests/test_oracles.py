@@ -7,20 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from nmgraph import oracles, verify
+from nmgraph import oracles
 from nmgraph.errors import SizeGuardError
 from nmgraph.graph import from_edges
 from nmgraph.nm import build_nm, build_nm_product
 from nmgraph.oracles import (
     SubgraphCensus,
     adjacency_matrix,
+    srg_parameters,
     subgraph_census,
     triangle_count_trace,
 )
-from nmgraph.random_graphs import gnp
 from helpers import (
     census_by_subsets,
+    circulant,
     complete_graph,
+    complete_multipartite,
     cycle_graph,
     edgeless,
     example7_graph,
@@ -28,9 +30,14 @@ from helpers import (
     imported_modules,
     two_squares_graph,
     k4_minus_edge,
+    paley,
     path_graph,
     paw,
+    petersen,
+    q3_cube,
     random_corpus,
+    sparse_graphs,
+    srg_by_pairs,
 )
 
 
@@ -59,6 +66,31 @@ class TestFloat64Guard:
             build_nm_product(g)
 
 
+class TestSrgParameters:
+    @pytest.mark.parametrize("g, expected", [
+        (petersen(), (3, 0, 1)),
+        (paley(13), (6, 2, 3)),
+        (cycle_graph(5), (2, 0, 1)),
+        (complete_multipartite(3, 3), (3, 0, 3)),
+        (complete_multipartite(3, 3, 3), (6, 3, 6)),
+        (from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), (2, 1, 0)),
+        (q3_cube(), None),
+        (circulant(64, range(1, 5)), None),  # 8-regular, not strongly regular
+        (circulant(6, (2, 3)), None),  # the triangular prism: mu2 = 2 but mu1 is 0 or 1
+        (complete_graph(1), None),
+        (complete_graph(2), None),
+        (edgeless(3), None),
+    ], ids=["petersen", "paley13", "C5", "K33", "K333", "2K3", "Q3",
+            "circulant64", "prism", "K1", "K2", "edgeless3"])
+    def test_fixtures(self, g, expected):
+        assert srg_parameters(g) == srg_by_pairs(g) == expected
+
+    @settings(max_examples=120)
+    @given(graphs_of_any_density(max_n=16) | sparse_graphs(max_n=40))
+    def test_matches_pair_reference(self, g):
+        assert srg_parameters(g) == srg_by_pairs(g)
+
+
 class TestCensus:
     def test_two_squares(self):
         c = subgraph_census(two_squares_graph())
@@ -77,10 +109,9 @@ class TestCensus:
         assert c == SubgraphCensus(0, 0, 0, 0, 0)
 
     def test_size_guard(self):
-        g = edgeless(65)
-        with pytest.raises(SizeGuardError):
-            subgraph_census(g)
-        assert subgraph_census(g, allow_large=True).c4_total == 0
+        with pytest.raises(SizeGuardError, match="enumeration limit 16"):
+            subgraph_census(edgeless(17))
+        assert subgraph_census(edgeless(16)) == SubgraphCensus(0, 0, 0, 0, 0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_fewest_vertices(self, n):
@@ -105,32 +136,30 @@ class TestCensus:
     def test_matches_reference_classifier(self, g):
         assert subgraph_census(g) == census_by_subsets(g)
 
-    @pytest.mark.parametrize("n", [17, 20])
-    def test_blocks_above_cache_limit(self, monkeypatch, n):
-        # blocks of 7 subsets: many blocks, the last one short
-        monkeypatch.setattr(oracles, "SUBSET_BLOCK", 7)
-        for p in (0.2, 0.6, 0.95):
-            g = gnp(n, p, seed=n)
-            assert subgraph_census(g) == census_by_subsets(g)
-
-    def test_allow_large_at_65_with_edges(self):
-        n = 65
-        assert subgraph_census(complete_graph(n), allow_large=True) == SubgraphCensus(
+    def test_planted_shapes_at_16(self):
+        n = 16
+        assert subgraph_census(complete_graph(n)) == SubgraphCensus(
             comb(n, 3), 3 * comb(n, 4), 0, comb(n, 4), 0)
         # a K4, an induced C4 and a paw on disjoint vertices, the rest isolated
         planted = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-                   (10, 11), (11, 12), (12, 13), (13, 10),
-                   (60, 61), (60, 62), (61, 62), (62, 64)]
-        c = subgraph_census(from_edges(n, planted), allow_large=True)
+                   (5, 6), (6, 7), (7, 8), (8, 5),
+                   (11, 12), (11, 13), (12, 13), (13, 15)]
+        c = subgraph_census(from_edges(n, planted))
         assert c == SubgraphCensus(triangle_count=5, c4_total=4, c4_induced=1,
                                    k4_count=1, k4_minus_edge_count=0)
 
     def test_cache_holds_no_entry_above_16(self):
-        assert oracles.SUBSET_CACHE_LIMIT == verify.CENSUS_LIMIT == 16
-        for n in (16, 17, 30, 65):
-            subgraph_census(edgeless(n), allow_large=True)
-        cached = {n for n, _ in oracles._SUBSETS}
-        assert 16 in cached and max(cached) <= 16
+        assert oracles.ENUMERATION_LIMIT == 16
+        subgraph_census(edgeless(16))
+        cached = oracles._subsets.cache_info().currsize
+        with pytest.raises(SizeGuardError):
+            subgraph_census(edgeless(17))
+        assert oracles._subsets.cache_info().currsize == cached
+        for k in (3, 4):
+            subsets = oracles._subsets(16, k)
+            assert subsets.shape == (k, comb(16, k)) and not subsets.flags.writeable
+            with pytest.raises(ValueError):
+                subsets[0, 0] = 1
 
     def test_reads_only_the_graph(self):
         # independent of the fast path: no import of the matrix modules

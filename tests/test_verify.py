@@ -25,7 +25,7 @@ def test_census_built_at_most_once_per_graph(monkeypatch):
     results = verify.run_suite(graphs)
     assert all(r.passed for r in results)
     assert max(calls.values()) == 1
-    assert set(calls) == {id(g) for g in graphs if g.n <= verify.CENSUS_LIMIT}
+    assert set(calls) == {id(g) for g in graphs if g.n <= oracles.ENUMERATION_LIMIT}
 
 
 def test_report_built_once_per_graph(monkeypatch):
