@@ -198,16 +198,15 @@ def row_sums(m: NeighborhoodMatrix) -> list[int]:
 def column_sums(m: NeighborhoodMatrix, g: Graph) -> tuple[list[int], list[int]]:
     """Per-column totals alongside the closed form
     sum over j in N(i) of (deg(i) - deg(j)) = deg(i)^2 - sum over j in N(i)
-    of deg(j); asserts they agree.
+    of deg(j); raises InvalidMatrixError naming the first column where they
+    differ.
     """
     totals = [int(s) for s in m.entries.sum(axis=0)]
-    degrees = g.degrees
-    prefix = np.concatenate(([0], np.cumsum(degrees[g.indices])))
-    formula = (degrees * degrees - np.diff(prefix[g.indptr])).tolist()
-    if totals != formula:
-        raise InvalidMatrixError(
-            f"column sums {totals} disagree with degree formula {formula}"
-        )
+    prefix = np.concatenate(([0], np.cumsum(g.degrees[g.indices])))
+    formula = (g.degrees * g.degrees - np.diff(prefix[g.indptr])).tolist()
+    for j, (total, closed) in enumerate(zip(totals, formula, strict=True)):
+        if total != closed:
+            raise InvalidMatrixError(f"column sums: column {j} sums to {total}, formula {closed}")
     return totals, formula
 
 
@@ -217,7 +216,7 @@ def transpose(m: NeighborhoodMatrix) -> NeighborhoodMatrix:
 
 
 def is_symmetric(m: NeighborhoodMatrix) -> bool:
-    return m == transpose(m)
+    return np.array_equal(m.entries, m.entries.T)
 
 
 def determinant_exact(m: NeighborhoodMatrix) -> int:

@@ -7,6 +7,12 @@ builds one context per graph, applies all checks to it, and aggregates
 a per-invariant pass/fail table with the first counterexample
 serialized as an edge list under a '#' line giving its vertex count and
 isolated vertices.
+
+`row-profile-decoding` reads every row of M as its vertex's first two
+BFS levels in one pass over the nonzero view, and names the first row
+whose diagonal is not -degree, whose positive entries are not the
+vertex's neighbours, whose level-1 and level-2 edge counts differ, or
+whose diagonal is not its minimum.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 from nmgraph import analytics, oracles
 from nmgraph.graph import (
     Graph,
+    arcs,
     connected_components,
     diameter,
     format_edge_list,
@@ -35,7 +42,6 @@ from nmgraph.nm import (
     determinant_exact,
     is_symmetric,
     reconstruct_adjacency,
-    row_profile,
     row_sums,
     transpose,
 )
@@ -81,9 +87,9 @@ def _check_transpose(ctx: GraphContext) -> str | None:
 
 
 def _check_row_sums(ctx: GraphContext) -> str | None:
-    sums = row_sums(ctx.m)
-    if any(s != 0 for s in sums):
-        return f"row sums {sums}"
+    for i, total in enumerate(row_sums(ctx.m)):
+        if total:
+            return f"row {i} sums to {total}"
     return None
 
 
@@ -128,16 +134,24 @@ def _check_round_trip(ctx: GraphContext) -> str | None:
 
 
 def _check_row_profiles(ctx: GraphContext) -> str | None:
-    for i, degree in enumerate(ctx.g.degrees.tolist()):
-        p = row_profile(ctx.m, i)
-        out = sum(p.out_edge_count.values())
-        back = sum(p.level2.values())
-        if out != back:
-            return f"row {i}: level1->level2 edges {out} != {back}"
-        if i not in p.diagonal_candidates:
-            return f"row {i}: diagonal not among argmin positions"
-        if p.degree != degree:
-            return f"row {i}: decoded degree {p.degree} != {degree}"
+    # Row i holds vertex i's first two BFS levels.  Its positive entries are
+    # its neighbours j, each with m_ij - 1 edges on to level 2; its negative
+    # off-diagonal entries are level 2, each with |m_ik| edges back to level
+    # 1; both sides count the paths from i to level 2.  The argmin test
+    # reads stored entries only: a diagonal of -degree <= 0 is never above
+    # an unstored zero.
+    n, (tails, heads) = ctx.g.n, arcs(ctx.g)
+    diagonal, rows, cols, vals = ctx.m.nonzeros()
+    up = vals > 0
+    out, back = np.bincount(rows[up], vals[up] - 1, n), np.bincount(rows[~up], -vals[~up], n)
+    for bad, problem in [
+        (np.flatnonzero(diagonal != -ctx.g.degrees), "diagonal is not -degree"),
+        (np.setxor1d(rows[up] * n + cols[up], tails * n + heads, True) // n, "level 1 is not N(i)"),
+        (np.flatnonzero(out != back), "level1->level2 edges unbalanced"),
+        (rows[vals < diagonal[rows]], "diagonal not among argmin positions"),
+    ]:
+        if len(bad):
+            return f"row {bad[0]}: {problem}"
     return None
 
 

@@ -4,12 +4,16 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nmgraph import analytics, oracles, verify
-from nmgraph.graph import from_edges, parse_edge_list
+from nmgraph import analytics, nm, oracles, verify
+from nmgraph.graph import Graph, from_edges, parse_edge_list
 from nmgraph.nm import NeighborhoodMatrix, build_nm
-from nmgraph.random_graphs import corpus
-from helpers import edgeless, random_corpus
+from nmgraph.random_graphs import corpus, gnp
+from helpers import edgeless, example7_graph, graphs, random_corpus, sparse_graphs
+
+ROW_PROFILES = dict(verify.INVARIANTS)["row-profile-decoding"]
 
 
 def test_census_built_at_most_once_per_graph(monkeypatch):
@@ -81,6 +85,66 @@ def test_off_diagonal_magnitude_fails_entry_shape(monkeypatch):
     assert not shape.passed
     assert shape.first_failure == "entry magnitude exceeds n - 1"
     assert shape.counterexample.splitlines()[0] == "# n=4 isolated: 3"
+
+
+def test_in_row_edge_swap_fails_row_profile_decoding(monkeypatch):
+    # Row 4 of the worked example is [-2, 2, -1, 2, -4, 2, 1], its
+    # neighbours 1, 3, 5, 6.  Swapping the edge entry at 6 with the
+    # non-edge entry at 2 keeps the row sum and the level-1/level-2 balance
+    # (3 = 3); only level 1 no longer matches the neighbours.
+    def corrupted(g):
+        entries = build_nm(g).entries.copy()
+        entries[4, [2, 6]] = entries[4, [6, 2]]
+        return NeighborhoodMatrix(entries=entries, labels=g.labels)
+
+    monkeypatch.setattr(verify, "build_nm", corrupted)
+    results = {r.name: r for r in verify.run_suite([example7_graph()])}
+    assert results["row-sums-zero"].passed
+    decoding = results["row-profile-decoding"]
+    assert not decoding.passed
+    assert decoding.first_failure == "row 4: level 1 is not N(i)"
+
+
+@given(st.one_of(graphs(), sparse_graphs()), st.data())
+def test_row_profile_decoding_catches_every_in_row_swap(g: Graph, data):
+    ctx = verify.GraphContext(g)
+    assert ROW_PROFILES(ctx) is None
+    # A row with a neighbour and a non-neighbour other than itself.
+    mixed = [i for i in range(g.n) if 0 < g.degree(i) < g.n - 1]
+    if not mixed:
+        return
+    i = data.draw(st.sampled_from(mixed))
+    j = data.draw(st.sampled_from(sorted(g.adj[i])))
+    k = data.draw(st.sampled_from(sorted(set(range(g.n)) - g.adj[i] - {i})))
+    entries = ctx.m.entries.copy()
+    entries[i, [j, k]] = entries[i, [k, j]]
+    ctx.m = NeighborhoodMatrix(entries=entries, labels=g.labels)
+    assert ROW_PROFILES(ctx) == f"row {i}: level 1 is not N(i)"
+
+
+def test_verify_does_not_decode_rows_one_by_one(monkeypatch):
+    def refused(m, i):
+        raise AssertionError("row_profile called")
+
+    monkeypatch.setattr(nm, "row_profile", refused)
+    monkeypatch.setattr(verify, "row_profile", refused, raising=False)
+    results = verify.run_suite(corpus(20, 16, 7))
+    assert all(r.passed for r in results)
+
+
+def test_sum_details_name_one_row_and_column(monkeypatch):
+    def corrupted(g):
+        entries = build_nm(g).entries.copy()
+        entries[3, 3] -= 1
+        return NeighborhoodMatrix(entries=entries, labels=g.labels)
+
+    monkeypatch.setattr(verify, "build_nm", corrupted)
+    g = gnp(256, 8 / 255, seed=5)
+    results = {r.name: r for r in verify.run_suite([g])}
+    rows, columns = results["row-sums-zero"], results["column-sum-formula"]
+    assert rows.first_failure == "row 3 sums to -1"
+    assert columns.first_failure.startswith("InvalidMatrixError: column sums: column 3 sums to")
+    assert len(columns.first_failure) < 200
 
 
 @pytest.mark.parametrize("g, header, edges", [
