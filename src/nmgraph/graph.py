@@ -90,8 +90,9 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
     or any iterable of pairs; duplicates collapse.
 
     The first bad pair is reported: a self-loop before an index out of
-    range.  The runs come from one sort of the arc keys u * n + v, each
-    pair in both orientations, with repeated keys dropped.
+    range; labels go through `check_labels`.  The runs come from one sort
+    of the arc keys u * n + v, each pair in both orientations, with
+    repeated keys dropped.
     """
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
@@ -114,7 +115,16 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
     indices.setflags(write=False)
     if labels is None:
         labels = tuple(range(n))
+    check_labels(labels, n)
     return Graph(labels=labels, indptr=indptr, indices=indices)
+
+
+def check_labels(labels: tuple[int, ...], n: int) -> None:
+    """Raise ValueError unless labels are n distinct ints in [0, 2^63),
+    the labels every file format can write and read back."""
+    if (len(labels) != n or len(set(labels)) != n or set(map(type, labels)) - {int}
+            or not 0 <= min(labels, default=0) <= max(labels, default=0) < 2 ** 63):
+        raise ValueError(f"labels must be {n} distinct integers from 0 to 2^63 - 1")
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -282,30 +292,27 @@ def diameter(g: Graph) -> int | float:
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle; inf for forests.
 
-    For every edge (u, v): the shortest cycle through that edge is one
-    plus the u-v distance with the edge removed.
+    One breadth-first search per root (Itai & Rodeh 1978), keeping only a
+    level map.  An arc from x to an already-reached y with level[y] >=
+    level[x] is off the search tree, so it closes a cycle of at most
+    level[x] + level[y] + 1 edges; from a root on a shortest cycle, some
+    such arc gives exactly its length.  No arc out of level L closes a
+    shorter cycle than 2L + 1, so a root's search stops once that reaches
+    the best length found, and the whole search stops at 3.
     """
+    adj = g.adj
     best: int | float = math.inf
-    for u, v in g.edges():
-        dist = _distance_avoiding_edge(g, u, v)
-        if dist is not None:
-            best = min(best, dist + 1)
-            if best == 3:  # no simple graph has a shorter cycle
-                break
+    for root in range(g.n):
+        level = {root: 0}
+        queue = deque([root])
+        while queue and 2 * level[queue[0]] + 1 < best:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in level:
+                    level[y] = level[x] + 1
+                    queue.append(y)
+                elif level[y] >= level[x]:
+                    best = min(best, level[x] + level[y] + 1)
+        if best == 3:  # no simple graph has a shorter cycle
+            break
     return best
-
-
-def _distance_avoiding_edge(g: Graph, src: int, dst: int) -> int | None:
-    level = {src: 0}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y in g.adj[x]:
-            if {x, y} == {src, dst}:
-                continue
-            if y not in level:
-                level[y] = level[x] + 1
-                if y == dst:
-                    return level[y]
-                queue.append(y)
-    return None

@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
-from nmgraph.graph import Graph, arcs, bfs_levels, from_edges
+from nmgraph.graph import Graph, arcs, check_labels, from_edges
 from nmgraph.oracles import adjacency_matrix  # noqa: F401  (re-exported)
-from nmgraph.oracles import blas_adjacency, set_based_entries
+from nmgraph.oracles import blas_adjacency
 
 _ENTRY_DTYPE = np.int64
 # The 2-path kernel runs when SPARSE_WORK_RATIO * P < n^3.  On a 2-core
@@ -45,8 +45,7 @@ class NeighborhoodMatrix:
         arr = np.asarray(self.entries, dtype=_ENTRY_DTYPE)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if len(self.labels) != arr.shape[0]:
-            raise ValueError("label count does not match matrix dimension")
+        check_labels(self.labels, arr.shape[0])
         if arr.flags.writeable or not arr.flags.owndata:
             arr = arr.copy()  # the caller can still write to the array it passed
             arr.setflags(write=False)
@@ -158,11 +157,13 @@ def build_nm_product(g: Graph) -> NeighborhoodMatrix:
 
 
 def build_mn(g: Graph) -> NeighborhoodMatrix:
-    """The mirrored product (D - A) @ A, built from its own set definition:
-    diagonal -deg(i), |N(i) \\ N(j)| on edges, -|N(i) ∩ N(j)| on non-edges.
-    Equals the transpose of build_nm(g) for undirected graphs.
+    """Oracle constructor for the mirrored product: literally (D - A) @ A,
+    the twin of `build_nm_product`.  Equals the transpose of build_nm(g)
+    for undirected graphs.
     """
-    return NeighborhoodMatrix.adopt(set_based_entries(g, mirrored=True), g.labels)
+    a = blas_adjacency(g)
+    d = np.diag(a.sum(axis=1))
+    return NeighborhoodMatrix.adopt(((d - a) @ a).astype(_ENTRY_DTYPE), g.labels)
 
 
 def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:
@@ -299,16 +300,13 @@ class TwoLevelSubgraph:
 
 def two_level_subgraph(g: Graph, root: int) -> TwoLevelSubgraph:
     """Subgraph on levels {0, 1, 2} keeping only root-level1 and
-    level1-level2 edges (intra-level edges dropped).
+    level1-level2 edges (intra-level edges dropped): level 1 is N(root),
+    level 2 the rest of their neighbours other than the root.
     """
-    levels = bfs_levels(g, root)
-    level1 = levels.vertices_at(1)
-    level2 = levels.vertices_at(2)
+    g._check_vertex(root)
+    adj = g.adj
+    level1 = adj[root]
+    level2 = frozenset().union(*(adj[j] for j in level1)) - level1 - {root}
     edges = {(root, j) for j in level1}
-    edges |= {
-        (j, k)
-        for j in level1
-        for k in g.adj[j]
-        if k in level2
-    }
+    edges |= {(j, k) for j in level1 for k in adj[j] & level2}
     return TwoLevelSubgraph(root=root, level1=level1, level2=level2, edges=frozenset(edges))

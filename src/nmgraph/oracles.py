@@ -47,12 +47,11 @@ def adjacency_matrix(g: Graph, dtype: type = np.int64) -> np.ndarray:
     return a
 
 
-def set_based_entries(g: Graph, mirrored: bool = False) -> np.ndarray:
+def set_based_entries(g: Graph) -> np.ndarray:
     """The neighbourhood matrix entry by entry from its set definitions,
     one row per vertex: diagonal -deg(i), -|N(i) ∩ N(k)| on non-edges,
-    and on edges |N(j) \\ N(i)| = deg(j) - |N(i) ∩ N(j)|.  mirrored=True
-    puts deg(i) in place of deg(j), giving |N(i) \\ N(j)|: the entries of
-    (D - A)A, the transpose.
+    and on edges |N(j) \\ N(i)| = deg(j) - |N(i) ∩ N(j)|.  Its transpose
+    is (D - A)A, which `nm.build_mn` builds as a product.
 
     Only vertices within distance 2 of the row vertex produce nonzeros,
     so each row costs O(sum of neighbour degrees), not O(n).
@@ -67,7 +66,7 @@ def set_based_entries(g: Graph, mirrored: bool = False) -> np.ndarray:
                 if k != i:
                     common[k] = common.get(k, 0) + 1
         for j in adj[i]:
-            row[j] = len(adj[i if mirrored else j]) - common.get(j, 0)
+            row[j] = len(adj[j]) - common.get(j, 0)
         for k, c in common.items():
             if k not in adj[i]:
                 row[k] = -c

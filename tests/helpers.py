@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import math
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -252,6 +253,43 @@ def srg_by_pairs(g: Graph) -> tuple[int, int, int] | None:
     if mu1 is None or mu2 is None:
         return None
     return (k, mu1, mu2)
+
+
+def random_bipartite(half: int, degree: int, seed: int) -> Graph:
+    """Left vertices 0..half-1, right vertices half..2*half-1; each left
+    vertex joined to `degree` distinct right vertices drawn at random."""
+    import random
+
+    rng = random.Random(seed)
+    return from_edges(2 * half, [(u, half + v) for u in range(half)
+                                 for v in rng.sample(range(half), degree)])
+
+
+def reference_girth(g: Graph) -> int | float:
+    """Reference for `graph.girth`: for every edge (u, v), one plus the
+    u-v distance with that edge removed, by one BFS per edge."""
+    best: int | float = math.inf
+    for u, v in g.edges():
+        dist = _distance_avoiding_edge(g, u, v)
+        if dist is not None:
+            best = min(best, dist + 1)
+    return best
+
+
+def _distance_avoiding_edge(g: Graph, src: int, dst: int) -> int | None:
+    level = {src: 0}
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        for y in g.adj[x]:
+            if {x, y} == {src, dst}:
+                continue
+            if y not in level:
+                level[y] = level[x] + 1
+                if y == dst:
+                    return level[y]
+                queue.append(y)
+    return None
 
 
 def diameter_by_bfs(g: Graph) -> int | float:

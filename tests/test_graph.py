@@ -33,10 +33,13 @@ from helpers import (
     edgeless,
     example7_graph,
     graphs,
+    graphs_of_any_density,
     two_squares_graph,
     path_graph,
     q3_cube,
+    random_bipartite,
     random_corpus,
+    reference_girth,
     sparse_graphs,
 )
 
@@ -197,6 +200,16 @@ class TestFromEdges:
     def test_no_vertices(self):
         g = from_edges(0, [])
         assert g.n == 0 and g.labels == () and g.adj == ()
+
+    @pytest.mark.parametrize("labels", [(7,), (5, 5, 6), (0, -1, 2), (0, 1, 2, 3), (0, 1, 2**63),
+                                        (0, 1.5, 2), (0, True, 2)],
+                             ids=["short", "repeated", "negative", "long", "past-int64", "float",
+                                  "bool"])
+    def test_bad_labels_rejected(self, labels):
+        # each would build a graph that format_edge_list cannot write, or
+        # writes as text that parse_edge_list rejects or reads differently
+        with pytest.raises(ValueError, match=r"^labels must be 3 distinct integers from 0 to 2\^63 - 1$"):
+            from_edges(3, [(0, 1), (1, 2)], labels=labels)
 
     @settings(max_examples=200)
     @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
@@ -400,12 +413,27 @@ class TestDiameterGirth:
 
         assert girth(petersen()) == 5
 
+    @settings(max_examples=150)
+    @given(st.one_of(graphs(max_n=14), sparse_graphs(max_n=40), graphs_of_any_density()))
+    def test_girth_matches_per_edge_search(self, g):
+        assert girth(g) == reference_girth(g)
+
+    def test_triangle_free_bipartite_girth_is_fast(self):
+        # one search per edge took seconds here: 4096 edges, no early stop at 3
+        nx = pytest.importorskip("networkx")
+        g = random_bipartite(512, 8, seed=1)
+        start = time.perf_counter()
+        assert girth(g) == 4
+        assert time.perf_counter() - start < 1.0
+        h = nx.Graph(g.edges())
+        assert nx.girth(h) == 4
+
 
 # -- the neighbour sets are built only for the set-based oracles ---------------
 
 SET_BASED_READERS = {
     "graph.has_edge", "graph.common_neighbors", "graph.bfs_levels",
-    "graph._distance_avoiding_edge", "nm.two_level_subgraph",
+    "graph.girth", "nm.two_level_subgraph",
     "oracles.set_based_entries",
 }
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nmgraph import nm
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
-from nmgraph.graph import Graph, connected_components, from_edges
+from nmgraph.graph import Graph, bfs_levels, connected_components, from_edges
 from nmgraph.nm import (
     NeighborhoodMatrix,
     build_mn,
@@ -111,6 +111,13 @@ class TestBuild:
         m = NeighborhoodMatrix(entries=view, labels=tuple(range(1, 8)))
         mine[0, 0] = 99
         assert np.array_equal(m.entries, EXAMPLE7_MATRIX)
+
+    @pytest.mark.parametrize("labels", [(3, 3), (0,), (0, 1, 2), (-1, 0)],
+                             ids=["repeated", "short", "long", "negative"])
+    def test_bad_labels_rejected(self, labels):
+        # write_dense would write (3, 3) to a file that read_dense rejects
+        with pytest.raises(ValueError, match=r"^labels must be 2 distinct integers from 0 to 2\^63 - 1$"):
+            NeighborhoodMatrix(entries=np.zeros((2, 2), dtype=np.int64), labels=labels)
 
     def test_adopt_freezes_without_copy(self):
         fresh = EXAMPLE7_MATRIX.copy()
@@ -404,6 +411,22 @@ class TestTwoLevelSubgraph:
         assert len(sub.level1) == 3 and len(sub.level2) == 3
         crossing = {e for e in sub.edges if e[0] in sub.level1}
         assert len(crossing) == 6
+
+    def test_matches_bfs_levels(self):
+        for g in random_corpus(30, 20, seed=59):
+            for root in range(g.n):
+                levels = bfs_levels(g, root)
+                level1, level2 = levels.vertices_at(1), levels.vertices_at(2)
+                edges = {(root, j) for j in level1}
+                edges |= {(j, k) for j, k in g.edges() if j in level1 and k in level2}
+                edges |= {(k, j) for j, k in g.edges() if k in level1 and j in level2}
+                assert two_level_subgraph(g, root) == nm.TwoLevelSubgraph(
+                    root, level1, level2, frozenset(edges))
+
+    @pytest.mark.parametrize("root", [-1, 3])
+    def test_root_out_of_range(self, root):
+        with pytest.raises(IndexError, match=rf"vertex index {root} out of range for n=3"):
+            two_level_subgraph(path_graph(3), root)
 
     def test_consistency_with_row_entries(self):
         for g in random_corpus(20, 16, seed=53):

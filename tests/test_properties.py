@@ -36,6 +36,12 @@ def test_mirrored_product_is_transpose(g: Graph):
     assert np.array_equal(build_mn(g).entries, build_nm(g).entries.T)
 
 
+@given(st.one_of(graphs(), sparse_graphs()))
+def test_mirrored_product_matches_set_definition(g: Graph):
+    # (D - A)A: |N(i) \ N(j)| on edges, -|N(i) ∩ N(j)| on non-edges
+    assert np.array_equal(build_mn(g).entries, set_based_entries(g).T)
+
+
 @given(graphs())
 def test_row_sums_zero(g: Graph):
     assert row_sums(build_nm(g)) == [0] * g.n

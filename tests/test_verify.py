@@ -47,6 +47,23 @@ def test_report_built_once_per_graph(monkeypatch):
     assert seen == [build_nm(g) for g in graphs]  # one call per graph, in order
 
 
+def test_set_based_matrix_built_once_per_graph(monkeypatch):
+    calls = []
+    set_based = oracles.set_based_entries
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return set_based(g, *args, **kwargs)
+
+    # wherever a module holds the function, its calls are counted
+    monkeypatch.setattr(oracles, "set_based_entries", counted)
+    monkeypatch.setattr(nm, "set_based_entries", counted, raising=False)
+    graphs = corpus(20, 16, 7)
+    results = verify.run_suite(graphs)
+    assert all(r.passed for r in results)
+    assert calls == graphs
+
+
 def test_wrong_srg_parameters_fail_characterizations(monkeypatch):
     report = analytics.structural_report
     monkeypatch.setattr(
