@@ -92,7 +92,8 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
     The first bad pair is reported: a self-loop before an index out of
     range; labels go through `check_labels`.  The runs come from one sort
     of the arc keys u * n + v, each pair in both orientations, with
-    repeated keys dropped.
+    repeated keys dropped: vertex u's run starts where the sorted keys
+    reach u * n, and each key's head is the key mod n.
     """
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
@@ -107,10 +108,8 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
     keys = np.concatenate((u * n + v, v * n + u))
     keys.sort()
     keys = keys[_run_starts(keys)]
-    tails = keys // n
-    indices = keys - tails * n
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    indptr = keys.searchsorted(np.arange(n + 1) * n)
+    indices = keys % n
     indptr.setflags(write=False)
     indices.setflags(write=False)
     if labels is None:
@@ -209,6 +208,13 @@ def arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(g.n), g.degrees), g.indices
 
 
+def adjacency_matrix(g: Graph, dtype: type = np.int64) -> np.ndarray:
+    """The dense n x n 0/1 adjacency matrix A in the given dtype."""
+    a = np.zeros((g.n, g.n), dtype=dtype)
+    a[arcs(g)] = 1
+    return a
+
+
 def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
     """N(u) ∩ N(v); with u == v this is just N(u)."""
     g._check_vertex(u)
@@ -272,8 +278,7 @@ def diameter(g: Graph) -> int | float:
     n = g.n
     if n <= 1:
         return math.inf
-    a = np.zeros((n, n), dtype=np.float32)
-    a[arcs(g)] = 1
+    a = adjacency_matrix(g, np.float32)
     best = 0
     for start in range(0, n, BFS_ROOT_BLOCK):
         roots = np.arange(start, min(start + BFS_ROOT_BLOCK, n))

@@ -25,6 +25,7 @@ import numpy as np
 
 from nmgraph import textio
 from nmgraph.errors import ParseError
+from nmgraph.graph import check_labels
 from nmgraph.nm import NeighborhoodMatrix
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
@@ -120,12 +121,11 @@ def _labels(lines: list[str], comments: list[str], marker: str, n: int) -> tuple
 
 def _parse_label_comment(lines: list[str], line: str, text: str) -> tuple[int, ...]:
     try:
-        values = textio.ints(text)
+        labels = tuple(textio.ints(text).tolist())
+        check_labels(labels, len(labels))
     except ValueError:
-        values = None
-    if values is None or (values < 0).any() or len(np.unique(values)) != len(values):
         raise ParseError(
             f"bad labels comment {line!r}: labels must be distinct non-negative integers",
             textio.lineno(lines, line),
-        )
-    return tuple(values.tolist())
+        ) from None
+    return labels

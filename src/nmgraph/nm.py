@@ -22,7 +22,7 @@ import numpy as np
 
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
 from nmgraph.graph import Graph, arcs, check_labels, from_edges
-from nmgraph.oracles import adjacency_matrix  # noqa: F401  (re-exported)
+from nmgraph.graph import adjacency_matrix  # noqa: F401  (re-exported)
 from nmgraph.oracles import blas_adjacency
 
 _ENTRY_DTYPE = np.int64
@@ -169,26 +169,22 @@ def build_mn(g: Graph) -> NeighborhoodMatrix:
 def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:
     """Recover the graph: (i, j) is an edge iff m_ij > 0.
 
-    Validates that the matrix really is the neighbourhood matrix of the
-    recovered graph (positivity pattern symmetric in edge-ness, and the
-    rebuilt matrix matches entrywise); anything else raises
-    InvalidMatrixError.
+    The graph is read off the positive entries above the diagonal, and M
+    is valid iff it is that graph's neighbourhood matrix.  The rebuild
+    alone decides this: it rejects any positive diagonal entry, and any
+    asymmetric positivity pattern, since an edge is positive both ways in
+    the rebuilt matrix and a non-edge is positive neither way.  Anything
+    else raises InvalidMatrixError naming the first differing entry in
+    row-major order, 1-based as both file formats number it.
     """
-    n = m.n
     _, rows, cols, vals = m.nonzeros()
-    positive = np.flatnonzero(vals > 0)
-    tails, heads = rows[positive], cols[positive]
-    # The keys of the positive entries are sorted (row-major); the pattern is
-    # symmetric iff the transposed keys sort to the same array.
-    transposed = heads * n + tails
-    transposed.sort()
-    if not np.array_equal(tails * n + heads, transposed):
-        raise InvalidMatrixError("not a valid NM: asymmetric positivity pattern")
-    # A positive diagonal entry is not in the view: the rebuild rejects it.
-    upper = tails < heads
-    g = from_edges(n, np.column_stack((tails[upper], heads[upper])), labels=m.labels)
-    if build_nm(g) != m:
-        raise InvalidMatrixError("not a valid NM: entries inconsistent with the recovered graph")
+    upper = (vals > 0) & (rows < cols)
+    g = from_edges(m.n, np.column_stack((rows[upper], cols[upper])), labels=m.labels)
+    rebuilt = build_nm(g)
+    if rebuilt != m:
+        i, j = np.argwhere(rebuilt.entries != m.entries)[0].tolist()
+        raise InvalidMatrixError(f"not a valid NM: entry ({i + 1},{j + 1}) is {m.entries[i, j]},"
+                                 f" the recovered graph's is {rebuilt.entries[i, j]}")
     return g
 
 

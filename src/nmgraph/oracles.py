@@ -17,7 +17,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from nmgraph.errors import SizeGuardError
-from nmgraph.graph import Graph, arcs
+from nmgraph.graph import Graph, adjacency_matrix
 
 ENUMERATION_LIMIT = 16
 FLOAT64_EXACT = 2 ** 53
@@ -39,12 +39,6 @@ class SubgraphCensus:
             raise ValueError(
                 f"inconsistent census: c4_total={self.c4_total}, decomposition={expected}"
             )
-
-
-def adjacency_matrix(g: Graph, dtype: type = np.int64) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=dtype)
-    a[arcs(g)] = 1
-    return a
 
 
 def set_based_entries(g: Graph) -> np.ndarray:

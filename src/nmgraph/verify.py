@@ -28,7 +28,6 @@ from nmgraph import analytics, oracles
 from nmgraph.graph import (
     Graph,
     arcs,
-    connected_components,
     diameter,
     format_edge_list,
     girth,
@@ -119,9 +118,9 @@ def _check_determinant(ctx: GraphContext) -> str | None:
 
 
 def _check_symmetry_iff_regular(ctx: GraphContext) -> str | None:
-    # Regular components: each component pairs with exactly one degree.
-    parts = connected_components(ctx.g)
-    regular = len(set(zip(parts.membership, ctx.g.degrees.tolist()))) == parts.count
+    # Every component is regular iff every edge joins two equal degrees.
+    tails, heads = arcs(ctx.g)
+    regular = (ctx.g.degrees[tails] == ctx.g.degrees[heads]).all()
     if is_symmetric(ctx.m) != regular:
         return f"symmetry={not regular} but regular-components={regular}"
     return None

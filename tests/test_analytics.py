@@ -237,3 +237,11 @@ def test_reads_m_only_through_the_nonzero_view(source):
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "entries"]
     assert reads == []
+
+
+@pytest.mark.parametrize("source", sorted(Path(nmgraph.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_checks_are_raises_not_asserts(source):
+    # an assert vanishes under python -O; a correctness check must not
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,21 @@ class TestReconstruct:
         assert main(["reconstruct", str(bad)]) == 4
         err = capsys.readouterr().err
         assert "not a valid NM" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("write", [matio.write_dense, matio.write_matrix_market])
+    @pytest.mark.parametrize("i, j, value", [(0, 2, 1), (2, 0, 1), (3, 3, 2), (0, 4, -3)])
+    def test_invalid_matrix_names_entry_on_one_line(self, tmp_path, capsys, write, i, j, value):
+        # an asymmetric positive pattern both ways, a positive diagonal entry
+        # and one perturbed entry of the worked example
+        entries = EXAMPLE7_MATRIX.copy()
+        entries[i, j] = value
+        bad = tmp_path / "bad.txt"
+        bad.write_text(write(NeighborhoodMatrix(entries=entries, labels=tuple(range(1, 8)))))
+        assert main(["reconstruct", str(bad)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: not a valid NM: entry \(\d+,\d+\) is -?\d+, "
+                            r"the recovered graph's is -?\d+\n", err)
 
     def test_matrix_market_after_blank_line(self, tmp_path, capsys):
         mfile = tmp_path / "m.mtx"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -33,6 +35,7 @@ from helpers import (
     cycle_graph,
     edgeless,
     example7_graph,
+    graphs,
     two_squares_graph,
     path_graph,
     q3_cube,
@@ -274,6 +277,37 @@ class TestReconstruction:
         entries[0, 4] -= 1  # breaks the row sum
         with pytest.raises(InvalidMatrixError):
             reconstruct_adjacency(NeighborhoodMatrix(entries=entries, labels=tuple(range(1, 8))))
+
+    @pytest.mark.parametrize("i, j, value, message", [
+        # upper-only positive: the new edge (1, 3) first changes deg(1)
+        (0, 2, 1, "entry (1,1) is -2, the recovered graph's is -3"),
+        # lower-only positive: no edge, so the rebuild is not positive there
+        (2, 0, 1, "entry (3,1) is 1, the recovered graph's is 0"),
+        (3, 3, 2, "entry (4,4) is 2, the recovered graph's is -2"),  # positive diagonal
+        (0, 4, -3, "entry (1,5) is -3, the recovered graph's is -2"),  # one perturbed entry
+    ])
+    def test_error_names_first_differing_entry(self, i, j, value, message):
+        entries = EXAMPLE7_MATRIX.copy()
+        entries[i, j] = value
+        m = NeighborhoodMatrix(entries=entries, labels=tuple(range(1, 8)))
+        with pytest.raises(InvalidMatrixError) as exc:
+            reconstruct_adjacency(m)
+        assert str(exc.value) == f"not a valid NM: {message}"
+
+    @given(graphs(max_n=8), st.data())
+    def test_every_single_entry_change_rejected(self, g, data):
+        if g.n == 0:
+            return
+        entries = build_nm(g).entries.copy()
+        i, j = data.draw(st.tuples(*[st.integers(0, g.n - 1)] * 2))
+        entries[i, j] += data.draw(st.integers(-3, 3).filter(bool))
+        m = NeighborhoodMatrix(entries=entries, labels=g.labels)
+        with pytest.raises(InvalidMatrixError) as exc:
+            reconstruct_adjacency(m)
+        found = re.fullmatch(r"not a valid NM: entry \((\d+),(\d+)\) is (-?\d+), "
+                             r"the recovered graph's is (-?\d+)", str(exc.value))
+        row, col, given_value, rebuilt_value = map(int, found.groups())
+        assert given_value == entries[row - 1, col - 1] != rebuilt_value
 
 
 class TestSums:

@@ -3,17 +3,27 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nmgraph import analytics, nm, oracles, verify
-from nmgraph.graph import Graph, from_edges, parse_edge_list
+from nmgraph.graph import Graph, connected_components, from_edges, parse_edge_list
 from nmgraph.nm import NeighborhoodMatrix, build_nm
 from nmgraph.random_graphs import corpus, gnp
-from helpers import edgeless, example7_graph, graphs, random_corpus, sparse_graphs
+from helpers import (
+    all_graphs_up_to,
+    edgeless,
+    example7_graph,
+    graphs,
+    graphs_of_any_density,
+    random_corpus,
+    sparse_graphs,
+)
 
 ROW_PROFILES = dict(verify.INVARIANTS)["row-profile-decoding"]
+SYMMETRY = dict(verify.INVARIANTS)["symmetry-iff-regular-components"]
 
 
 def test_census_built_at_most_once_per_graph(monkeypatch):
@@ -177,3 +187,28 @@ def test_counterexample_keeps_vertices(monkeypatch, g, header, edges):
     replayed = parse_edge_list(text)  # the '#' line is skipped
     assert replayed.edge_count == g.edge_count == edges
     assert set(replayed.labels) == {g.labels[v] for v in range(g.n) if g.adj[v]}
+
+
+def components_regular(g: Graph) -> bool:
+    """Reference: every component holds a single degree."""
+    parts = connected_components(g)
+    return len(set(zip(parts.membership, g.degrees.tolist()))) == parts.count
+
+
+def assert_regularity_read_as_components(g: Graph) -> None:
+    ctx = verify.GraphContext(g)
+    assert SYMMETRY(ctx) is None
+    # Against a symmetric matrix the check passes iff it finds every
+    # component regular, so this pins its regularity test alone.
+    ctx.m = NeighborhoodMatrix(entries=np.zeros((g.n, g.n), dtype=np.int64), labels=g.labels)
+    assert (SYMMETRY(ctx) is None) == components_regular(g)
+
+
+def test_regularity_by_edge_degrees_on_all_graphs_up_to_5():
+    for g in all_graphs_up_to(5):
+        assert_regularity_read_as_components(g)
+
+
+@given(st.one_of(graphs(), sparse_graphs(), graphs_of_any_density()))
+def test_regularity_by_edge_degrees_matches_components(g: Graph):
+    assert_regularity_read_as_components(g)
