@@ -10,9 +10,6 @@ from nmgraph.errors import InvalidMatrixError, ParseError, SizeGuardError
 from nmgraph.graph import (
     ComponentPartition,
     Graph,
-    LevelAssignment,
-    bfs_levels,
-    common_neighbors,
     connected_components,
     diameter,
     girth,
@@ -21,7 +18,6 @@ from nmgraph.graph import (
 from nmgraph.nm import (
     NeighborhoodMatrix,
     RowProfile,
-    TwoLevelSubgraph,
     build_mn,
     build_nm,
     build_nm_product,
@@ -32,7 +28,6 @@ from nmgraph.nm import (
     row_profile,
     row_sums,
     transpose,
-    two_level_subgraph,
 )
 
 __version__ = "0.1.0"
@@ -41,18 +36,14 @@ __all__ = [
     "ComponentPartition",
     "Graph",
     "InvalidMatrixError",
-    "LevelAssignment",
     "NeighborhoodMatrix",
     "ParseError",
     "RowProfile",
     "SizeGuardError",
-    "TwoLevelSubgraph",
-    "bfs_levels",
     "build_mn",
     "build_nm",
     "build_nm_product",
     "column_sums",
-    "common_neighbors",
     "connected_components",
     "determinant_exact",
     "diameter",
@@ -63,5 +54,4 @@ __all__ = [
     "row_profile",
     "row_sums",
     "transpose",
-    "two_level_subgraph",
 ]

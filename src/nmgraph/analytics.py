@@ -7,7 +7,8 @@ It sees M only through `NeighborhoodMatrix.nonzeros`: the diagonal and
 the row-major off-diagonal nonzeros (rows, cols, vals).  Every count is
 a sum over those entries: codegrees over the positive ones, and one
 histogram of the off-diagonal values, whose zeros are the n(n - 1) - nnz
-off-diagonal entries the view does not list.
+off-diagonal entries the view does not list.  Components are hooked
+together across the positive entries.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from nmgraph.errors import InvalidMatrixError
+from nmgraph.graph import component_ids
 from nmgraph.nm import NeighborhoodMatrix
 
 
@@ -98,6 +100,14 @@ def triangle_count(m: NeighborhoodMatrix) -> int:
     double sum counts every triangle six times.
     """
     return _triangles(_adjacency(*m.nonzeros())[2])
+
+
+def component_count(m: NeighborhoodMatrix) -> int:
+    """Number of connected components, hooked together across the
+    positive entries: m_ij > 0 iff ij is an edge."""
+    _, rows, cols, vals = m.nonzeros()
+    positive = np.flatnonzero(vals > 0)
+    return component_ids(m.n, rows[positive], cols[positive])[0]
 
 
 def four_cycle_count(m: NeighborhoodMatrix) -> tuple[int, Fraction, Fraction]:

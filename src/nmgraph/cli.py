@@ -19,12 +19,7 @@ from pathlib import Path
 import nmgraph
 from nmgraph import analytics, matio, oracles, verify
 from nmgraph.errors import InvalidMatrixError, ParseError
-from nmgraph.graph import (
-    Graph,
-    connected_components,
-    format_edge_list,
-    parse_edge_list,
-)
+from nmgraph.graph import format_edge_list, parse_edge_list
 from nmgraph.nm import NeighborhoodMatrix, build_nm, reconstruct_adjacency
 from nmgraph.random_graphs import corpus, gnp
 
@@ -96,13 +91,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     m = build_nm(graph)
     t2 = time.perf_counter_ns()
     report = analytics.structural_report(m)
-    parts = connected_components(graph)
+    components = analytics.component_count(m)
     t3 = time.perf_counter_ns()
 
     doc = {
         "n": graph.n,
         "edgeCount": graph.edge_count,
-        "componentCount": parts.count,
+        "componentCount": components,
         "triangleCount": report.triangle_count,
         "fourCycleCount": report.four_cycle_count,
         "s1Term": _quarters(report.s1_term),

@@ -1,4 +1,6 @@
-"""Immutable undirected simple graph plus classical traversal primitives.
+"""Immutable undirected simple graph, its edge-list text form, and the
+graph-side answers the matrix is checked against: components, girth and
+diameter.
 
 Vertices are dense 0-based internal indices; the original external labels
 (edge lists are typically 1-based) are kept alongside and used for all
@@ -12,13 +14,12 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from nmgraph import textio
 
-UNREACHABLE = -1
 BFS_ROOT_BLOCK = 256  # roots per whole-array BFS in diameter; temporaries O(block * n)
 
 
@@ -61,15 +62,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once as (u, v) with u < v."""
-        tails, heads = arcs(self)
-        once = tails < heads
-        return zip(tails[once].tolist(), heads[once].tolist())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -78,10 +70,6 @@ class Graph:
 
     def __hash__(self):
         return hash((self.labels, self.indptr.tobytes(), self.indices.tobytes()))
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex index {v} out of range for n={self.n}")
 
 
 def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
@@ -131,23 +119,6 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     starts = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     return starts
-
-
-@dataclass(frozen=True)
-class LevelAssignment:
-    """BFS distance of every vertex from a root; UNREACHABLE where none."""
-
-    root: int
-    level: tuple[int, ...]
-
-    def vertices_at(self, depth: int) -> frozenset[int]:
-        return frozenset(v for v, d in enumerate(self.level) if d == depth)
-
-    def eccentricity(self) -> int | float:
-        """Max finite level, or inf if some vertex is unreachable."""
-        if UNREACHABLE in self.level:
-            return math.inf
-        return max(self.level)
 
 
 @dataclass(frozen=True)
@@ -215,30 +186,16 @@ def adjacency_matrix(g: Graph, dtype: type = np.int64) -> np.ndarray:
     return a
 
 
-def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
-    """N(u) ∩ N(v); with u == v this is just N(u)."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    return g.adj[u] & g.adj[v]
-
-
-def bfs_levels(g: Graph, root: int) -> LevelAssignment:
-    """Level decomposition from root: level k = vertices at distance k."""
-    g._check_vertex(root)
-    level = [UNREACHABLE] * g.n
-    level[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if level[v] == UNREACHABLE:
-                level[v] = level[u] + 1
-                queue.append(v)
-    return LevelAssignment(root=root, level=tuple(level))
-
-
 def connected_components(g: Graph) -> ComponentPartition:
-    """Components by hooking and pointer jumping (Shiloach & Vishkin 1982).
+    """Components of g, numbered in first-seen order, from its arcs."""
+    count, membership = component_ids(g.n, *arcs(g))
+    return ComponentPartition(count=count, membership=tuple(membership.tolist()))
+
+
+def component_ids(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, membership) of the graph on n vertices whose arcs, in both
+    orientations, are (tails, heads), by hooking and pointer jumping
+    (Shiloach & Vishkin 1982).
 
     Every vertex points to a root of its tree, at first itself.  A round
     hooks each root onto the smallest root across its arcs, then jumps
@@ -248,15 +205,13 @@ def connected_components(g: Graph) -> ComponentPartition:
     tree that survives a round unmerged merges in the next, so there are
     O(log n) rounds.
     """
-    tails, heads = arcs(g)
-    parent = np.arange(g.n)
+    parent = np.arange(n)
     while ((tail_roots := parent[tails]) != (head_roots := parent[heads])).any():
         _hook(parent, tail_roots, head_roots)
         while ((grand := parent[parent]) != parent).any():
             parent = grand
-    roots = parent == np.arange(g.n)
-    membership = (np.cumsum(roots) - 1)[parent]
-    return ComponentPartition(count=int(roots.sum()), membership=tuple(membership.tolist()))
+    roots = parent == np.arange(n)
+    return int(roots.sum()), (np.cumsum(roots) - 1)[parent]
 
 
 def _hook(parent: np.ndarray, tail_roots: np.ndarray, head_roots: np.ndarray) -> None:

@@ -15,14 +15,13 @@ the 2-paths i-j-k, or a float32 BLAS product when the graph is dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
 from nmgraph.graph import Graph, arcs, check_labels, from_edges
-from nmgraph.graph import adjacency_matrix  # noqa: F401  (re-exported)
 from nmgraph.oracles import blas_adjacency
 
 _ENTRY_DTYPE = np.int64
@@ -282,27 +281,3 @@ def row_profile(m: NeighborhoodMatrix, i: int) -> RowProfile:
         diagonal_candidates=candidates,
         degree=-int(row[i]),
     )
-
-
-@dataclass(frozen=True)
-class TwoLevelSubgraph:
-    """BFS levels 0-2 from a root with only the level-crossing edges."""
-
-    root: int
-    level1: frozenset[int]
-    level2: frozenset[int]
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-
-
-def two_level_subgraph(g: Graph, root: int) -> TwoLevelSubgraph:
-    """Subgraph on levels {0, 1, 2} keeping only root-level1 and
-    level1-level2 edges (intra-level edges dropped): level 1 is N(root),
-    level 2 the rest of their neighbours other than the root.
-    """
-    g._check_vertex(root)
-    adj = g.adj
-    level1 = adj[root]
-    level2 = frozenset().union(*(adj[j] for j in level1)) - level1 - {root}
-    edges = {(root, j) for j in level1}
-    edges |= {(j, k) for j in level1 for k in adj[j] & level2}
-    return TwoLevelSubgraph(root=root, level1=level1, level2=level2, edges=frozenset(edges))

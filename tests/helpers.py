@@ -9,12 +9,14 @@ from __future__ import annotations
 import ast
 import math
 from collections import deque
+from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 from hypothesis import strategies as st
 
-from nmgraph.graph import Graph, bfs_levels, from_edges
+from nmgraph.graph import Graph, arcs, from_edges
 from nmgraph.oracles import SubgraphCensus
 from nmgraph.random_graphs import gnp
 
@@ -269,7 +271,7 @@ def reference_girth(g: Graph) -> int | float:
     """Reference for `graph.girth`: for every edge (u, v), one plus the
     u-v distance with that edge removed, by one BFS per edge."""
     best: int | float = math.inf
-    for u, v in g.edges():
+    for u, v in edges(g):
         dist = _distance_avoiding_edge(g, u, v)
         if dist is not None:
             best = min(best, dist + 1)
@@ -297,6 +299,90 @@ def diameter_by_bfs(g: Graph) -> int | float:
     if g.n <= 1:
         return math.inf
     return max(bfs_levels(g, root).eccentricity() for root in range(g.n))
+
+
+# -- set-based references: edges, neighbour sets, BFS levels ------------------
+
+UNREACHABLE = -1
+
+
+def _check_vertex(g: Graph, v: int) -> None:
+    if not 0 <= v < g.n:
+        raise IndexError(f"vertex index {v} out of range for n={g.n}")
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return v in g.adj[u]
+
+
+def edges(g: Graph) -> Iterator[tuple[int, int]]:
+    """Yield each edge once as (u, v) with u < v."""
+    tails, heads = arcs(g)
+    once = tails < heads
+    return zip(tails[once].tolist(), heads[once].tolist())
+
+
+def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
+    """N(u) ∩ N(v); with u == v this is just N(u)."""
+    _check_vertex(g, u)
+    _check_vertex(g, v)
+    return g.adj[u] & g.adj[v]
+
+
+@dataclass(frozen=True)
+class LevelAssignment:
+    """BFS distance of every vertex from a root; UNREACHABLE where none."""
+
+    root: int
+    level: tuple[int, ...]
+
+    def vertices_at(self, depth: int) -> frozenset[int]:
+        return frozenset(v for v, d in enumerate(self.level) if d == depth)
+
+    def eccentricity(self) -> int | float:
+        """Max finite level, or inf if some vertex is unreachable."""
+        if UNREACHABLE in self.level:
+            return math.inf
+        return max(self.level)
+
+
+def bfs_levels(g: Graph, root: int) -> LevelAssignment:
+    """Level decomposition from root: level k = vertices at distance k."""
+    _check_vertex(g, root)
+    level = [UNREACHABLE] * g.n
+    level[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in g.adj[u]:
+            if level[v] == UNREACHABLE:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return LevelAssignment(root=root, level=tuple(level))
+
+
+@dataclass(frozen=True)
+class TwoLevelSubgraph:
+    """BFS levels 0-2 from a root with only the level-crossing edges."""
+
+    root: int
+    level1: frozenset[int]
+    level2: frozenset[int]
+    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+
+
+def two_level_subgraph(g: Graph, root: int) -> TwoLevelSubgraph:
+    """Subgraph on levels {0, 1, 2} keeping only root-level1 and
+    level1-level2 edges (intra-level edges dropped): level 1 is N(root),
+    level 2 the rest of their neighbours other than the root.
+    """
+    _check_vertex(g, root)
+    adj = g.adj
+    level1 = adj[root]
+    level2 = frozenset().union(*(adj[j] for j in level1)) - level1 - {root}
+    crossing = {(root, j) for j in level1}
+    crossing |= {(j, k) for j in level1 for k in adj[j] & level2}
+    return TwoLevelSubgraph(root=root, level1=level1, level2=level2, edges=frozenset(crossing))
 
 
 def imported_modules(source: str) -> set[str]:

@@ -14,9 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from nmgraph import analytics
-from nmgraph.graph import connected_components, diameter, girth
+from nmgraph.graph import adjacency_matrix, connected_components, diameter, girth
 from nmgraph.nm import (
-    adjacency_matrix,
     build_mn,
     build_nm,
     build_nm_product,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import math
 import subprocess
 import sys
@@ -245,3 +246,26 @@ def test_checks_are_raises_not_asserts(source):
     # an assert vanishes under python -O; a correctness check must not
     tree = ast.parse(source.read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def _called_names(path: Path) -> set[str]:
+    """Names of the functions a source file calls, bare or as attributes."""
+    calls = (node.func for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call))
+    return {getattr(func, "id", None) or getattr(func, "attr", None) for func in calls}
+
+
+def test_every_exported_function_has_a_caller():
+    # a function that only its own tests call is not API: it belongs in
+    # tests/helpers.py as a reference
+    root = Path(__file__).resolve().parent.parent
+    in_src = {path: _called_names(path) for path in Path(nmgraph.__file__).parent.glob("*.py")}
+    outside = set().union(*map(_called_names, [*(root / "perfbench").glob("*.py"),
+                                               root / "tests" / "test_acceptance.py"]))
+    uncalled = []
+    for name in nmgraph.__all__:
+        fn = getattr(nmgraph, name)
+        if inspect.isfunction(fn) and name not in outside and not any(
+                name in calls for path, calls in in_src.items() if path != Path(inspect.getfile(fn))):
+            uncalled.append(name)
+    assert uncalled == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmgraph import matio, verify
+from nmgraph import cli, graph, matio, verify
 from nmgraph.cli import _quarters, build_parser, main
 from nmgraph.nm import NeighborhoodMatrix, build_nm
 from helpers import EXAMPLE7_EDGE_LINES, EXAMPLE7_MATRIX, example7_graph, two_squares_graph
@@ -209,6 +209,18 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 0
         assert doc["diameterAtMost2"] is False
+
+    def test_component_count_is_read_off_m(self, two_squares_file, example7_file,
+                                           monkeypatch, capsys):
+        def refuse(g):
+            raise AssertionError("connected_components called")
+
+        monkeypatch.setattr(graph, "connected_components", refuse)
+        monkeypatch.setattr(cli, "connected_components", refuse, raising=False)
+        assert main(["analyze", str(two_squares_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["componentCount"] == 2
+        assert main(["analyze", str(example7_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["componentCount"] == 1
 
     def test_quarters_rejects_other_denominators(self):
         assert _quarters(Fraction(3, 2)) == "6/4"

@@ -8,17 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmgraph
-from nmgraph import graph
+from nmgraph import analytics, graph
 from nmgraph.cli import main
 from nmgraph.errors import ParseError
 from nmgraph.graph import (
     Graph,
-    bfs_levels,
-    common_neighbors,
     connected_components,
     diameter,
     format_edge_list,
@@ -26,11 +24,15 @@ from nmgraph.graph import (
     girth,
     parse_edge_list,
 )
+from nmgraph.nm import build_nm
 from helpers import (
     EXAMPLE7_EDGE_LINES,
+    bfs_levels,
+    common_neighbors,
     complete_graph,
     diameter_by_bfs,
     edgeless,
+    edges,
     example7_graph,
     graphs,
     graphs_of_any_density,
@@ -86,7 +88,7 @@ class TestParseEdgeList:
         h = parse_edge_list(format_edge_list(g))
         # same edge set in external labels (internal order may differ)
         as_labels = lambda gg: {
-            frozenset((gg.labels[u], gg.labels[v])) for u, v in gg.edges()
+            frozenset((gg.labels[u], gg.labels[v])) for u, v in edges(gg)
         }
         assert as_labels(h) == as_labels(g)
 
@@ -111,7 +113,7 @@ def reference_parse(text: str) -> tuple[tuple[int, ...], tuple[frozenset[int], .
 
 def reference_format(g) -> str:
     pairs = sorted((min(g.labels[u], g.labels[v]), max(g.labels[u], g.labels[v]))
-                   for u, v in g.edges())
+                   for u, v in edges(g))
     return "".join(f"{a} {b}\n" for a, b in pairs)
 
 
@@ -322,6 +324,15 @@ class TestComponents:
         parts = connected_components(g)
         assert (parts.count, parts.membership) == reference_components(g)
 
+    @settings(max_examples=150)
+    @given(st.one_of(graphs(max_n=14), sparse_graphs(max_n=60), graphs_of_any_density()))
+    @example(edgeless(0))
+    @example(edgeless(4))
+    @example(from_edges(7, [(1, 2), (2, 4), (5, 6)]))  # vertices 0 and 3 isolated
+    def test_count_off_m_matches_reference(self, g):
+        # the positive entries of M are the arcs, so M alone gives the count
+        assert analytics.component_count(build_nm(g)) == reference_components(g)[0]
+
     def test_shuffled_path_takes_logarithmic_rounds(self, monkeypatch):
         # without pointer jumping, min-label propagation needs tens of thousands of rounds here
         n = 10**5
@@ -425,17 +436,13 @@ class TestDiameterGirth:
         start = time.perf_counter()
         assert girth(g) == 4
         assert time.perf_counter() - start < 1.0
-        h = nx.Graph(g.edges())
+        h = nx.Graph(edges(g))
         assert nx.girth(h) == 4
 
 
 # -- the neighbour sets are built only for the set-based oracles ---------------
 
-SET_BASED_READERS = {
-    "graph.has_edge", "graph.common_neighbors", "graph.bfs_levels",
-    "graph.girth", "nm.two_level_subgraph",
-    "oracles.set_based_entries",
-}
+SET_BASED_READERS = {"graph.girth", "oracles.set_based_entries"}
 
 
 def test_only_set_based_functions_read_adj():

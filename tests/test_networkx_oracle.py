@@ -9,17 +9,22 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmgraph
+from nmgraph import analytics
 from nmgraph.graph import Graph, diameter, from_edges, girth
+from nmgraph.nm import build_nm
 from nmgraph.oracles import srg_parameters, subgraph_census, triangle_count_trace
 from helpers import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
     diameter_by_bfs,
+    edgeless,
+    edges,
+    graphs,
     graphs_of_any_density,
     imported_modules,
     paley,
@@ -38,7 +43,7 @@ any_graph = st.one_of(graphs_of_any_density(max_n=16), sparse_graphs(max_n=40))
 def to_networkx(g: Graph):
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edges(g))
     return h
 
 
@@ -77,6 +82,16 @@ def test_diameter(g: Graph):
     expected = nx.diameter(h) if g.n >= 2 and nx.is_connected(h) else math.inf
     assert diameter(g) == expected
     assert diameter_by_bfs(g) == expected
+
+
+@settings(max_examples=80)
+@given(st.one_of(graphs(max_n=14), any_graph))
+@example(edgeless(0))
+@example(edgeless(3))
+@example(from_edges(6, [(1, 2), (2, 4)]))  # vertices 0, 3 and 5 isolated
+def test_component_count(g: Graph):
+    expected = nx.number_connected_components(to_networkx(g))
+    assert analytics.component_count(build_nm(g)) == expected
 
 
 # name: (graph, (k, mu1, mu2) or None)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nmgraph import nm
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
-from nmgraph.graph import Graph, bfs_levels, connected_components, from_edges
+from nmgraph.graph import Graph, connected_components, from_edges
 from nmgraph.nm import (
     NeighborhoodMatrix,
     build_mn,
@@ -22,7 +22,6 @@ from nmgraph.nm import (
     row_profile,
     row_sums,
     transpose,
-    two_level_subgraph,
 )
 from nmgraph.oracles import set_based_entries
 from nmgraph.random_graphs import gnp
@@ -30,16 +29,21 @@ from helpers import (
     EXAMPLE7_ADJACENCY,
     EXAMPLE7_MATRIX,
     TWO_SQUARES_MATRIX,
+    TwoLevelSubgraph,
     all_graphs_up_to,
+    bfs_levels,
     complete_graph,
     cycle_graph,
     edgeless,
+    edges as graph_edges,  # test_matches_bfs_levels has a local named edges
     example7_graph,
     graphs,
+    has_edge,
     two_squares_graph,
     path_graph,
     q3_cube,
     random_corpus,
+    two_level_subgraph,
 )
 
 
@@ -77,7 +81,7 @@ class TestBuild:
                 assert int(np.abs(m.entries).max(initial=0)) <= max(g.n - 1, 0)
             pos = m.entries > 0
             for u, v in zip(*np.nonzero(pos)):
-                assert g.has_edge(int(u), int(v))
+                assert has_edge(g, int(u), int(v))
 
     @pytest.mark.parametrize("g", [
         edgeless(0),
@@ -251,7 +255,7 @@ class TestReconstruction:
     def test_example7_adjacency(self):
         g = reconstruct_adjacency(build_nm(example7_graph()))
         adj = np.zeros((7, 7), dtype=np.int64)
-        for u, v in g.edges():
+        for u, v in graph_edges(g):
             adj[u, v] = adj[v, u] = 1
         assert np.array_equal(adj, EXAMPLE7_ADJACENCY)
 
@@ -452,9 +456,9 @@ class TestTwoLevelSubgraph:
                 levels = bfs_levels(g, root)
                 level1, level2 = levels.vertices_at(1), levels.vertices_at(2)
                 edges = {(root, j) for j in level1}
-                edges |= {(j, k) for j, k in g.edges() if j in level1 and k in level2}
-                edges |= {(k, j) for j, k in g.edges() if k in level1 and j in level2}
-                assert two_level_subgraph(g, root) == nm.TwoLevelSubgraph(
+                edges |= {(j, k) for j, k in graph_edges(g) if j in level1 and k in level2}
+                edges |= {(k, j) for j, k in graph_edges(g) if k in level1 and j in level2}
+                assert two_level_subgraph(g, root) == TwoLevelSubgraph(
                     root, level1, level2, frozenset(edges))
 
     @pytest.mark.parametrize("root", [-1, 3])

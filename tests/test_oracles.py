@@ -27,6 +27,7 @@ from helpers import (
     edgeless,
     example7_graph,
     graphs_of_any_density,
+    has_edge,
     imported_modules,
     two_squares_graph,
     k4_minus_edge,
@@ -197,7 +198,7 @@ class TestCommonNeighborMatrix:
                 for j in range(g.n):
                     if i == j:
                         continue
-                    if g.has_edge(i, j):
+                    if has_edge(g, i, j):
                         assert m.entries[i, j] == g.degree(j) - sq[i, j]
                     else:
                         assert m.entries[i, j] == -sq[i, j]
