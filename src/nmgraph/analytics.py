@@ -27,10 +27,13 @@ def _adjacency(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tails, heads, c) over the positive entries (i, j) of the view: the
     ordered adjacent pairs in row-major order, and c = |m_jj| - m_ij, the
-    number of common neighbours of each."""
+    number of common neighbours of each, which no valid NM makes negative."""
     positive = np.flatnonzero(vals > 0)  # indices: taking by them beats a boolean mask
     heads = cols[positive]
-    return rows[positive], heads, np.abs(diagonal)[heads] - vals[positive]
+    c = np.abs(diagonal)[heads] - vals[positive]
+    if c.size and c.min() < 0:
+        raise InvalidMatrixError("an edge entry exceeds its column's degree: not a valid NM")
+    return rows[positive], heads, c
 
 
 def _pairs(c: np.ndarray) -> int:
@@ -59,14 +62,15 @@ def _triangles(c: np.ndarray) -> int:
     return total // 6
 
 
-def _four_cycles(n: int, c: np.ndarray, counts: np.ndarray) -> tuple[int, Fraction, Fraction]:
+def _four_cycles(n: int, c: np.ndarray, counts: np.ndarray) -> tuple[int, int]:
+    """(4 s1, 4 s2): the integer numerators of the two quarter terms."""
     magnitudes = np.arange(n, 0, -1, dtype=np.int64)  # |v| for v = -n, ..., -1
-    s1 = Fraction(int((counts[:n] * magnitudes * (magnitudes - 1)).sum()) // 2, 4)
-    s2 = Fraction(_pairs(c), 4)
-    total = s1 + s2
-    if total.denominator != 1:
-        raise InvalidMatrixError(f"4-cycle total {total} is not an integer: not a valid NM")
-    return int(total), s1, s2
+    q1 = int((counts[:n] * magnitudes * (magnitudes - 1)).sum()) // 2
+    q2 = _pairs(c)
+    if (q1 + q2) % 4:
+        raise InvalidMatrixError(
+            f"4-cycle total {Fraction(q1 + q2, 4)} is not an integer: not a valid NM")
+    return q1, q2
 
 
 def _induced_c4_free(n: int, tails: np.ndarray, heads: np.ndarray,
@@ -199,37 +203,44 @@ def strong_regularity_profile(
 
 @dataclass(frozen=True)
 class StructuralReport:
-    """Everything the analytics layer can say about one matrix."""
+    """Everything the analytics layer can say about one matrix.
+
+    Only independent facts are stored; the 4-cycle terms are kept as their
+    integer numerators over 4, and each fact that follows from the stored
+    ones is a property."""
 
     triangle_count: int
-    four_cycle_count: int
-    s1_term: Fraction
-    s2_term: Fraction
-    triangle_free: bool
+    s1_quarters: int
+    s2_quarters: int
     induced_c4_free: bool
-    girth_at_least_5: bool
     diameter_at_most_2: bool
     diameter_upper_bound_4: bool
     distinct_entry_values: tuple[int, ...]
-    srg_consistent: bool
     srg_parameters: tuple[int, int, int] | None
 
-    def __post_init__(self):
-        if self.triangle_free != (self.triangle_count == 0):
-            raise ValueError(
-                f"inconsistent report: triangle_free={self.triangle_free} "
-                f"with triangle_count={self.triangle_count}"
-            )
-        if self.girth_at_least_5 != (self.triangle_free and self.induced_c4_free):
-            raise ValueError(
-                f"inconsistent report: girth_at_least_5={self.girth_at_least_5} with "
-                f"triangle_free={self.triangle_free}, induced_c4_free={self.induced_c4_free}"
-            )
-        if self.s1_term + self.s2_term != self.four_cycle_count:
-            raise ValueError(
-                f"inconsistent report: s1 + s2 = {self.s1_term + self.s2_term} "
-                f"!= four_cycle_count={self.four_cycle_count}"
-            )
+    @property
+    def s1_term(self) -> Fraction:
+        return Fraction(self.s1_quarters, 4)
+
+    @property
+    def s2_term(self) -> Fraction:
+        return Fraction(self.s2_quarters, 4)
+
+    @property
+    def four_cycle_count(self) -> int:
+        return (self.s1_quarters + self.s2_quarters) // 4
+
+    @property
+    def triangle_free(self) -> bool:
+        return self.triangle_count == 0
+
+    @property
+    def girth_at_least_5(self) -> bool:
+        return self.triangle_free and self.induced_c4_free
+
+    @property
+    def srg_consistent(self) -> bool:
+        return self.srg_parameters is not None
 
 
 def structural_report(m: NeighborhoodMatrix) -> StructuralReport:
@@ -237,23 +248,16 @@ def structural_report(m: NeighborhoodMatrix) -> StructuralReport:
     diagonal, rows, cols, vals = m.nonzeros()
     counts = _off_diagonal_histogram(n, diagonal, vals)
     tails, heads, c = _adjacency(diagonal, rows, cols, vals)
-    total, s1, s2 = _four_cycles(n, c, counts)
-    params = _srg_parameters(n, diagonal, counts)
-    triangle_free = not c.any()
-    induced_c4_free = _induced_c4_free(n, tails, heads, rows, cols, vals)
+    q1, q2 = _four_cycles(n, c, counts)
     stored = np.diff(rows.searchsorted(np.arange(n + 1)))  # off-diagonal nonzeros per row
     all_counts = counts + np.bincount(diagonal + n, minlength=2 * n + 1)  # the diagonal too
     return StructuralReport(
         triangle_count=_triangles(c),
-        four_cycle_count=total,
-        s1_term=s1,
-        s2_term=s2,
-        triangle_free=triangle_free,
-        induced_c4_free=induced_c4_free,
-        girth_at_least_5=triangle_free and induced_c4_free,
+        s1_quarters=q1,
+        s2_quarters=q2,
+        induced_c4_free=_induced_c4_free(n, tails, heads, rows, cols, vals),
         diameter_at_most_2=n >= 2 and len(vals) == n * (n - 1),
         diameter_upper_bound_4=bool(((stored == n - 1) & (diagonal != 0)).any()),
         distinct_entry_values=tuple((np.flatnonzero(all_counts) - n).tolist()),
-        srg_consistent=params is not None,
-        srg_parameters=params,
+        srg_parameters=_srg_parameters(n, diagonal, counts),
     )

@@ -13,7 +13,6 @@ import math
 import statistics
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import nmgraph
@@ -42,14 +41,6 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def _quarters(fr: Fraction) -> str:
-    """Render an exact multiple of 1/4 as "p/4"."""
-    scaled = fr * 4
-    if scaled.denominator != 1:
-        raise ValueError(f"{fr} is not a multiple of 1/4")
-    return f"{scaled.numerator}/4"
 
 
 def _in_range(kind: type, low: float, high: float = math.inf):
@@ -100,8 +91,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "componentCount": components,
         "triangleCount": report.triangle_count,
         "fourCycleCount": report.four_cycle_count,
-        "s1Term": _quarters(report.s1_term),
-        "s2Term": _quarters(report.s2_term),
+        "s1Term": f"{report.s1_quarters}/4",
+        "s2Term": f"{report.s2_quarters}/4",
         "triangleFree": report.triangle_free,
         "inducedC4Free": report.induced_c4_free,
         "girthAtLeast5": report.girth_at_least_5,

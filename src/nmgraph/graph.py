@@ -125,8 +125,11 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
 class ComponentPartition:
     """Connected components: contiguous ids assigned in first-seen order."""
 
-    count: int
     membership: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return max(self.membership, default=-1) + 1
 
     def vertices_of(self, cid: int) -> frozenset[int]:
         return frozenset(v for v, c in enumerate(self.membership) if c == cid)
@@ -188,8 +191,7 @@ def adjacency_matrix(g: Graph, dtype: type = np.int64) -> np.ndarray:
 
 def connected_components(g: Graph) -> ComponentPartition:
     """Components of g, numbered in first-seen order, from its arcs."""
-    count, membership = component_ids(g.n, *arcs(g))
-    return ComponentPartition(count=count, membership=tuple(membership.tolist()))
+    return ComponentPartition(tuple(component_ids(g.n, *arcs(g))[1].tolist()))
 
 
 def component_ids(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[int, np.ndarray]:

@@ -216,27 +216,26 @@ def is_symmetric(m: NeighborhoodMatrix) -> bool:
 
 
 def determinant_exact(m: NeighborhoodMatrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination.
+    """Exact integer determinant by fraction-free (Bareiss) elimination,
+    one whole-array update per pivot; 1 for the empty matrix.
 
     Arbitrary-precision Python ints throughout; no floats, no rationals.
     """
     n = m.n
-    a = [[int(x) for x in row] for row in m.entries]
+    a = m.entries.astype(object)
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+        if a[k, k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r, k] != 0), None)
             if pivot is None:
                 return 0
-            a[k], a[pivot] = a[pivot], a[k]
+            a[[k, pivot]] = a[[pivot, k]]
             sign = -sign
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                a[r][c] = (a[r][c] * a[k][k] - a[r][k] * a[k][c]) // prev
-            a[r][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        a[k + 1:, k + 1:] = (a[k + 1:, k + 1:] * a[k, k]
+                             - np.outer(a[k + 1:, k], a[k, k + 1:])) // prev
+        prev = a[k, k]
+    return sign * a[n - 1, n - 1] if n else 1
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,13 @@ class SubgraphCensus:
     """Counts of small subgraphs; c4_total includes non-induced 4-cycles."""
 
     triangle_count: int
-    c4_total: int
     c4_induced: int
     k4_count: int
     k4_minus_edge_count: int
 
-    def __post_init__(self):
-        expected = self.c4_induced + self.k4_minus_edge_count + 3 * self.k4_count
-        if self.c4_total != expected:
-            raise ValueError(
-                f"inconsistent census: c4_total={self.c4_total}, decomposition={expected}"
-            )
+    @property
+    def c4_total(self) -> int:
+        return self.c4_induced + self.k4_minus_edge_count + 3 * self.k4_count
 
 
 def set_based_entries(g: Graph) -> np.ndarray:
@@ -138,7 +134,6 @@ def subgraph_census(g: Graph) -> SubgraphCensus:
 
     return SubgraphCensus(
         triangle_count=triangles,
-        c4_total=induced_c4 + k4_minus_edge + 3 * k4,
         c4_induced=induced_c4,
         k4_count=k4,
         k4_minus_edge_count=k4_minus_edge,

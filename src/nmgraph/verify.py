@@ -170,8 +170,8 @@ def _check_four_cycles(ctx: GraphContext) -> str | None:
     if census is None:
         return None
     # s1 = #induced C4 + #K4-e / 2 and s2 = 3 #K4 + #K4-e / 2.  The report
-    # and the census each check that their terms add up to their total, so
-    # the totals agree whenever the terms do.
+    # and the census each derive their total from their terms, so the
+    # totals agree whenever the terms do.
     report = ctx.report
     half_k4e = Fraction(census.k4_minus_edge_count, 2)
     s1, s2 = census.c4_induced + half_k4e, 3 * census.k4_count + half_k4e

@@ -220,7 +220,6 @@ def census_by_subsets(g: Graph) -> SubgraphCensus:
                 induced_c4 += 1
     return SubgraphCensus(
         triangle_count=triangles,
-        c4_total=induced_c4 + k4_minus_edge + 3 * k4,
         c4_induced=induced_c4,
         k4_count=k4,
         k4_minus_edge_count=k4_minus_edge,

@@ -204,14 +204,20 @@ class TestReport:
         assert r.distinct_entry_values == (-4, -3, -2, -1, 0, 1, 2, 3, 4)
 
     def test_inconsistent_report_raises_under_optimize(self):
-        # the consistency checks must not be asserts, which -O strips
+        # an edge entry above its column's degree gives a negative codegree;
+        # the check is a raise, not an assert, which -O strips.  The
+        # codegrees sum to 0 and the 4-cycle total is 1, so no other check
+        # trips first.
         code = (
-            "from fractions import Fraction\n"
-            "from nmgraph.analytics import StructuralReport\n"
+            "import numpy as np\n"
+            "from nmgraph.analytics import structural_report\n"
+            "from nmgraph.errors import InvalidMatrixError\n"
+            "from nmgraph.nm import NeighborhoodMatrix\n"
+            "m = NeighborhoodMatrix(np.array([[-1, 2, -3, 0], [0, -1, 0, 0],\n"
+            "                                 [0, 0, -1, 1], [0, 0, 0, -2]]), (0, 1, 2, 3))\n"
             "try:\n"
-            "    StructuralReport(1, 0, Fraction(0), Fraction(0), True, True, True,\n"
-            "                     False, False, (), False, None)\n"
-            "except ValueError:\n"
+            "    structural_report(m)\n"
+            "except InvalidMatrixError:\n"
             "    print('raised')\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"

@@ -4,7 +4,7 @@ import contextlib
 import io
 import json
 import re
-from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmgraph import cli, graph, matio, verify
-from nmgraph.cli import _quarters, build_parser, main
+from nmgraph.cli import build_parser, main
 from nmgraph.nm import NeighborhoodMatrix, build_nm
-from helpers import EXAMPLE7_EDGE_LINES, EXAMPLE7_MATRIX, example7_graph, two_squares_graph
+from helpers import (EXAMPLE7_EDGE_LINES, EXAMPLE7_MATRIX, example7_graph, petersen,
+                     two_squares_graph)
 from nmgraph.graph import format_edge_list
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -222,10 +225,17 @@ class TestAnalyze:
         assert main(["analyze", str(example7_file)]) == 0
         assert json.loads(capsys.readouterr().out)["componentCount"] == 1
 
-    def test_quarters_rejects_other_denominators(self):
-        assert _quarters(Fraction(3, 2)) == "6/4"
-        with pytest.raises(ValueError):
-            _quarters(Fraction(1, 8))
+    @pytest.mark.parametrize("name", ["example7", "two_squares", "petersen", "empty"])
+    def test_golden_document(self, name, tmp_path, capsys):
+        # the whole document, key order and layout included, minus the timings
+        text = {"example7": "\n".join(EXAMPLE7_EDGE_LINES) + "\n",
+                "two_squares": format_edge_list(two_squares_graph()),
+                "petersen": format_edge_list(petersen()), "empty": ""}[name]
+        src = tmp_path / f"{name}.edges"
+        src.write_text(text)
+        assert main(["analyze", str(src)]) == 0
+        out = re.sub(r'  "timingsMicros": \{[^}]*\},\n', "", capsys.readouterr().out)
+        assert out == (GOLDEN / f"analyze_{name}.json").read_text()
 
     def test_integers_never_floats(self, example7_file, capsys):
         assert main(["analyze", str(example7_file)]) == 0

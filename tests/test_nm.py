@@ -392,6 +392,16 @@ class TestDeterminant:
         )
         assert determinant_exact(perm) == 6
 
+    def test_empty_matrix_is_the_empty_product(self):
+        assert determinant_exact(build_nm(from_edges(0, []))) == 1
+
+    def test_matches_float_determinant(self):
+        rng = np.random.default_rng(44)
+        for n in range(1, 7):
+            entries = rng.integers(-3, 4, size=(n, n))
+            m = NeighborhoodMatrix(entries=entries, labels=tuple(range(n)))
+            assert determinant_exact(m) == round(np.linalg.det(entries))
+
 
 class TestRowProfile:
     def test_example7_row_5(self):
