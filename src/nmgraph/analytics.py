@@ -106,14 +106,6 @@ def triangle_count(m: NeighborhoodMatrix) -> int:
     return _triangles(_adjacency(*m.nonzeros())[2])
 
 
-def component_count(m: NeighborhoodMatrix) -> int:
-    """Number of connected components, hooked together across the
-    positive entries: m_ij > 0 iff ij is an edge."""
-    _, rows, cols, vals = m.nonzeros()
-    positive = np.flatnonzero(vals > 0)
-    return component_ids(m.n, rows[positive], cols[positive])[0]
-
-
 def four_cycle_count(m: NeighborhoodMatrix) -> tuple[int, Fraction, Fraction]:
     """Number of 4-cycle subgraphs, induced or not.
 
@@ -164,7 +156,7 @@ def some_row_has_no_zero(m: NeighborhoodMatrix) -> bool:
     """True iff some row is entirely nonzero: it stores n - 1 off-diagonal
     entries and its diagonal is nonzero.  Implies diameter <= 4
     (one-directional: the converse fails, e.g. the 3-cube)."""
-    return structural_report(m).diameter_upper_bound_4
+    return structural_report(m).some_row_has_no_zero
 
 
 def _srg_parameters(
@@ -209,12 +201,13 @@ class StructuralReport:
     integer numerators over 4, and each fact that follows from the stored
     ones is a property."""
 
+    component_count: int
     triangle_count: int
     s1_quarters: int
     s2_quarters: int
     induced_c4_free: bool
     diameter_at_most_2: bool
-    diameter_upper_bound_4: bool
+    some_row_has_no_zero: bool
     distinct_entry_values: tuple[int, ...]
     srg_parameters: tuple[int, int, int] | None
 
@@ -252,12 +245,13 @@ def structural_report(m: NeighborhoodMatrix) -> StructuralReport:
     stored = np.diff(rows.searchsorted(np.arange(n + 1)))  # off-diagonal nonzeros per row
     all_counts = counts + np.bincount(diagonal + n, minlength=2 * n + 1)  # the diagonal too
     return StructuralReport(
+        component_count=component_ids(n, tails, heads)[0],
         triangle_count=_triangles(c),
         s1_quarters=q1,
         s2_quarters=q2,
         induced_c4_free=_induced_c4_free(n, tails, heads, rows, cols, vals),
         diameter_at_most_2=n >= 2 and len(vals) == n * (n - 1),
-        diameter_upper_bound_4=bool(((stored == n - 1) & (diagonal != 0)).any()),
+        some_row_has_no_zero=bool(((stored == n - 1) & (diagonal != 0)).any()),
         distinct_entry_values=tuple((np.flatnonzero(all_counts) - n).tolist()),
         srg_parameters=_srg_parameters(n, diagonal, counts),
     )

@@ -1,7 +1,7 @@
 """Command-line surface: compute, reconstruct, analyze, verify, bench.
 
-Exit codes: 0 ok, 1 invariant failure, 2 parse error, 3 I/O error,
-4 matrix not a valid neighbourhood matrix.
+Exit codes: 0 ok, 1 invariant failure, 2 parse error, 3 I/O error or
+out of memory, 4 matrix not a valid neighbourhood matrix.
 """
 
 from __future__ import annotations
@@ -82,13 +82,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     m = build_nm(graph)
     t2 = time.perf_counter_ns()
     report = analytics.structural_report(m)
-    components = analytics.component_count(m)
     t3 = time.perf_counter_ns()
 
     doc = {
         "n": graph.n,
         "edgeCount": graph.edge_count,
-        "componentCount": components,
+        "componentCount": report.component_count,
         "triangleCount": report.triangle_count,
         "fourCycleCount": report.four_cycle_count,
         "s1Term": f"{report.s1_quarters}/4",
@@ -97,7 +96,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "inducedC4Free": report.induced_c4_free,
         "girthAtLeast5": report.girth_at_least_5,
         "diameterAtMost2": report.diameter_at_most_2,
-        "someRowHasNoZero": report.diameter_upper_bound_4,
+        "someRowHasNoZero": report.some_row_has_no_zero,
         "distinctEntryValues": list(report.distinct_entry_values),
         "srgConsistent": report.srg_consistent,
         "srgParameters": list(report.srg_parameters) if report.srg_parameters else None,
@@ -256,8 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_NM
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_IO
 
 

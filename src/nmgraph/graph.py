@@ -195,17 +195,17 @@ def connected_components(g: Graph) -> ComponentPartition:
 
 
 def component_ids(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[int, np.ndarray]:
-    """(count, membership) of the graph on n vertices whose arcs, in both
-    orientations, are (tails, heads), by hooking and pointer jumping
-    (Shiloach & Vishkin 1982).
+    """(count, membership) of the graph on n vertices whose edges are the
+    arcs (tails, heads), each given in one orientation or both, by hooking
+    and pointer jumping (Shiloach & Vishkin 1982).
 
     Every vertex points to a root of its tree, at first itself.  A round
-    hooks each root onto the smallest root across its arcs, then jumps
-    pointers until every tree is a star.  A root only ever hooks onto a
-    smaller one, so the last root of a component is its smallest vertex;
-    numbering the roots in order gives ids in first-seen order.  Every
-    tree that survives a round unmerged merges in the next, so there are
-    O(log n) rounds.
+    hooks each root onto the smallest root across its arcs, in either
+    direction, then jumps pointers until every tree is a star.  A root only
+    ever hooks onto a smaller one, so the last root of a component is its
+    smallest vertex; numbering the roots in order gives ids in first-seen
+    order.  Every tree that survives a round unmerged merges in the next,
+    so there are O(log n) rounds.
     """
     parent = np.arange(n)
     while ((tail_roots := parent[tails]) != (head_roots := parent[heads])).any():
@@ -217,9 +217,11 @@ def component_ids(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[int, np
 
 
 def _hook(parent: np.ndarray, tail_roots: np.ndarray, head_roots: np.ndarray) -> None:
-    """One round's hooks: each root r takes the smallest head root over
-    the arcs whose tail root is r, when that is smaller than r."""
+    """One round's hooks: each root r takes the smallest root across the
+    arcs at r, tail or head, when that is smaller than r.  Hooking both
+    ways merges across an arc given in one orientation only."""
     np.minimum.at(parent, tail_roots, head_roots)
+    np.minimum.at(parent, head_roots, tail_roots)
 
 
 def diameter(g: Graph) -> int | float:

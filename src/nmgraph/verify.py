@@ -10,9 +10,9 @@ isolated vertices.
 
 `row-profile-decoding` reads every row of M as its vertex's first two
 BFS levels in one pass over the nonzero view, and names the first row
-whose diagonal is not -degree, whose positive entries are not the
-vertex's neighbours, whose level-1 and level-2 edge counts differ, or
-whose diagonal is not its minimum.
+whose positive entries are not the vertex's neighbours, whose level-1
+and level-2 edge counts differ, or whose diagonal is not its minimum;
+that the diagonal is -degree is checked once, by `entry-shape`.
 """
 
 from __future__ import annotations
@@ -137,14 +137,13 @@ def _check_row_profiles(ctx: GraphContext) -> str | None:
     # its neighbours j, each with m_ij - 1 edges on to level 2; its negative
     # off-diagonal entries are level 2, each with |m_ik| edges back to level
     # 1; both sides count the paths from i to level 2.  The argmin test
-    # reads stored entries only: a diagonal of -degree <= 0 is never above
-    # an unstored zero.
+    # reads stored entries only: a diagonal of -degree <= 0, which
+    # entry-shape checks, is never above an unstored zero.
     n, (tails, heads) = ctx.g.n, arcs(ctx.g)
     diagonal, rows, cols, vals = ctx.m.nonzeros()
     up = vals > 0
     out, back = np.bincount(rows[up], vals[up] - 1, n), np.bincount(rows[~up], -vals[~up], n)
     for bad, problem in [
-        (np.flatnonzero(diagonal != -ctx.g.degrees), "diagonal is not -degree"),
         (np.setxor1d(rows[up] * n + cols[up], tails * n + heads, True) // n, "level 1 is not N(i)"),
         (np.flatnonzero(out != back), "level1->level2 edges unbalanced"),
         (rows[vals < diagonal[rows]], "diagonal not among argmin positions"),
@@ -197,11 +196,15 @@ def _check_characterizations(ctx: GraphContext) -> str | None:
 
 
 def _check_diameter(ctx: GraphContext) -> str | None:
+    # One vertex is connected yet has no finite diameter, so the count is
+    # checked from two vertices on.
     report = ctx.report
     diam = diameter(ctx.g)
+    if ctx.g.n >= 2 and (report.component_count == 1) != np.isfinite(diam):
+        return f"component count {report.component_count} vs oracle diameter {diam}"
     if report.diameter_at_most_2 != (diam <= 2):
         return f"diameter<=2 predicate vs oracle diameter {diam}"
-    if report.diameter_upper_bound_4 and not diam <= 4:
+    if report.some_row_has_no_zero and not diam <= 4:
         return f"row without zeros but diameter {diam} > 4"
     return None
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmgraph import cli, graph, matio, verify
+from nmgraph import analytics, cli, graph, matio, verify
 from nmgraph.cli import build_parser, main
 from nmgraph.nm import NeighborhoodMatrix, build_nm
 from helpers import (EXAMPLE7_EDGE_LINES, EXAMPLE7_MATRIX, example7_graph, petersen,
@@ -215,15 +218,26 @@ class TestAnalyze:
 
     def test_component_count_is_read_off_m(self, two_squares_file, example7_file,
                                            monkeypatch, capsys):
-        def refuse(g):
-            raise AssertionError("connected_components called")
+        # the whole document comes from one report: no graph-side
+        # components, and no other analytics function
+        def refuse(*args):
+            raise AssertionError("called")
 
         monkeypatch.setattr(graph, "connected_components", refuse)
         monkeypatch.setattr(cli, "connected_components", refuse, raising=False)
-        assert main(["analyze", str(two_squares_file)]) == 0
-        assert json.loads(capsys.readouterr().out)["componentCount"] == 2
-        assert main(["analyze", str(example7_file)]) == 0
-        assert json.loads(capsys.readouterr().out)["componentCount"] == 1
+        report = analytics.structural_report
+        for name, value in vars(analytics).copy().items():
+            if (inspect.isfunction(value) and value.__module__ == analytics.__name__
+                    and not name.startswith("_")):
+                monkeypatch.setattr(analytics, name, refuse)
+        reports = []
+        monkeypatch.setattr(analytics, "structural_report",
+                            lambda m: reports.append(m) or report(m))
+        for path, count in [(two_squares_file, 2), (example7_file, 1)]:
+            reports.clear()
+            assert main(["analyze", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["componentCount"] == count
+            assert len(reports) == 1
 
     @pytest.mark.parametrize("name", ["example7", "two_squares", "petersen", "empty"])
     def test_golden_document(self, name, tmp_path, capsys):
@@ -283,6 +297,37 @@ class TestVerify:
         assert "entry-shape                      FAIL" in out
         assert "detail: diagonal is not -degree" in out
         assert "counterexample edge list:" in out
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+OUT_OF_MEMORY_INPUTS = {
+    # n = 60 000: build_nm's n^2 histogram asks for 26.8 GiB
+    "analyze": "".join(f"{2 * i} {2 * i + 1}\n" for i in range(30000)),
+    # dimension 10^6 and no entries, padded past the dimension guard: 7.28 TiB
+    "reconstruct": "%%MatrixMarket matrix coordinate integer general\n"
+                   + ("%" * 99 + "\n") * 10**4 + "1000000 1000000 0\n",
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the address-space cap is Linux only")
+@pytest.mark.parametrize("command", sorted(OUT_OF_MEMORY_INPUTS))
+def test_out_of_memory_is_one_error_line(command, tmp_path):
+    # Never run these without the cap: the machine would try to provide it.
+    src = tmp_path / "input.txt"
+    src.write_text(OUT_OF_MEMORY_INPUTS[command])
+    done = subprocess.run(
+        [sys.executable, "-m", "nmgraph.cli", command, str(src)], capture_output=True,
+        text=True, timeout=60, preexec_fn=_cap_address_space,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: Unable to allocate ")
 
 
 class TestBench:

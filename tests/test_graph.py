@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import math
+import subprocess
+import sys
 import time
 from itertools import accumulate
 from pathlib import Path
@@ -331,7 +333,25 @@ class TestComponents:
     @example(from_edges(7, [(1, 2), (2, 4), (5, 6)]))  # vertices 0 and 3 isolated
     def test_count_off_m_matches_reference(self, g):
         # the positive entries of M are the arcs, so M alone gives the count
-        assert analytics.component_count(build_nm(g)) == reference_components(g)[0]
+        report = analytics.structural_report(build_nm(g))
+        assert report.component_count == reference_components(g)[0]
+
+    def test_one_way_arcs_merge(self):
+        # A matrix with a one-way positive entry reaches the kernel through
+        # the report; run apart, a kernel that loops fails on the timeout.
+        code = (
+            "import numpy as np\n"
+            "from nmgraph.analytics import structural_report\n"
+            "from nmgraph.graph import component_ids\n"
+            "from nmgraph.nm import NeighborhoodMatrix\n"
+            "print(component_ids(3, [0], [1])[0])\n"
+            "m = NeighborhoodMatrix(np.array([[-1, 1, 0], [0, -1, 0], [0, 0, 0]]), (0, 1, 2))\n"
+            "print(structural_report(m).component_count)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10, env={"PYTHONPATH": str(src)})
+        assert done.stdout.split() == ["2", "2"], done.stderr
 
     def test_shuffled_path_takes_logarithmic_rounds(self, monkeypatch):
         # without pointer jumping, min-label propagation needs tens of thousands of rounds here

@@ -91,7 +91,7 @@ def test_diameter(g: Graph):
 @example(from_edges(6, [(1, 2), (2, 4)]))  # vertices 0, 3 and 5 isolated
 def test_component_count(g: Graph):
     expected = nx.number_connected_components(to_networkx(g))
-    assert analytics.component_count(build_nm(g)) == expected
+    assert analytics.structural_report(build_nm(g)).component_count == expected
 
 
 # name: (graph, (k, mu1, mu2) or None)

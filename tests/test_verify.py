@@ -85,6 +85,24 @@ def test_wrong_srg_parameters_fail_characterizations(monkeypatch):
     assert failed[0].first_failure.startswith("strong-regularity parameters (99, 0, 0)")
 
 
+def test_wrong_component_count_fails_diameter_predicates(monkeypatch):
+    # The corpus opens with the graph on no vertices, whose count 0 turns
+    # into 1: fewer than two vertices have no finite diameter either way.
+    graphs = corpus(5, 8, 2)
+    assert all(r.passed for r in verify.run_suite(graphs))
+    report = analytics.structural_report
+
+    def off_by_one(m):
+        r = report(m)
+        return dataclasses.replace(r, component_count=r.component_count + 1)
+
+    monkeypatch.setattr(analytics, "structural_report", off_by_one)
+    results = verify.run_suite(graphs)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["diameter-predicates"]
+    assert failed[0].first_failure == "component count 2 vs oracle diameter 2"
+
+
 def test_set_based_disagreement_fails_dual_path(monkeypatch):
     set_based = oracles.set_based_entries
 
