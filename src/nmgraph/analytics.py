@@ -1,6 +1,9 @@
 """Structural characterizations and counts read directly off the matrix.
 
-Every analytic here recovers adjacency from the matrix itself (entry
+The API is `structural_report`, which reads every count and predicate
+in one pass and returns them as a `StructuralReport`, and
+`triangle_count`, the one count that is also timed on its own.  Every
+analytic here recovers adjacency from the matrix itself (entry
 positive iff edge), demonstrating that the matrix alone carries the
 structure: this module imports nothing from the brute-force oracles.
 It sees M only through `NeighborhoodMatrix.nonzeros`: the diagonal and
@@ -63,7 +66,21 @@ def _triangles(c: np.ndarray) -> int:
 
 
 def _four_cycles(n: int, c: np.ndarray, counts: np.ndarray) -> tuple[int, int]:
-    """(4 s1, 4 s2): the integer numerators of the two quarter terms."""
+    """(4 s1, 4 s2): the integer numerators of the two quarter terms.
+
+    The 4-cycle subgraphs, induced or not, number s1 + s2, where s1 sums
+    C(|m_ij|, 2) over non-adjacent pairs and s2 sums C(|m_jj| - m_ij, 2)
+    over adjacent pairs, each divided by 4.  These are the codegree sums
+    of Chiba and Nishizeki, "Arboricity and subgraph listing algorithms",
+    SIAM J. Comput. 14 (1985): s1 is read off the histogram of the
+    negative off-diagonal entries, s2 off the codegrees of the positive
+    entries.  A 4-cycle is counted from each of its two diagonals in both
+    orders, four times in all, hence the quarters.  When exactly one
+    diagonal is an edge, as in a K4 minus an edge, two of those counts
+    fall in each term, which adds 1/2 to each: the terms alone are exact
+    quarters, half-integers whenever such chorded cycles are odd in
+    number, while their sum is always an integer.
+    """
     magnitudes = np.arange(n, 0, -1, dtype=np.int64)  # |v| for v = -n, ..., -1
     q1 = int((counts[:n] * magnitudes * (magnitudes - 1)).sum()) // 2
     q2 = _pairs(c)
@@ -75,11 +92,17 @@ def _four_cycles(n: int, c: np.ndarray, counts: np.ndarray) -> tuple[int, int]:
 
 def _induced_c4_free(n: int, tails: np.ndarray, heads: np.ndarray,
                      rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> bool:
-    """No pair (i, j) above the diagonal with entry <= -2 has two
-    non-adjacent common neighbours.  N(i) is row i's range of the positive
-    entries (tails, heads); adjacency is looked up in their sorted keys
-    i * n + j.  Candidate pairs are visited lazily, so the scan stops at
-    the first induced C4."""
+    """True iff the graph has no induced 4-cycle, decided from M alone.
+
+    An induced C4 is a non-adjacent pair (i, j) plus two of their common
+    neighbours that are themselves non-adjacent.  Entry signs give all of
+    it: adjacency is positivity, and a non-edge entry of -c marks c
+    common neighbours.  So only the pairs (i, j) above the diagonal with
+    entry <= -2 are visited, each checked for two non-adjacent common
+    neighbours.  N(i) is row i's range of the positive entries (tails,
+    heads); adjacency is looked up in their sorted keys i * n + j.
+    Candidate pairs are visited lazily, so the scan stops at the first
+    induced C4."""
     keys = tails * n  # sorted: the view is row-major
     keys += heads
     starts = tails.searchsorted(np.arange(n + 1))
@@ -106,59 +129,6 @@ def triangle_count(m: NeighborhoodMatrix) -> int:
     return _triangles(_adjacency(*m.nonzeros())[2])
 
 
-def four_cycle_count(m: NeighborhoodMatrix) -> tuple[int, Fraction, Fraction]:
-    """Number of 4-cycle subgraphs, induced or not.
-
-    Returns (total, s1, s2) where s1 sums C(|m_ij|, 2) over non-adjacent
-    pairs and s2 sums C(|m_jj| - m_ij, 2) over adjacent pairs, each
-    divided by 4.  The two terms are exact quarters (half-integers occur
-    whenever the graph contains a K4 minus an edge); their sum is always
-    an integer.  These are the codegree sums of Chiba and Nishizeki,
-    "Arboricity and subgraph listing algorithms", SIAM J. Comput. 14
-    (1985): s1 is read off the histogram of the negative off-diagonal
-    entries, s2 off the codegrees of the positive entries.
-    """
-    r = structural_report(m)
-    return r.four_cycle_count, r.s1_term, r.s2_term
-
-
-def is_triangle_free(m: NeighborhoodMatrix) -> bool:
-    """True iff every positive entry equals the magnitude of its column's
-    diagonal (edge endpoints then share no neighbour)."""
-    return structural_report(m).triangle_free
-
-
-def is_induced_c4_free(m: NeighborhoodMatrix) -> bool:
-    """True iff the graph has no induced 4-cycle, decided from the matrix
-    alone.
-
-    An induced C4 is a non-adjacent pair (i, j) plus two of their common
-    neighbours that are themselves non-adjacent.  Entry signs give all of
-    it: adjacency is positivity, and a non-edge entry of -c marks c
-    common neighbours.  Only the pairs above the diagonal with entry <= -2
-    are visited.
-    """
-    return structural_report(m).induced_c4_free
-
-
-def girth_at_least_5(m: NeighborhoodMatrix) -> bool:
-    return structural_report(m).girth_at_least_5
-
-
-def diameter_at_most_2(m: NeighborhoodMatrix) -> bool:
-    """True iff there are at least two vertices and no off-diagonal entry
-    is zero, i.e. all n(n - 1) are stored (the graph of no vertices, like
-    that of one, has no finite diameter)."""
-    return structural_report(m).diameter_at_most_2
-
-
-def some_row_has_no_zero(m: NeighborhoodMatrix) -> bool:
-    """True iff some row is entirely nonzero: it stores n - 1 off-diagonal
-    entries and its diagonal is nonzero.  Implies diameter <= 4
-    (one-directional: the converse fails, e.g. the 3-cube)."""
-    return structural_report(m).some_row_has_no_zero
-
-
 def _srg_parameters(
     n: int, diagonal: np.ndarray, counts: np.ndarray
 ) -> tuple[int, int, int] | None:
@@ -168,7 +138,8 @@ def _srg_parameters(
     and one non-adjacent pair, every adjacent pair sharing mu1 neighbours
     and every non-adjacent pair mu2) iff the diagonal is constant -k, the
     only positive off-diagonal value is k - mu1, and the only non-positive
-    one is -mu2.
+    one is -mu2.  The entry values of an SRG are therefore
+    {-k, k - mu1, -mu2}, two values only when k = mu2.
     """
     if n < 2 or (diagonal != diagonal[0]).any():
         return None
@@ -178,19 +149,6 @@ def _srg_parameters(
         return None
     k = -int(diagonal[0])
     return k, k - (int(positive[0]) + 1), n - int(non_positive[0])
-
-
-def strong_regularity_profile(
-    m: NeighborhoodMatrix,
-) -> tuple[tuple[int, ...], bool, tuple[int, int, int] | None]:
-    """Distinct entry values plus the strong-regularity verdict and
-    parameters, all from the diagonal and one off-diagonal histogram.
-
-    When the graph is strongly regular the value set is
-    {-k, k - mu1, -mu2} (two values only when k = mu2).
-    """
-    r = structural_report(m)
-    return r.distinct_entry_values, r.srg_consistent, r.srg_parameters
 
 
 @dataclass(frozen=True)
@@ -203,13 +161,19 @@ class StructuralReport:
 
     component_count: int
     triangle_count: int
-    s1_quarters: int
-    s2_quarters: int
-    induced_c4_free: bool
+    s1_quarters: int  # 4 s1 and 4 s2, see _four_cycles: s1 and s2 may be
+    s2_quarters: int  # half-integers, their sum never is
+    induced_c4_free: bool  # see _induced_c4_free
+    # No off-diagonal entry is zero, i.e. all n(n - 1) are stored, and there
+    # are at least two vertices: the graph of no vertices, like that of one,
+    # has no finite diameter.
     diameter_at_most_2: bool
+    # Some row is entirely nonzero: it stores n - 1 off-diagonal entries and
+    # its diagonal is nonzero.  Implies diameter <= 4, one way only: the 3-cube
+    # has one zero per row and diameter 3.
     some_row_has_no_zero: bool
-    distinct_entry_values: tuple[int, ...]
-    srg_parameters: tuple[int, int, int] | None
+    distinct_entry_values: tuple[int, ...]  # the diagonal's and the off-diagonal's
+    srg_parameters: tuple[int, int, int] | None  # (k, mu1, mu2), see _srg_parameters
 
     @property
     def s1_term(self) -> Fraction:
@@ -225,6 +189,8 @@ class StructuralReport:
 
     @property
     def triangle_free(self) -> bool:
+        """True iff every positive entry equals the magnitude of its column's
+        diagonal: edge endpoints then share no neighbour."""
         return self.triangle_count == 0
 
     @property

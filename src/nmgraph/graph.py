@@ -68,9 +68,6 @@ class Graph:
         return (self.labels == other.labels and np.array_equal(self.indptr, other.indptr)
                 and np.array_equal(self.indices, other.indices))
 
-    def __hash__(self):
-        return hash((self.labels, self.indptr.tobytes(), self.indices.tobytes()))
-
 
 def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
                labels: tuple[int, ...] | None = None) -> Graph:

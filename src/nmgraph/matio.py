@@ -80,20 +80,19 @@ def read_matrix_market(text: str) -> NeighborhoodMatrix:
     labels = _labels(lines, comments, "%", rows)
 
     table = textio.int_table(lines, body, 3, 1)
-    r, c = table[:, 0] - 1, table[:, 1] - 1
-    outside = (r < 0) | (r >= rows) | (c < 0) | (c >= rows)
+    r, c = table[:, 0], table[:, 1]  # 1-based as written: shifting first could wrap at -2**63
+    outside = (r < 1) | (r > rows) | (c < 1) | (c > rows)
     if outside.any():
         k = int(np.argmax(outside))
-        raise textio.row_error(lines, body, k + 1, f"index ({r[k] + 1},{c[k] + 1}) out of range")
-    flat = r * rows + c
+        raise textio.row_error(lines, body, k + 1, f"index ({r[k]},{c[k]}) out of range")
+    flat = (r - 1) * rows + (c - 1)
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
     if repeats.size:
         k = int(repeats.min())
-        raise textio.row_error(lines, body, k + 1,
-                               f"duplicate coordinate ({r[k] + 1},{c[k] + 1})")
+        raise textio.row_error(lines, body, k + 1, f"duplicate coordinate ({r[k]},{c[k]})")
     entries = np.zeros((rows, rows), dtype=np.int64)
-    entries[r, c] = table[:, 2]
+    np.put(entries, flat, table[:, 2])
     return NeighborhoodMatrix.adopt(entries, labels)
 
 

@@ -33,7 +33,7 @@ SPARSE_WORK_RATIO = 1000
 FLOAT32_EXACT = 2 ** 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborhoodMatrix:
     """Dense n x n signed integer matrix plus the external vertex labels."""
 
@@ -68,9 +68,6 @@ class NeighborhoodMatrix:
         if not isinstance(other, NeighborhoodMatrix):
             return NotImplemented
         return self.labels == other.labels and np.array_equal(self.entries, other.entries)
-
-    def __hash__(self):
-        return hash((self.labels, self.entries.tobytes()))
 
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(diagonal, rows, cols, vals): the n diagonal entries, then every

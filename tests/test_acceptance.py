@@ -110,30 +110,29 @@ def test_criterion_5_four_cycle_counting():
         g for g in random_32_corpus() if g.n <= 16
     ]
     for g in corpus:
-        m = build_nm(g)
-        total, s1, s2 = analytics.four_cycle_count(m)
+        r = analytics.structural_report(build_nm(g))
         census = subgraph_census(g)
-        assert total == census.c4_total
-        assert s1 + s2 == total
-        assert s1 == census.c4_induced + Fraction(census.k4_minus_edge_count, 2)
-        assert s2 == 3 * census.k4_count + Fraction(census.k4_minus_edge_count, 2)
+        assert r.four_cycle_count == census.c4_total
+        assert r.s1_term + r.s2_term == r.four_cycle_count
+        assert r.s1_term == census.c4_induced + Fraction(census.k4_minus_edge_count, 2)
+        assert r.s2_term == 3 * census.k4_count + Fraction(census.k4_minus_edge_count, 2)
     print("ACCEPTANCE 5 (4-cycle counting): PASS")
 
 
 def test_criterion_6_characterization_biconditionals():
     corpus = list(small_corpus()) + [g for g in random_32_corpus() if g.n <= 20]
     for g in corpus:
-        m = build_nm(g)
+        r = analytics.structural_report(build_nm(g))
         gr = girth(g)
-        assert analytics.is_triangle_free(m) == (gr != 3)
+        assert r.triangle_free == (gr != 3)
         if g.n <= 16:
             census = subgraph_census(g)
-            assert analytics.is_induced_c4_free(m) == (census.c4_induced == 0)
-        assert analytics.girth_at_least_5(m) == (gr >= 5)
+            assert r.induced_c4_free == (census.c4_induced == 0)
+        assert r.girth_at_least_5 == (gr >= 5)
         diam = diameter(g)
         if g.n >= 2:
-            assert analytics.diameter_at_most_2(m) == (diam <= 2)
-        if analytics.some_row_has_no_zero(m):
+            assert r.diameter_at_most_2 == (diam <= 2)
+        if r.some_row_has_no_zero:
             assert diam <= 4
 
     # cube fixture: one zero per row, diameter 3 (one-way bound, converse fails)
@@ -144,13 +143,13 @@ def test_criterion_6_characterization_biconditionals():
 
 
 def test_criterion_7_strong_regularity():
-    g = petersen()
-    values, ok, params = analytics.strong_regularity_profile(build_nm(g))
-    assert values == (-3, -1, 3) and ok and params == (3, 0, 1)
+    r = analytics.structural_report(build_nm(petersen()))
+    assert (r.distinct_entry_values == (-3, -1, 3) and r.srg_consistent
+            and r.srg_parameters == (3, 0, 1))
 
-    g = two_squares_graph()
-    values, ok, params = analytics.strong_regularity_profile(build_nm(g))
-    assert len(values) == 3 and not ok and params is None
+    r = analytics.structural_report(build_nm(two_squares_graph()))
+    assert (len(r.distinct_entry_values) == 3 and not r.srg_consistent
+            and r.srg_parameters is None)
     print("ACCEPTANCE 7 (strong regularity): PASS")
 
 

@@ -51,72 +51,74 @@ class TestTriangleCount:
             analytics.triangle_count(bad)
 
 
+def _report(g) -> analytics.StructuralReport:
+    return analytics.structural_report(build_nm(g))
+
+
 class TestFourCycleCount:
     def test_example7(self):
-        total, s1, s2 = analytics.four_cycle_count(build_nm(example7_graph()))
-        assert (total, s1, s2) == (1, Fraction(1), Fraction(0))
+        r = _report(example7_graph())
+        assert (r.four_cycle_count, r.s1_term, r.s2_term) == (1, Fraction(1), Fraction(0))
 
     def test_two_squares(self):
-        total, s1, s2 = analytics.four_cycle_count(build_nm(two_squares_graph()))
-        assert (total, s1, s2) == (2, Fraction(2), Fraction(0))
+        r = _report(two_squares_graph())
+        assert (r.four_cycle_count, r.s1_term, r.s2_term) == (2, Fraction(2), Fraction(0))
 
     def test_k4(self):
-        total, s1, s2 = analytics.four_cycle_count(build_nm(complete_graph(4)))
-        assert (total, s1, s2) == (3, Fraction(0), Fraction(3))
+        r = _report(complete_graph(4))
+        assert (r.four_cycle_count, r.s1_term, r.s2_term) == (3, Fraction(0), Fraction(3))
 
     def test_entry_out_of_range_rejected(self):
         # |entry| <= n - 1 in every neighbourhood matrix
         bad = NeighborhoodMatrix(entries=np.array([[-1, 2], [1, -1]]), labels=(0, 1))
         with pytest.raises(InvalidMatrixError):
-            analytics.four_cycle_count(bad)
-        with pytest.raises(InvalidMatrixError):
-            analytics.strong_regularity_profile(bad)
+            analytics.structural_report(bad)
 
     def test_k4_minus_edge_half_integers(self):
-        total, s1, s2 = analytics.four_cycle_count(build_nm(k4_minus_edge()))
-        assert (total, s1, s2) == (1, Fraction(1, 2), Fraction(1, 2))
+        r = _report(k4_minus_edge())
+        assert (r.four_cycle_count, r.s1_term, r.s2_term) == (1, Fraction(1, 2), Fraction(1, 2))
 
 
 class TestPredicates:
     def test_triangle_free(self):
-        assert analytics.is_triangle_free(build_nm(two_squares_graph()))
-        assert not analytics.is_triangle_free(build_nm(example7_graph()))
-        assert analytics.is_triangle_free(build_nm(edgeless(4)))
+        assert _report(two_squares_graph()).triangle_free
+        assert not _report(example7_graph()).triangle_free
+        assert _report(edgeless(4)).triangle_free
 
     def test_induced_c4_free(self):
-        assert not analytics.is_induced_c4_free(build_nm(example7_graph()))
-        assert analytics.is_induced_c4_free(build_nm(petersen()))
-        assert not analytics.is_induced_c4_free(build_nm(two_squares_graph()))
+        assert not _report(example7_graph()).induced_c4_free
+        assert _report(petersen()).induced_c4_free
+        assert not _report(two_squares_graph()).induced_c4_free
 
     def test_induced_c4_free_chorded_cycles(self):
         # every 4-cycle in these graphs is chorded
-        assert analytics.is_induced_c4_free(build_nm(k4_minus_edge()))
-        assert analytics.is_induced_c4_free(build_nm(complete_graph(4)))
+        assert _report(k4_minus_edge()).induced_c4_free
+        assert _report(complete_graph(4)).induced_c4_free
 
     def test_girth_at_least_5(self):
-        assert analytics.girth_at_least_5(build_nm(petersen()))
-        assert not analytics.girth_at_least_5(build_nm(example7_graph()))
-        assert analytics.girth_at_least_5(build_nm(path_graph(4)))
-        assert analytics.girth_at_least_5(build_nm(edgeless(3)))
+        assert _report(petersen()).girth_at_least_5
+        assert not _report(example7_graph()).girth_at_least_5
+        assert _report(path_graph(4)).girth_at_least_5
+        assert _report(edgeless(3)).girth_at_least_5
 
     def test_diameter_at_most_2(self):
-        assert analytics.diameter_at_most_2(build_nm(cycle_graph(5)))
-        assert not analytics.diameter_at_most_2(build_nm(example7_graph()))
-        assert analytics.diameter_at_most_2(build_nm(from_edges(2, [(0, 1)])))
+        assert _report(cycle_graph(5)).diameter_at_most_2
+        assert not _report(example7_graph()).diameter_at_most_2
+        assert _report(from_edges(2, [(0, 1)])).diameter_at_most_2
         # no finite diameter below two vertices
-        assert not analytics.diameter_at_most_2(build_nm(edgeless(0)))
-        assert not analytics.diameter_at_most_2(build_nm(edgeless(1)))
+        assert not _report(edgeless(0)).diameter_at_most_2
+        assert not _report(edgeless(1)).diameter_at_most_2
 
     def test_some_row_has_no_zero(self):
         # row 5 of the 7-vertex example is (-2, 2, -1, 2, -4, 2, 1): no zeros
-        assert analytics.some_row_has_no_zero(build_nm(example7_graph()))
-        assert analytics.some_row_has_no_zero(build_nm(cycle_graph(5)))
-        assert not analytics.some_row_has_no_zero(build_nm(q3_cube()))
+        assert _report(example7_graph()).some_row_has_no_zero
+        assert _report(cycle_graph(5)).some_row_has_no_zero
+        assert not _report(q3_cube()).some_row_has_no_zero
         # edgeless(1) catches a view that ignores the diagonal; K3 plus an isolated
         # vertex, one that counts the diagonal among a row's n - 1 stored entries
-        assert not analytics.some_row_has_no_zero(build_nm(edgeless(1)))
+        assert not _report(edgeless(1)).some_row_has_no_zero
         k3_and_isolated = from_edges(4, [(0, 1), (0, 2), (1, 2)])
-        assert not analytics.some_row_has_no_zero(build_nm(k3_and_isolated))
+        assert not _report(k3_and_isolated).some_row_has_no_zero
 
     def test_q3_one_zero_per_row_but_diameter_3(self):
         m = build_nm(q3_cube())
@@ -125,54 +127,49 @@ class TestPredicates:
 
     def test_predicates_match_oracles(self):
         for g in random_corpus(30, 14, seed=83):
-            m = build_nm(g)
+            r = _report(g)
             gr = girth(g)
             census = subgraph_census(g)
-            assert analytics.is_triangle_free(m) == (gr != 3)
-            assert analytics.is_induced_c4_free(m) == (census.c4_induced == 0)
-            assert analytics.girth_at_least_5(m) == (gr >= 5)
+            assert r.triangle_free == (gr != 3)
+            assert r.induced_c4_free == (census.c4_induced == 0)
+            assert r.girth_at_least_5 == (gr >= 5)
             if g.n >= 2:
-                assert analytics.diameter_at_most_2(m) == (diameter(g) <= 2)
-            if analytics.some_row_has_no_zero(m):
+                assert r.diameter_at_most_2 == (diameter(g) <= 2)
+            if r.some_row_has_no_zero:
                 assert diameter(g) <= 4
 
 
 class TestStrongRegularity:
     def test_petersen(self):
-        g = petersen()
-        values, ok, params = analytics.strong_regularity_profile(build_nm(g))
-        assert values == (-3, -1, 3)
-        assert ok and params == (3, 0, 1)
+        r = _report(petersen())
+        assert r.distinct_entry_values == (-3, -1, 3)
+        assert r.srg_consistent and r.srg_parameters == (3, 0, 1)
 
     def test_two_squares_three_values_not_srg(self):
-        g = two_squares_graph()
-        values, ok, params = analytics.strong_regularity_profile(build_nm(g))
-        assert values == (-2, 0, 2)
-        assert not ok and params is None
+        r = _report(two_squares_graph())
+        assert r.distinct_entry_values == (-2, 0, 2)
+        assert not r.srg_consistent and r.srg_parameters is None
 
     def test_k3_two_values(self):
-        g = complete_graph(3)
-        values, ok, _ = analytics.strong_regularity_profile(build_nm(g))
-        assert values == (-2, 1)
+        assert _report(complete_graph(3)).distinct_entry_values == (-2, 1)
 
     def test_c5_is_srg(self):
-        g = cycle_graph(5)
-        values, ok, params = analytics.strong_regularity_profile(build_nm(g))
-        assert ok and params == (2, 0, 1)
-        assert values == (-2, -1, 2)
+        r = _report(cycle_graph(5))
+        assert r.srg_consistent and r.srg_parameters == (2, 0, 1)
+        assert r.distinct_entry_values == (-2, -1, 2)
 
     def test_k33_degree_equals_mu2(self):
         # -k = -mu2 = -3: the diagonal shares its value with every non-edge entry
         g = complete_multipartite(3, 3)
-        values, ok, params = analytics.strong_regularity_profile(build_nm(g))
-        assert values == (-3, 3)
-        assert ok and params == (3, 0, 3) == srg_parameters(g)
+        r = _report(g)
+        assert r.distinct_entry_values == (-3, 3)
+        assert r.srg_consistent and r.srg_parameters == (3, 0, 3) == srg_parameters(g)
 
     def test_matches_oracle_on_all_graphs_up_to_5(self):
         for g in all_graphs_up_to(5):
-            _, ok, params = analytics.strong_regularity_profile(build_nm(g))
-            assert params == srg_parameters(g)
-            assert ok == (params is not None)
+            r = _report(g)
+            assert r.srg_parameters == srg_parameters(g)
+            assert r.srg_consistent == (r.srg_parameters is not None)
 
     def test_matches_oracle_on_fixtures(self):
         fixtures = [petersen(), q3_cube(), cycle_graph(5), paley(13),
@@ -181,17 +178,16 @@ class TestStrongRegularity:
                      for n in (9, 10, 12, 16, 20) for s in range(6)]
         expected = [(3, 0, 1), None, (2, 0, 1), (6, 2, 3), (6, 3, 6), (3, 0, 3)]
         for i, g in enumerate(fixtures):
-            _, _, params = analytics.strong_regularity_profile(build_nm(g))
+            params = _report(g).srg_parameters
             assert params == srg_parameters(g)
             if i < len(expected):
                 assert params == expected[i]
 
     def test_srg_implies_few_values(self):
         for g in random_corpus(30, 10, seed=89):
-            m = build_nm(g)
-            values, ok, _ = analytics.strong_regularity_profile(m)
-            if ok:
-                assert len(values) in (2, 3)
+            r = _report(g)
+            if r.srg_consistent:
+                assert len(r.distinct_entry_values) in (2, 3)
 
 
 class TestReport:
@@ -275,3 +271,13 @@ def test_every_exported_function_has_a_caller():
                 name in calls for path, calls in in_src.items() if path != Path(inspect.getfile(fn))):
             uncalled.append(name)
     assert uncalled == []
+
+
+def test_every_analytics_function_has_a_command_caller():
+    # the structural report is the analytics API: a public function that no
+    # command calls would re-run part of it under a second name
+    package = Path(nmgraph.__file__).parent
+    calls = _called_names(package / "cli.py") | _called_names(package / "verify.py")
+    public = [name for name, fn in inspect.getmembers(analytics, inspect.isfunction)
+              if fn.__module__ == analytics.__name__ and not name.startswith("_")]
+    assert [name for name in public if name not in calls] == []

@@ -330,6 +330,22 @@ def test_out_of_memory_is_one_error_line(command, tmp_path):
     assert done.stderr.startswith("error: Unable to allocate ")
 
 
+@pytest.mark.parametrize("coordinate", ["-9223372036854775808 1", "1 -9223372036854775808"],
+                         ids=["row", "column"])
+def test_most_negative_coordinate_is_one_error_line(coordinate, tmp_path):
+    # a fresh interpreter shows numpy's RuntimeWarnings, which pytest would catch
+    src = tmp_path / "input.mtx"
+    src.write_text(f"%%MatrixMarket matrix coordinate integer general\n2 2 1\n{coordinate} 1\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "nmgraph.cli", "reconstruct", str(src)], capture_output=True,
+        text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"error: line 3: index ({coordinate.replace(' ', ',')}) out of range"]
+
+
 class TestBench:
     def test_small_counts_equal(self, capsys):
         assert main(["bench", "--size", "16", "--reps", "3", "--seed", "1",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -232,6 +234,17 @@ class TestMalformedMatrixMarket:
         with pytest.raises(ParseError) as excinfo:
             matio.read_matrix_market(f"{MM_HEADER}\n{body}")
         assert excinfo.value.line_number == line
+
+    @pytest.mark.parametrize("coordinate", ["-9223372036854775808 1", "1 -9223372036854775808"],
+                             ids=["row", "column"])
+    def test_most_negative_coordinate_is_named_without_a_warning(self, coordinate):
+        # the range test reads the coordinates as written, so nothing wraps
+        expected = re.escape(f"index ({coordinate.replace(' ', ',')}) out of range")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=expected) as excinfo:
+                matio.read_matrix_market(f"{MM_HEADER}\n2 2 1\n{coordinate} 1\n")
+        assert excinfo.value.line_number == 3
 
     def test_duplicate_coordinate_message(self):
         with pytest.raises(ParseError, match=r"duplicate coordinate \(1,2\)"):

@@ -71,10 +71,10 @@ def test_triangle_formula_matches_trace(g: Graph):
 @settings(max_examples=50)
 @given(graphs(max_n=10))
 def test_girth_predicates(g: Graph):
-    m = build_nm(g)
+    r = analytics.structural_report(build_nm(g))
     gr = girth(g)
-    assert analytics.is_triangle_free(m) == (gr != 3)
-    assert analytics.girth_at_least_5(m) == (gr >= 5)
+    assert r.triangle_free == (gr != 3)
+    assert r.girth_at_least_5 == (gr >= 5)
 
 
 @settings(max_examples=80)
