@@ -50,9 +50,15 @@ def read_dense(text: str) -> NeighborhoodMatrix:
 
 
 def write_matrix_market(m: NeighborhoodMatrix) -> str:
-    r, c = np.divmod(np.flatnonzero(m.entries), m.n)  # np.nonzero order, by a faster flat scan
-    header = f"{_MM_HEADER}\n% labels: {' '.join(map(str, m.labels))}\n{m.n} {m.n} {len(r)}\n"
-    return header + textio.int_lines(np.column_stack((r + 1, c + 1, m.entries[r, c])))
+    """Every nonzero entry in row-major order: the view's off-diagonal
+    entries with the nonzero diagonal ones merged in."""
+    n = m.n
+    diagonal, rows, cols, vals = m.nonzeros()
+    d = np.flatnonzero(diagonal)
+    at = (rows * n + cols).searchsorted(d * (n + 1))
+    r, c, v = (np.insert(a, at, b) for a, b in ((rows, d), (cols, d), (vals, diagonal[d])))
+    header = f"{_MM_HEADER}\n% labels: {' '.join(map(str, m.labels))}\n{n} {n} {len(r)}\n"
+    return header + textio.int_lines(np.column_stack((r + 1, c + 1, v)))
 
 
 def read_matrix_market(text: str) -> NeighborhoodMatrix:
@@ -70,7 +76,7 @@ def read_matrix_market(text: str) -> NeighborhoodMatrix:
     rows, cols, nnz = textio.int_table(lines, body[:1], 3, 0)[0].tolist()
     if rows != cols:
         raise textio.row_error(lines, body, 0, f"matrix is {rows}x{cols}, expected square")
-    # Checked before allocating rows x rows: a file compute writes names
+    # Checked before allocating the diagonal: a file compute writes names
     # every vertex in its labels comment, so it is longer than its dimension.
     if not 0 <= rows <= len(text):
         raise textio.row_error(lines, body, 0,
@@ -91,9 +97,14 @@ def read_matrix_market(text: str) -> NeighborhoodMatrix:
     if repeats.size:
         k = int(repeats.min())
         raise textio.row_error(lines, body, k + 1, f"duplicate coordinate ({r[k]},{c[k]})")
-    entries = np.zeros((rows, rows), dtype=np.int64)
-    np.put(entries, flat, table[:, 2])
-    return NeighborhoodMatrix.adopt(entries, labels)
+    r, c, v = (table[order, k] for k in range(3))  # row-major, as the view wants
+    r -= 1  # in range, so no longer able to wrap
+    c -= 1
+    on = r == c
+    diagonal = np.zeros(rows, dtype=np.int64)
+    diagonal[r[on]] = v[on]
+    off = np.flatnonzero(~on & (v != 0))  # the view lists no zero
+    return NeighborhoodMatrix.from_nonzeros(diagonal, r[off], c[off], v[off], labels)
 
 
 def read_auto(text: str) -> NeighborhoodMatrix:

@@ -25,30 +25,40 @@ from nmgraph.graph import Graph, arcs, check_labels, from_edges
 from nmgraph.oracles import blas_adjacency
 
 _ENTRY_DTYPE = np.int64
-# The 2-path kernel runs when SPARSE_WORK_RATIO * P < n^3.  On a 2-core
-# x86-64 VM (OpenBLAS, 2 threads) the two kernels break even at n^3 / P
-# between about 1000 and 1700 for n = 1024 and 2048, and near 500 for
-# n = 256 and 512.
+# The 2-path kernel runs when SPARSE_WORK_RATIO * P < n^3.  Timed as build
+# plus nonzero view on a 2-core x86-64 VM (OpenBLAS, 2 threads), the two
+# kernels break even at n^3 / P between about 1000 and 1400 for n = 512 to
+# 2048, and near 2000 for n = 256, where both take under 1 ms.
 SPARSE_WORK_RATIO = 1000
+# Paths and edges the 2-path kernel takes at a time, and at most a quarter
+# of them all.  Small blocks keep its scratch in cache and below the size of
+# the view it writes, so that the allocator reuses that scratch from one
+# block, and one build, to the next instead of returning it to the system.
+PATH_BLOCK = 2 ** 15
+# A block of rows is counted into a dense slab, not sorted, when the slab
+# has at most COUNTING_AREA entries per path.
+COUNTING_AREA = 4
 FLOAT32_EXACT = 2 ** 24
 
 
-@dataclass(frozen=True, eq=False)
 class NeighborhoodMatrix:
-    """Dense n x n signed integer matrix plus the external vertex labels."""
+    """M plus the external vertex labels, held in the form its builder
+    produced: dense n x n int64 `entries`, or the nonzero view that
+    `nonzeros` returns.  The other form is derived once, on first use.
+    Both forms are read-only, and nothing about M can be reassigned."""
 
-    entries: np.ndarray
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=_ENTRY_DTYPE)
+    def __init__(self, entries: np.ndarray, labels: tuple[int, ...]):
+        arr = np.asarray(entries, dtype=_ENTRY_DTYPE)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        check_labels(self.labels, arr.shape[0])
+        check_labels(labels, arr.shape[0])
         if arr.flags.writeable or not arr.flags.owndata:
             arr = arr.copy()  # the caller can still write to the array it passed
             arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        self.__dict__.update(entries=arr, labels=labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NeighborhoodMatrix is immutable: cannot set {name!r}")
 
     @classmethod
     def adopt(cls, entries: np.ndarray, labels: tuple[int, ...]) -> NeighborhoodMatrix:
@@ -60,14 +70,47 @@ class NeighborhoodMatrix:
         entries.setflags(write=False)
         return cls(entries=entries, labels=labels)
 
+    @classmethod
+    def from_nonzeros(cls, diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                      vals: np.ndarray, labels: tuple[int, ...]) -> NeighborhoodMatrix:
+        """Wrap a freshly built nonzero view without copying it.
+
+        The caller vouches for its form (see `nonzeros`): int64 arrays, the
+        off-diagonal entries nonzero, distinct and in row-major order, and
+        n labels already checked, as a `Graph`'s are and as the readers
+        check theirs.  Like `adopt`, the arrays are frozen in place.
+        """
+        view = (diagonal, rows, cols, vals)
+        for a in view:
+            a.setflags(write=False)
+        m = cls.__new__(cls)
+        m.__dict__.update(_nonzeros=view, labels=labels)
+        return m
+
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return len(self.labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NeighborhoodMatrix):
             return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.entries, other.entries)
+        if self.labels != other.labels:
+            return False
+        if "entries" in self.__dict__ and "entries" in other.__dict__:
+            return np.array_equal(self.entries, other.entries)  # no scan on either side
+        return all(map(np.array_equal, self.nonzeros(), other.nonzeros()))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense n x n int64 M, read-only.  A view-built M fills a fresh
+        array on first use: n^2 memory, which only the dense writer, the
+        determinant and the dense oracles' checks ask for."""
+        diagonal, rows, cols, vals = self._nonzeros
+        entries = np.zeros((self.n, self.n), dtype=_ENTRY_DTYPE)
+        entries[rows, cols] = vals
+        np.fill_diagonal(entries, diagonal)
+        entries.setflags(write=False)
+        return entries
 
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(diagonal, rows, cols, vals): the n diagonal entries, then every
@@ -77,7 +120,7 @@ class NeighborhoodMatrix:
         The one read of M that analytics and reconstruction make, so they
         need not know how M is stored.  Every structural count is a sum
         over these entries; an off-diagonal entry not listed is zero.
-        Built once per matrix; the arrays are read-only.
+        A dense M is scanned for it once; the arrays are read-only.
         """
         return self._nonzeros
 
@@ -97,40 +140,127 @@ class NeighborhoodMatrix:
 def build_nm(g: Graph) -> NeighborhoodMatrix:
     """M = A(D - A) as -A^2 plus deg(j) at each edge (i, j).
 
-    -A^2 comes from `_negated_square_by_paths` when the P 2-paths are few
-    against the n^3 steps of a dense product (SPARSE_WORK_RATIO * P < n^3),
-    else from `_negated_square_by_blas`.  Either kernel returns the one
-    int64 buffer the result keeps, so `adopt` copies nothing.
+    When the P 2-paths are few against the n^3 steps of a dense product
+    (SPARSE_WORK_RATIO * P < n^3), `_nonzeros_by_paths` gives M's nonzero
+    view with no n x n array; else `_negated_square_by_blas` gives -A^2 in
+    the one int64 buffer the result keeps, so `adopt` copies nothing.
     """
     n = g.n
     tails, heads = arcs(g)
     degrees = g.degrees
     paths = int(degrees[heads].sum())
     if SPARSE_WORK_RATIO * paths < n ** 3:
-        entries = _negated_square_by_paths(n, degrees, tails, heads)
-    else:
-        entries = _negated_square_by_blas(n, tails, heads)
+        return NeighborhoodMatrix.from_nonzeros(*_nonzeros_by_paths(n, degrees, tails, heads),
+                                                labels=g.labels)
+    entries = _negated_square_by_blas(n, tails, heads)
     entries[tails, heads] += degrees[heads]
     return NeighborhoodMatrix.adopt(entries, g.labels)
 
 
-def _negated_square_by_paths(n: int, degrees: np.ndarray, tails: np.ndarray,
-                             heads: np.ndarray) -> np.ndarray:
-    """-A^2 by counting 2-paths (Latapy 2008): A^2[i, k] is the number of
-    paths i-j-k.  heads holds each vertex's neighbours in one run, the runs
-    in vertex order, and tails the vertex of each run.  Every directed edge
-    (i, j) expands into deg(j) paths, whose ends k are read from j's run.
+def _nonzeros_by_paths(n: int, degrees: np.ndarray, tails: np.ndarray,
+                       heads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """M's nonzero view by counting 2-paths (Latapy 2008) row block by row
+    block, as in Gustavson's row-wise sparse product (1978).
+
+    A^2[i, k] is the number of paths i-j-k.  heads holds each vertex's
+    neighbours in one run, the runs in vertex order, and tails the vertex
+    of each run; every directed edge (i, j) expands into deg(j) paths,
+    whose ends k are read from j's run.  Rows go in blocks of about
+    PATH_BLOCK paths and edges, at most a quarter of them all, which
+    bounds the scratch memory.  A block
+    whose paths fill its rows is counted into a dense slab of those rows
+    (`_block_by_counting`), any other sorted (`_block_by_sorting`).  Runs
+    with i = k are A^2's diagonal, where M has -deg(i) instead.
     """
     fan = degrees[heads]  # paths through each directed edge
-    run_start = np.cumsum(degrees) - degrees
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
     path_start = np.cumsum(fan) - fan
-    keys = np.repeat(run_start[heads] - path_start, fan)
-    keys += np.arange(len(keys))  # where each path's end k sits in heads
-    keys = heads[keys]
-    keys += np.repeat(tails * n, fan)  # i * n + k
-    entries = np.bincount(keys, minlength=n * n)
-    entries.shape = (n, n)  # in place: reshape() would give adopt a view to copy
-    return np.negative(entries, out=entries)
+    work = np.concatenate(([0], np.cumsum(fan + 1)))[indptr]  # paths and edges before each row
+    block = min(PATH_BLOCK, max(int(work[-1]) // 4, 1))  # see PATH_BLOCK
+    cuts = np.flatnonzero(np.diff(work[:-1] // block)) + 1
+    bounds = np.concatenate(([0], cuts, [n])).tolist()
+    # Each block writes its entries straight into one buffer, sized by a bound:
+    # a row holds at most its paths and edges, and at most n - 1 entries.
+    bound = int(np.minimum(np.diff(work), max(n - 1, 0)).sum())
+    out = np.empty((3, bound), dtype=np.int64)
+    filled = 0
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        a0, a1 = indptr[r0], indptr[r1]
+        if a0 == a1:
+            continue  # no edges, so no paths
+        # Keys stay below 2 (r1 - r0) n; int32 where they fit sorts faster
+        key = np.int32 if 2 * (r1 - r0) * n <= np.iinfo(np.int32).max else np.int64
+        h, f = heads[a0:a1], fan[a0:a1]
+        row_keys = ((tails[a0:a1] - r0) * n).astype(key)  # (i - r0) n
+        ends = np.repeat(indptr[h] - (path_start[a0:a1] - path_start[a0]), f)
+        ends += np.arange(len(ends))  # where each path's end k sits in heads
+        p = len(ends)
+        keys = np.empty(p + len(h), dtype=key)  # the paths, then the edges
+        np.take(heads, ends, out=keys[:p])
+        keys[:p] += np.repeat(row_keys, f)  # (i - r0) n + k
+        np.add(row_keys, h, out=keys[p:], casting="unsafe")  # (i - r0) n + j
+        if (r1 - r0) * n <= COUNTING_AREA * p:
+            filled = _block_by_counting(n, r0, r1, keys, p, degrees[h], out, filled)
+        else:
+            filled = _block_by_sorting(n, r0, keys, p, degrees, out, filled)
+    return (np.negative(degrees), *out[:, :filled])
+
+
+def _block_by_counting(n: int, r0: int, r1: int, keys: np.ndarray, p: int,
+                       weights: np.ndarray, out: np.ndarray, filled: int) -> int:
+    """Rows r0 to r1 of the view, from a histogram of the block's p path
+    keys over the dense slab of its rows, the edges' keys after them
+    weighted by deg(j), and one scan of the slab.  Written into
+    out[:, filled:]; returns where they end."""
+    slab = np.bincount(keys[:p], minlength=(r1 - r0) * n)
+    np.negative(slab, out=slab)
+    slab[keys[p:]] += weights
+    slab[np.arange(r1 - r0) * (n + 1) + r0] = 0  # the diagonal, which the view leaves out
+    flat = np.flatnonzero(slab != 0)  # several times faster than on the int64 slab itself
+    rows, cols, vals = out[:, filled:filled + len(flat)]
+    np.take(slab, flat, out=vals)
+    np.floor_divide(flat, n, out=rows)  # this and a subtraction: faster than np.divmod
+    np.multiply(rows, n, out=cols)
+    np.subtract(flat, cols, out=cols)
+    rows += r0
+    return filled + len(flat)
+
+
+def _block_by_sorting(n: int, r0: int, keys: np.ndarray, p: int, degrees: np.ndarray,
+                      out: np.ndarray, filled: int) -> int:
+    """Rows r0 onwards of the view from one sort of the block's keys, p
+    paths then the edges.  Written into out[:, filled:]; returns where
+    they end.
+
+    A path gives the key 2 x and an edge 2 x + 1, x being its entry's key,
+    so the sort puts the entries in row-major order with each entry's paths
+    before its edge.  A run of equal key >> 1 is one entry: minus its
+    paths, plus deg(j) if it ends in an edge (i, j).
+    """
+    keys <<= 1
+    keys[p:] |= 1
+    keys.sort()
+    entry = keys >> 1
+    last = np.flatnonzero(np.append(entry[1:] != entry[:-1], True))  # each run's last key
+    edge = keys[last]
+    edge &= 1
+    entry = entry[last]
+    count = np.diff(last, prepend=-1)  # keys in each run
+    rows = entry // n
+    entry -= rows * n  # now the columns
+    rows += r0
+    keep = rows != entry  # the view leaves the diagonal out
+    size = int(np.count_nonzero(keep))
+    r, c, v = out[:, filled:filled + size]
+    r[:] = rows[keep]
+    c[:] = entry[keep]
+    v[:] = count[keep]
+    w = degrees[c]
+    w += 1
+    w *= edge[keep]
+    v -= w
+    np.negative(v, out=v)
+    return filled + size
 
 
 def _negated_square_by_blas(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -178,10 +308,31 @@ def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:
     g = from_edges(m.n, np.column_stack((rows[upper], cols[upper])), labels=m.labels)
     rebuilt = build_nm(g)
     if rebuilt != m:
-        i, j = np.argwhere(rebuilt.entries != m.entries)[0].tolist()
-        raise InvalidMatrixError(f"not a valid NM: entry ({i + 1},{j + 1}) is {m.entries[i, j]},"
-                                 f" the recovered graph's is {rebuilt.entries[i, j]}")
+        key, given, recovered = _first_difference(m, rebuilt)
+        i, j = divmod(key, m.n)
+        raise InvalidMatrixError(f"not a valid NM: entry ({i + 1},{j + 1}) is {given},"
+                                 f" the recovered graph's is {recovered}")
     return g
+
+
+def _first_difference(a: NeighborhoodMatrix, b: NeighborhoodMatrix) -> tuple[int, int, int]:
+    """(i n + j, a_ij, b_ij) for the first entry in row-major order where
+    two unequal matrices of one size differ, found by merging the sorted
+    keys of their nonzero views, diagonals included."""
+    n = a.n
+    keyed = []
+    for m in (a, b):
+        diagonal, rows, cols, vals = m.nonzeros()
+        keyed.append((np.concatenate((rows * n + cols, np.arange(n) * (n + 1))),
+                      np.concatenate((vals, diagonal))))
+    union = np.union1d(keyed[0][0], keyed[1][0])
+    values = []
+    for keys, vals in keyed:
+        full = np.zeros(len(union), dtype=_ENTRY_DTYPE)
+        full[union.searchsorted(keys)] = vals
+        values.append(full)
+    k = int(np.argmax(values[0] != values[1]))
+    return int(union[k]), int(values[0][k]), int(values[1][k])
 
 
 def row_sums(m: NeighborhoodMatrix) -> list[int]:

@@ -305,29 +305,54 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
-OUT_OF_MEMORY_INPUTS = {
-    # n = 60 000: build_nm's n^2 histogram asks for 26.8 GiB
-    "analyze": "".join(f"{2 * i} {2 * i + 1}\n" for i in range(30000)),
-    # dimension 10^6 and no entries, padded past the dimension guard: 7.28 TiB
-    "reconstruct": "%%MatrixMarket matrix coordinate integer general\n"
-                   + ("%" * 99 + "\n") * 10**4 + "1000000 1000000 0\n",
-}
+# n = 60 000: a dense M would take 26.8 GiB
+DISJOINT_EDGES = "".join(f"{2 * i} {2 * i + 1}\n" for i in range(30000))
+# dimension 10^6, padded past the dimension guard: a dense M would take 7.28 TiB
+MILLION_HEADER = ("%%MatrixMarket matrix coordinate integer general\n"
+                  + ("%" * 99 + "\n") * 10**4)
+
+
+def _run_capped(argv: list[str], text: str, tmp_path: Path) -> subprocess.CompletedProcess:
+    """The CLI on `text` in a subprocess whose address space is capped at
+    4 GiB.  Never run these inputs without the cap: the machine would try
+    to provide the memory."""
+    src = tmp_path / "input.txt"
+    src.write_text(text)
+    return subprocess.run(
+        [sys.executable, "-m", "nmgraph.cli", *argv, str(src)], capture_output=True,
+        text=True, timeout=60, preexec_fn=_cap_address_space,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the address-space cap is Linux only")
-@pytest.mark.parametrize("command", sorted(OUT_OF_MEMORY_INPUTS))
-def test_out_of_memory_is_one_error_line(command, tmp_path):
-    # Never run these without the cap: the machine would try to provide it.
-    src = tmp_path / "input.txt"
-    src.write_text(OUT_OF_MEMORY_INPUTS[command])
-    done = subprocess.run(
-        [sys.executable, "-m", "nmgraph.cli", command, str(src)], capture_output=True,
-        text=True, timeout=60, preexec_fn=_cap_address_space,
-        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+def test_out_of_memory_is_one_error_line(tmp_path):
+    done = _run_capped(["compute", "--format", "dense"], DISJOINT_EDGES, tmp_path)
     assert done.returncode == 3
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("error: Unable to allocate ")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the address-space cap is Linux only")
+class TestNoDenseArrayOnSparseInputs:
+    def test_analyze_disjoint_edges(self, tmp_path):
+        done = _run_capped(["analyze"], DISJOINT_EDGES, tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        doc = json.loads(done.stdout)
+        assert (doc["n"], doc["edgeCount"], doc["componentCount"]) == (60000, 30000, 30000)
+        assert (doc["triangleCount"], doc["fourCycleCount"]) == (0, 0)
+        assert doc["distinctEntryValues"] == [-1, 0, 1]
+
+    def test_reconstruct_empty_million(self, tmp_path):
+        done = _run_capped(["reconstruct"], MILLION_HEADER + "1000000 1000000 0\n", tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+    def test_reconstruct_names_the_wrong_entry(self, tmp_path):
+        text = MILLION_HEADER + "1000000 1000000 2\n1 1 0\n1000000 999999 -1\n"
+        done = _run_capped(["reconstruct"], text, tmp_path)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr == ("error: not a valid NM: entry (1000000,999999) is -1,"
+                               " the recovered graph's is 0\n")
 
 
 @pytest.mark.parametrize("coordinate", ["-9223372036854775808 1", "1 -9223372036854775808"],

@@ -139,6 +139,26 @@ class TestWholeArrayFormat:
         assert matio.read_dense(dense) == m
         assert matio.read_matrix_market(mm) == m
 
+    @settings(max_examples=150)
+    @given(matrices())
+    def test_read_view_writes_the_same_bytes(self, m):
+        # the reader hands M over as its nonzero view; writing that view,
+        # or densifying it, gives back what the dense M gave
+        mm = matio.write_matrix_market(m)
+        read = matio.read_matrix_market(mm)
+        assert "entries" not in vars(read)
+        assert matio.write_matrix_market(read) == mm
+        assert matio.write_dense(read) == matio.write_dense(m)
+        assert np.array_equal(read.entries, m.entries)
+
+    def test_explicit_zeros_and_diagonal_coordinates(self):
+        m = matio.read_matrix_market(f"{MM_HEADER}\n3 3 4\n3 1 -1\n1 2 0\n2 2 5\n1 1 0\n")
+        assert m.entries.tolist() == [[0, 0, 0], [0, 5, 0], [-1, 0, 0]]
+        diagonal, rows, cols, vals = m.nonzeros()
+        assert (diagonal.tolist(), rows.tolist(), cols.tolist(), vals.tolist()) == (
+            [0, 5, 0], [2], [0], [-1])
+        assert matio.write_matrix_market(m).splitlines()[2:] == ["3 3 2", "2 2 5", "3 1 -1"]
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_tiny_matrices(self, n):
         m = NeighborhoodMatrix(entries=np.full((n, n), -7, dtype=np.int64), labels=tuple(range(n)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from nmgraph import nm
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
-from nmgraph.graph import Graph, connected_components, from_edges
+from nmgraph.graph import Graph, arcs, connected_components, from_edges
 from nmgraph.nm import (
     NeighborhoodMatrix,
     build_mn,
@@ -38,6 +39,7 @@ from helpers import (
     edges as graph_edges,  # test_matches_bfs_levels has a local named edges
     example7_graph,
     graphs,
+    graphs_of_any_density,
     has_edge,
     two_squares_graph,
     path_graph,
@@ -159,22 +161,58 @@ class TestNonzeroView:
             with pytest.raises(ValueError, match="read-only"):
                 a[:1] = 0
 
+    def test_view_built_entries_are_a_fresh_read_only_int64_array(self):
+        m = build_nm(cycle_graph(100))  # the 2-path kernel: M starts as its view
+        assert "entries" not in vars(m)
+        entries = m.entries
+        assert entries.dtype == np.int64 and entries.base is None
+        assert not entries.flags.writeable
+        assert m.entries is entries
+        assert np.array_equal(entries, set_based_entries(cycle_graph(100)))
+
+    def test_dense_matrices_compare_without_a_scan(self):
+        g = complete_graph(7)  # the BLAS kernel: M starts dense
+        m, same = build_nm(g), NeighborhoodMatrix(set_based_entries(g), g.labels)
+        assert m == same
+        assert "_nonzeros" not in vars(m) and "_nonzeros" not in vars(same)
+
+    @pytest.mark.parametrize("g", [cycle_graph(100), edgeless(3)])
+    def test_a_view_compares_with_a_dense_matrix_by_views(self, g):
+        view_built = build_nm(g)
+        dense = NeighborhoodMatrix(set_based_entries(g), g.labels)
+        assert view_built == dense and dense == view_built
+        assert "entries" not in vars(view_built)
+        off = dense.entries.copy()
+        off[0, 0] -= 1
+        assert view_built != NeighborhoodMatrix(off, g.labels)
+
+    def test_immutable(self):
+        m = build_nm(cycle_graph(5))
+        with pytest.raises(AttributeError, match="immutable"):
+            m.labels = (0, 1, 2, 3, 4)
+
 
 KERNELS = {
-    "paths": nm._negated_square_by_paths,
-    "blas": lambda n, degrees, tails, heads: nm._negated_square_by_blas(n, tails, heads),
+    "paths": "_nonzeros_by_paths",
+    "blas": "_negated_square_by_blas",
 }
 
 
 def kernel_matrix(g: Graph, kernel: str) -> np.ndarray:
-    """M from one A^2 kernel: its -A^2 plus deg(j) at each edge (i, j)."""
+    """M from one kernel: the 2-path kernel's nonzero view, densified, or
+    the BLAS kernel's -A^2 plus deg(j) at each edge (i, j)."""
     degrees = np.array([g.degree(v) for v in range(g.n)], dtype=np.intp)
     tails = np.repeat(np.arange(g.n), degrees)
     heads = np.array([j for nbrs in g.adj for j in nbrs], dtype=np.intp)
-    entries = KERNELS[kernel](g.n, degrees, tails, heads)
+    if kernel == "paths":
+        view = nm._nonzeros_by_paths(g.n, degrees, tails, heads)
+        entries = NeighborhoodMatrix.from_nonzeros(*view, labels=g.labels).entries
+    else:
+        entries = nm._negated_square_by_blas(g.n, tails, heads)
     assert entries.dtype == np.int64 and entries.shape == (g.n, g.n)
     assert entries.base is None  # adopt keeps it without a copy
-    entries[tails, heads] += degrees[heads]
+    if kernel == "blas":
+        entries[tails, heads] += degrees[heads]
     return entries
 
 
@@ -205,9 +243,9 @@ class TestSquareKernels:
     ])
     def test_rule_picks_kernel_by_work(self, monkeypatch, g, kernel):
         picked = []
-        for name in ("paths", "blas"):
-            real = getattr(nm, f"_negated_square_by_{name}")
-            monkeypatch.setattr(nm, f"_negated_square_by_{name}",
+        for name, function in KERNELS.items():
+            real = getattr(nm, function)
+            monkeypatch.setattr(nm, function,
                                 lambda *args, real=real, name=name: picked.append(name) or real(*args))
         assert np.array_equal(build_nm(g).entries, set_based_entries(g))
         assert picked == [kernel]
@@ -222,6 +260,55 @@ class TestSquareKernels:
         empty = np.empty(0, dtype=np.intp)
         with pytest.raises(SizeGuardError, match="float32"):
             nm._negated_square_by_blas(nm.FLOAT32_EXACT, empty, empty)
+
+
+# build_nm settings that force each way of building M: the BLAS kernel for
+# every graph, or, for every graph with a vertex, the 2-path kernel with each
+# of its blocks counted into a slab or sorted.
+BUILDS = {
+    "blas": {"SPARSE_WORK_RATIO": float("inf")},
+    "paths-counted": {"SPARSE_WORK_RATIO": 0, "COUNTING_AREA": float("inf")},
+    "paths-sorted": {"SPARSE_WORK_RATIO": 0, "COUNTING_AREA": 0},
+}
+
+
+def _view(g: Graph, build: str, block: int | None = None) -> tuple[np.ndarray, ...]:
+    with mock.patch.multiple(nm, **BUILDS[build], PATH_BLOCK=block or nm.PATH_BLOCK):
+        return build_nm(g).nonzeros()
+
+
+def _views_equal(got: tuple[np.ndarray, ...], expected: NeighborhoodMatrix) -> None:
+    for a, b in zip(got, expected.nonzeros(), strict=True):
+        assert a.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+class TestViewFromEitherKernel:
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    @given(g=graphs_of_any_density(max_n=40), block=st.integers(1, 200))
+    def test_matches_the_scan_of_the_set_based_matrix(self, build, g, block):
+        # a small block splits most graphs into several row blocks
+        _views_equal(_view(g, build, block), NeighborhoodMatrix(set_based_entries(g), g.labels))
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    @pytest.mark.parametrize("g", [
+        edgeless(0),
+        edgeless(1),
+        edgeless(6),  # no edge, so no block of keys at all
+        complete_graph(2),
+        complete_graph(9),
+        from_edges(7, [(1, 2), (2, 4), (4, 1)]),  # vertices 0, 3, 5 and 6 isolated
+        from_edges(9, [(0, 8), (8, 4)]),  # vertices 1, 2, 3, 5, 6 and 7 isolated
+    ], ids=["n0", "n1", "edgeless6", "k2", "k9", "isolated", "isolated-between"])
+    @pytest.mark.parametrize("block", [1, 5, None], ids=["block1", "block5", "default"])
+    def test_edge_cases(self, build, g, block):
+        _views_equal(_view(g, build, block), NeighborhoodMatrix(set_based_entries(g), g.labels))
+
+    @pytest.mark.parametrize("build", ["paths-counted", "paths-sorted"])
+    def test_rows_span_several_blocks_at_the_default_size(self, build):
+        g = gnp(300, 0.1, seed=3)  # about 270K 2-paths
+        assert int(g.degrees[arcs(g)[1]].sum()) > 3 * nm.PATH_BLOCK
+        _views_equal(_view(g, build), build_nm_product(g))
 
 
 class TestMirroredProduct:
@@ -312,6 +399,29 @@ class TestReconstruction:
                              r"the recovered graph's is (-?\d+)", str(exc.value))
         row, col, given_value, rebuilt_value = map(int, found.groups())
         assert given_value == entries[row - 1, col - 1] != rebuilt_value
+
+
+    @given(graphs(max_n=8), st.data())
+    def test_view_and_dense_inputs_name_the_same_entry(self, g, data):
+        # the first differing entry, found by merging views, is the one a
+        # row-major scan of the two dense matrices finds first
+        if g.n == 0:
+            return
+        entries = build_nm(g).entries.copy()
+        i, j = data.draw(st.tuples(*[st.integers(0, g.n - 1)] * 2))
+        entries[i, j] += data.draw(st.integers(-3, 3).filter(bool))
+        dense = NeighborhoodMatrix(entries=entries, labels=g.labels)
+        view = NeighborhoodMatrix.from_nonzeros(*(a.copy() for a in dense.nonzeros()),
+                                                labels=g.labels)
+        upper = np.argwhere(np.triu(entries > 0, 1))
+        rebuilt = set_based_entries(from_edges(g.n, upper.tolist(), labels=g.labels))
+        r, c = np.argwhere(rebuilt != entries)[0].tolist()
+        expected = (f"not a valid NM: entry ({r + 1},{c + 1}) is {entries[r, c]},"
+                    f" the recovered graph's is {rebuilt[r, c]}")
+        for m in (dense, view):
+            with pytest.raises(InvalidMatrixError) as exc:
+                reconstruct_adjacency(m)
+            assert str(exc.value) == expected
 
 
 class TestSums:
