@@ -27,17 +27,16 @@ from nmgraph.oracles import blas_adjacency
 _ENTRY_DTYPE = np.int64
 # The 2-path kernel runs when SPARSE_WORK_RATIO * P < n^3.  Timed as build
 # plus nonzero view on a 2-core x86-64 VM (OpenBLAS, 2 threads), the two
-# kernels break even at n^3 / P between about 1000 and 1400 for n = 512 to
-# 2048, and near 2000 for n = 256, where both take under 1 ms.
+# kernels break even at n^3 / P between about 1000 and 1900 for n = 512 to
+# 2048, higher for larger n, and above 2000 for n = 256, where both take
+# under 1 ms.  Within that band they differ by less than the timing noise,
+# and the 2-path kernel needs no n x n array, so the ratio sits at its low end.
 SPARSE_WORK_RATIO = 1000
 # Paths and edges the 2-path kernel takes at a time, and at most a quarter
 # of them all.  Small blocks keep its scratch in cache and below the size of
 # the view it writes, so that the allocator reuses that scratch from one
 # block, and one build, to the next instead of returning it to the system.
 PATH_BLOCK = 2 ** 15
-# A block of rows is counted into a dense slab, not sorted, when the slab
-# has at most COUNTING_AREA entries per path.
-COUNTING_AREA = 4
 FLOAT32_EXACT = 2 ** 24
 
 
@@ -159,7 +158,7 @@ def build_nm(g: Graph) -> NeighborhoodMatrix:
 
 def _nonzeros_by_paths(n: int, degrees: np.ndarray, tails: np.ndarray,
                        heads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """M's nonzero view by counting 2-paths (Latapy 2008) row block by row
+    """M's nonzero view by sorting 2-paths (Latapy 2008) row block by row
     block, as in Gustavson's row-wise sparse product (1978).
 
     A^2[i, k] is the number of paths i-j-k.  heads holds each vertex's
@@ -167,10 +166,8 @@ def _nonzeros_by_paths(n: int, degrees: np.ndarray, tails: np.ndarray,
     of each run; every directed edge (i, j) expands into deg(j) paths,
     whose ends k are read from j's run.  Rows go in blocks of about
     PATH_BLOCK paths and edges, at most a quarter of them all, which
-    bounds the scratch memory.  A block
-    whose paths fill its rows is counted into a dense slab of those rows
-    (`_block_by_counting`), any other sorted (`_block_by_sorting`).  Runs
-    with i = k are A^2's diagonal, where M has -deg(i) instead.
+    bounds the scratch memory.  Runs with i = k are A^2's diagonal, where
+    M has -deg(i) instead.
     """
     fan = degrees[heads]  # paths through each directed edge
     indptr = np.concatenate(([0], np.cumsum(degrees)))
@@ -179,9 +176,12 @@ def _nonzeros_by_paths(n: int, degrees: np.ndarray, tails: np.ndarray,
     block = min(PATH_BLOCK, max(int(work[-1]) // 4, 1))  # see PATH_BLOCK
     cuts = np.flatnonzero(np.diff(work[:-1] // block)) + 1
     bounds = np.concatenate(([0], cuts, [n])).tolist()
-    # Each block writes its entries straight into one buffer, sized by a bound:
-    # a row holds at most its paths and edges, and at most n - 1 entries.
-    bound = int(np.minimum(np.diff(work), max(n - 1, 0)).sum())
+    # Each block writes its entries straight into one buffer, sized by a
+    # bound: a row i holds at most n - 1 entries, and at most as many as its
+    # paths, deg(i) of which end at i and are left out while its deg(i)
+    # edges come in.  The buffer is not shrunk to the entries: freed tails
+    # go back to the system and the next build faults them in again.
+    bound = int(np.minimum(np.diff(work) - degrees, max(n - 1, 0)).sum())
     out = np.empty((3, bound), dtype=np.int64)
     filled = 0
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
@@ -199,31 +199,8 @@ def _nonzeros_by_paths(n: int, degrees: np.ndarray, tails: np.ndarray,
         np.take(heads, ends, out=keys[:p])
         keys[:p] += np.repeat(row_keys, f)  # (i - r0) n + k
         np.add(row_keys, h, out=keys[p:], casting="unsafe")  # (i - r0) n + j
-        if (r1 - r0) * n <= COUNTING_AREA * p:
-            filled = _block_by_counting(n, r0, r1, keys, p, degrees[h], out, filled)
-        else:
-            filled = _block_by_sorting(n, r0, keys, p, degrees, out, filled)
+        filled = _block_by_sorting(n, r0, keys, p, degrees, out, filled)
     return (np.negative(degrees), *out[:, :filled])
-
-
-def _block_by_counting(n: int, r0: int, r1: int, keys: np.ndarray, p: int,
-                       weights: np.ndarray, out: np.ndarray, filled: int) -> int:
-    """Rows r0 to r1 of the view, from a histogram of the block's p path
-    keys over the dense slab of its rows, the edges' keys after them
-    weighted by deg(j), and one scan of the slab.  Written into
-    out[:, filled:]; returns where they end."""
-    slab = np.bincount(keys[:p], minlength=(r1 - r0) * n)
-    np.negative(slab, out=slab)
-    slab[keys[p:]] += weights
-    slab[np.arange(r1 - r0) * (n + 1) + r0] = 0  # the diagonal, which the view leaves out
-    flat = np.flatnonzero(slab != 0)  # several times faster than on the int64 slab itself
-    rows, cols, vals = out[:, filled:filled + len(flat)]
-    np.take(slab, flat, out=vals)
-    np.floor_divide(flat, n, out=rows)  # this and a subtraction: faster than np.divmod
-    np.multiply(rows, n, out=cols)
-    np.subtract(flat, cols, out=cols)
-    rows += r0
-    return filled + len(flat)
 
 
 def _block_by_sorting(n: int, r0: int, keys: np.ndarray, p: int, degrees: np.ndarray,

@@ -262,18 +262,14 @@ class TestSquareKernels:
             nm._negated_square_by_blas(nm.FLOAT32_EXACT, empty, empty)
 
 
-# build_nm settings that force each way of building M: the BLAS kernel for
-# every graph, or, for every graph with a vertex, the 2-path kernel with each
-# of its blocks counted into a slab or sorted.
-BUILDS = {
-    "blas": {"SPARSE_WORK_RATIO": float("inf")},
-    "paths-counted": {"SPARSE_WORK_RATIO": 0, "COUNTING_AREA": float("inf")},
-    "paths-sorted": {"SPARSE_WORK_RATIO": 0, "COUNTING_AREA": 0},
-}
+# build_nm's SPARSE_WORK_RATIO that forces each kernel: the BLAS one for
+# every graph, or the 2-path one for every graph with a vertex.
+BUILDS = {"blas": float("inf"), "paths": 0}
 
 
 def _view(g: Graph, build: str, block: int | None = None) -> tuple[np.ndarray, ...]:
-    with mock.patch.multiple(nm, **BUILDS[build], PATH_BLOCK=block or nm.PATH_BLOCK):
+    with mock.patch.multiple(nm, SPARSE_WORK_RATIO=BUILDS[build],
+                             PATH_BLOCK=block or nm.PATH_BLOCK):
         return build_nm(g).nonzeros()
 
 
@@ -304,11 +300,20 @@ class TestViewFromEitherKernel:
     def test_edge_cases(self, build, g, block):
         _views_equal(_view(g, build, block), NeighborhoodMatrix(set_based_entries(g), g.labels))
 
-    @pytest.mark.parametrize("build", ["paths-counted", "paths-sorted"])
-    def test_rows_span_several_blocks_at_the_default_size(self, build):
+    def test_rows_span_several_blocks_at_the_default_size(self):
         g = gnp(300, 0.1, seed=3)  # about 270K 2-paths
         assert int(g.degrees[arcs(g)[1]].sum()) > 3 * nm.PATH_BLOCK
-        _views_equal(_view(g, build), build_nm_product(g))
+        _views_equal(_view(g, "paths"), build_nm_product(g))
+
+    @pytest.mark.parametrize("g", [
+        gnp(300, 0.1, seed=3),  # a row's paths cover its row
+        gnp(1024, 8 / 1023, seed=1),  # few paths meet
+    ], ids=["dense-rows", "sparse"])
+    def test_view_buffer_is_at_most_5_percent_larger(self, g):
+        # the kernel writes the view into a buffer sized by a bound on the
+        # entries: left-out diagonal paths are not counted in it
+        for a in _view(g, "paths")[1:]:
+            assert a.base.shape[1] <= 1.05 * a.size
 
 
 class TestMirroredProduct:
