@@ -144,7 +144,7 @@ def _verify_self_test(seed: int) -> int:
     graph = gnp(8, 0.4, seed=seed)
     entries = oracles.set_based_entries(graph)
     entries[0, 1] += 1
-    corrupted = NeighborhoodMatrix.adopt(entries, graph.labels)
+    corrupted = NeighborhoodMatrix(entries, graph.labels)
     try:
         reconstruct_adjacency(corrupted)
     except InvalidMatrixError as exc:

@@ -53,6 +53,14 @@ class Graph:
         return degrees
 
     @cached_property
+    def tails(self) -> np.ndarray:
+        """tails[k] is the vertex whose run holds indices[k]; read-only,
+        built on first use and kept, so `arcs` repeats no work."""
+        tails = np.repeat(np.arange(self.n), self.degrees)
+        tails.setflags(write=False)
+        return tails
+
+    @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
         """adj[i] is the frozenset of i's neighbours: the view the
         set-based oracles work on, built on first use."""
@@ -175,8 +183,8 @@ def format_edge_list(g: Graph) -> str:
 def arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Every edge in both orientations, as (tails, heads): heads is the
     stored `indices`, each vertex's sorted neighbours in one run, the runs
-    in vertex order."""
-    return np.repeat(np.arange(g.n), g.degrees), g.indices
+    in vertex order.  Both are read-only."""
+    return g.tails, g.indices
 
 
 def adjacency_matrix(g: Graph, dtype: type = np.int64) -> np.ndarray:

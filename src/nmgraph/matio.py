@@ -46,7 +46,7 @@ def read_dense(text: str) -> NeighborhoodMatrix:
     if len(body) - 1 != n:
         raise ParseError(f"expected {n} matrix rows, found {len(body) - 1}")
     labels = _labels(lines, comments, "#", n)
-    return NeighborhoodMatrix.adopt(textio.int_table(lines, body, n, 1), labels)
+    return NeighborhoodMatrix(textio.int_table(lines, body, n, 1), labels)
 
 
 def write_matrix_market(m: NeighborhoodMatrix) -> str:

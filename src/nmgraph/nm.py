@@ -41,33 +41,25 @@ FLOAT32_EXACT = 2 ** 24
 
 
 class NeighborhoodMatrix:
-    """M plus the external vertex labels, held in the form its builder
-    produced: dense n x n int64 `entries`, or the nonzero view that
-    `nonzeros` returns.  The other form is derived once, on first use.
-    Both forms are read-only, and nothing about M can be reassigned."""
+    """M plus the external vertex labels, stored as its nonzero view (see
+    `nonzeros`), however it was built.  The view is read-only, nothing
+    about M can be reassigned, and the dense `entries` are derived from
+    the view on first use."""
 
     def __init__(self, entries: np.ndarray, labels: tuple[int, ...]):
         arr = np.asarray(entries, dtype=_ENTRY_DTYPE)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         check_labels(labels, arr.shape[0])
-        if arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.copy()  # the caller can still write to the array it passed
-            arr.setflags(write=False)
-        self.__dict__.update(entries=arr, labels=labels)
+        self._hold(_scan(arr), labels)
+
+    def _hold(self, view: tuple[np.ndarray, ...], labels: tuple[int, ...]) -> None:
+        for a in view:
+            a.setflags(write=False)
+        self.__dict__.update(_view=view, labels=labels)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"NeighborhoodMatrix is immutable: cannot set {name!r}")
-
-    @classmethod
-    def adopt(cls, entries: np.ndarray, labels: tuple[int, ...]) -> NeighborhoodMatrix:
-        """Wrap a freshly built int64 array without copying it.
-
-        The array is frozen in place, so the caller must hold no other
-        reference that it still means to write through.
-        """
-        entries.setflags(write=False)
-        return cls(entries=entries, labels=labels)
 
     @classmethod
     def from_nonzeros(cls, diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -77,13 +69,11 @@ class NeighborhoodMatrix:
         The caller vouches for its form (see `nonzeros`): int64 arrays, the
         off-diagonal entries nonzero, distinct and in row-major order, and
         n labels already checked, as a `Graph`'s are and as the readers
-        check theirs.  Like `adopt`, the arrays are frozen in place.
+        check theirs.  The arrays are frozen in place, so the caller must
+        hold no other reference that it still means to write through.
         """
-        view = (diagonal, rows, cols, vals)
-        for a in view:
-            a.setflags(write=False)
         m = cls.__new__(cls)
-        m.__dict__.update(_nonzeros=view, labels=labels)
+        m._hold((diagonal, rows, cols, vals), labels)
         return m
 
     @property
@@ -93,18 +83,18 @@ class NeighborhoodMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NeighborhoodMatrix):
             return NotImplemented
-        if self.labels != other.labels:
-            return False
-        if "entries" in self.__dict__ and "entries" in other.__dict__:
-            return np.array_equal(self.entries, other.entries)  # no scan on either side
-        return all(map(np.array_equal, self.nonzeros(), other.nonzeros()))
+        # count_nonzero, not np.array_equal or .all(): their fixed costs show
+        # on verify's many small matrices
+        return self.labels == other.labels and all(
+            a.shape == b.shape and not np.count_nonzero(a != b)
+            for a, b in zip(self._view, other._view))
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense n x n int64 M, read-only.  A view-built M fills a fresh
-        array on first use: n^2 memory, which only the dense writer, the
-        determinant and the dense oracles' checks ask for."""
-        diagonal, rows, cols, vals = self._nonzeros
+        """The dense n x n int64 M, read-only, filled from the view on first
+        use: n^2 memory, which only the dense writer, the determinant and
+        the tests ask for."""
+        diagonal, rows, cols, vals = self._view
         entries = np.zeros((self.n, self.n), dtype=_ENTRY_DTYPE)
         entries[rows, cols] = vals
         np.fill_diagonal(entries, diagonal)
@@ -116,24 +106,22 @@ class NeighborhoodMatrix:
         nonzero off-diagonal entry, m[rows[k], cols[k]] = vals[k], in
         row-major order.
 
-        The one read of M that analytics and reconstruction make, so they
-        need not know how M is stored.  Every structural count is a sum
-        over these entries; an off-diagonal entry not listed is zero.
-        A dense M is scanned for it once; the arrays are read-only.
+        M's one stored form, and the one read of it that analytics,
+        reconstruction and the sums, transpose and row decoding make.
+        Every structural count is a sum over these entries; an
+        off-diagonal entry not listed is zero.  The arrays are read-only.
         """
-        return self._nonzeros
+        return self._view
 
-    @cached_property
-    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n = self.n
-        mask = self.entries != 0
-        np.fill_diagonal(mask, False)
-        flat = np.flatnonzero(mask)  # a flat scan is several times faster than 2-D np.nonzero
-        rows = flat // n  # this and a subtraction: several times faster than np.divmod
-        view = (self.entries.diagonal(), rows, flat - rows * n, self.entries.ravel()[flat])
-        for a in view:
-            a.setflags(write=False)
-        return view
+
+def _scan(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero view of a square int64 array, sharing no memory with it."""
+    n = len(entries)
+    mask = entries != 0
+    np.fill_diagonal(mask, False)
+    flat = np.flatnonzero(mask)  # a flat scan is several times faster than 2-D np.nonzero
+    rows = flat // n  # this and a subtraction: several times faster than np.divmod
+    return entries.diagonal().copy(), rows, flat - rows * n, entries.ravel()[flat]
 
 
 def build_nm(g: Graph) -> NeighborhoodMatrix:
@@ -141,8 +129,8 @@ def build_nm(g: Graph) -> NeighborhoodMatrix:
 
     When the P 2-paths are few against the n^3 steps of a dense product
     (SPARSE_WORK_RATIO * P < n^3), `_nonzeros_by_paths` gives M's nonzero
-    view with no n x n array; else `_negated_square_by_blas` gives -A^2 in
-    the one int64 buffer the result keeps, so `adopt` copies nothing.
+    view with no n x n array; else `_negated_square_by_blas` gives -A^2,
+    and M is scanned off that buffer.
     """
     n = g.n
     tails, heads = arcs(g)
@@ -153,7 +141,7 @@ def build_nm(g: Graph) -> NeighborhoodMatrix:
                                                 labels=g.labels)
     entries = _negated_square_by_blas(n, tails, heads)
     entries[tails, heads] += degrees[heads]
-    return NeighborhoodMatrix.adopt(entries, g.labels)
+    return NeighborhoodMatrix.from_nonzeros(*_scan(entries), labels=g.labels)
 
 
 def _nonzeros_by_paths(n: int, degrees: np.ndarray, tails: np.ndarray,
@@ -256,7 +244,8 @@ def build_nm_product(g: Graph) -> NeighborhoodMatrix:
     that is exact (see `oracles.blas_adjacency`)."""
     a = blas_adjacency(g)
     d = np.diag(a.sum(axis=1))
-    return NeighborhoodMatrix.adopt((a @ (d - a)).astype(_ENTRY_DTYPE), g.labels)
+    return NeighborhoodMatrix.from_nonzeros(*_scan((a @ (d - a)).astype(_ENTRY_DTYPE)),
+                                            labels=g.labels)
 
 
 def build_mn(g: Graph) -> NeighborhoodMatrix:
@@ -266,7 +255,8 @@ def build_mn(g: Graph) -> NeighborhoodMatrix:
     """
     a = blas_adjacency(g)
     d = np.diag(a.sum(axis=1))
-    return NeighborhoodMatrix.adopt(((d - a) @ a).astype(_ENTRY_DTYPE), g.labels)
+    return NeighborhoodMatrix.from_nonzeros(*_scan(((d - a) @ a).astype(_ENTRY_DTYPE)),
+                                            labels=g.labels)
 
 
 def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:
@@ -312,8 +302,18 @@ def _first_difference(a: NeighborhoodMatrix, b: NeighborhoodMatrix) -> tuple[int
     return int(union[k]), int(values[0][k]), int(values[1][k])
 
 
+def _totals(diagonal: np.ndarray, index: np.ndarray, vals: np.ndarray) -> list[int]:
+    """The diagonal plus the view's values summed by row or column index,
+    in int64 as a dense sum is: no float weights, which would round the
+    values near 2^63 that an M read from a file can hold."""
+    totals = diagonal.copy()
+    np.add.at(totals, index, vals)
+    return totals.tolist()
+
+
 def row_sums(m: NeighborhoodMatrix) -> list[int]:
-    return [int(s) for s in m.entries.sum(axis=1)]
+    diagonal, rows, _, vals = m.nonzeros()
+    return _totals(diagonal, rows, vals)
 
 
 def column_sums(m: NeighborhoodMatrix, g: Graph) -> tuple[list[int], list[int]]:
@@ -322,7 +322,8 @@ def column_sums(m: NeighborhoodMatrix, g: Graph) -> tuple[list[int], list[int]]:
     of deg(j); raises InvalidMatrixError naming the first column where they
     differ.
     """
-    totals = [int(s) for s in m.entries.sum(axis=0)]
+    diagonal, _, cols, vals = m.nonzeros()
+    totals = _totals(diagonal, cols, vals)
     prefix = np.concatenate(([0], np.cumsum(g.degrees[g.indices])))
     formula = (g.degrees * g.degrees - np.diff(prefix[g.indptr])).tolist()
     for j, (total, closed) in enumerate(zip(totals, formula, strict=True)):
@@ -332,12 +333,16 @@ def column_sums(m: NeighborhoodMatrix, g: Graph) -> tuple[list[int], list[int]]:
 
 
 def transpose(m: NeighborhoodMatrix) -> NeighborhoodMatrix:
-    """M^T under the same labels: for a graph, the mirrored product (D - A)A."""
-    return NeighborhoodMatrix.adopt(m.entries.T.copy(), m.labels)
+    """M^T under the same labels: for a graph, the mirrored product (D - A)A.
+    One stable sort by column puts the swapped view in row-major order."""
+    diagonal, rows, cols, vals = m.nonzeros()
+    order = np.argsort(cols, kind="stable")
+    return NeighborhoodMatrix.from_nonzeros(diagonal, cols[order], rows[order], vals[order],
+                                            m.labels)
 
 
 def is_symmetric(m: NeighborhoodMatrix) -> bool:
-    return np.array_equal(m.entries, m.entries.T)
+    return transpose(m) == m
 
 
 def determinant_exact(m: NeighborhoodMatrix) -> int:
@@ -382,26 +387,29 @@ class RowProfile:
 
 
 def row_profile(m: NeighborhoodMatrix, i: int) -> RowProfile:
+    """Row i decoded from its slice of the view.  An unstored entry is 0,
+    so a row with no negative entry is all zero, or raises; then every
+    position ties for the minimum."""
     if not 0 <= i < m.n:
         raise IndexError(f"row index {i} out of range for n={m.n}")
-    row = m.entries[i]
-    if row.min(initial=0) >= 0 and row.any():
+    diagonal, rows, cols, vals = m.nonzeros()
+    lo, hi = rows.searchsorted((i, i + 1))
+    row = dict(zip(cols[lo:hi].tolist(), vals[lo:hi].tolist()))
+    row[i] = int(diagonal[i])
+    row_min = min(0, *row.values())
+    if row_min == 0 and any(row.values()):
         raise InvalidMatrixError(f"row {i} has no negative entry: not an NM row")
 
-    level1 = frozenset(int(j) for j in np.nonzero(row > 0)[0])
-    level2 = {
-        int(j): int(-row[j])
-        for j in np.nonzero(row < 0)[0]
-        if int(j) != i
-    }
-    out_edge_count = {j: int(row[j]) - 1 for j in level1}
-    row_min = int(row.min())
-    candidates = frozenset(int(j) for j in np.nonzero(row == row_min)[0])
+    level1 = frozenset(j for j, v in row.items() if v > 0)
+    level2 = {j: -v for j, v in row.items() if v < 0 and j != i}
+    out_edge_count = {j: row[j] - 1 for j in level1}
+    candidates = frozenset(range(m.n)) if row_min == 0 else frozenset(
+        j for j, v in row.items() if v == row_min)
     return RowProfile(
         row_index=i,
         level1=level1,
         level2=level2,
         out_edge_count=out_edge_count,
         diagonal_candidates=candidates,
-        degree=-int(row[i]),
+        degree=-row[i],
     )

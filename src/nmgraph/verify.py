@@ -74,7 +74,7 @@ class GraphContext:
 def _check_dual_path(ctx: GraphContext) -> str | None:
     if ctx.m != build_nm_product(ctx.g):
         return "row-sum and product constructions disagree"
-    if ctx.m != NeighborhoodMatrix.adopt(oracles.set_based_entries(ctx.g), ctx.g.labels):
+    if ctx.m != NeighborhoodMatrix(oracles.set_based_entries(ctx.g), ctx.g.labels):
         return "row-sum and set-based constructions disagree"
     return None
 

@@ -16,7 +16,9 @@ from typing import Iterator
 import numpy as np
 from hypothesis import strategies as st
 
+from nmgraph.errors import InvalidMatrixError
 from nmgraph.graph import Graph, arcs, from_edges
+from nmgraph.nm import NeighborhoodMatrix, RowProfile
 from nmgraph.oracles import SubgraphCensus
 from nmgraph.random_graphs import gnp
 
@@ -254,6 +256,47 @@ def srg_by_pairs(g: Graph) -> tuple[int, int, int] | None:
     if mu1 is None or mu2 is None:
         return None
     return (k, mu1, mu2)
+
+
+def row_sums_dense(m: NeighborhoodMatrix) -> list[int]:
+    """Reference for `nm.row_sums`, over the dense M."""
+    return [int(s) for s in m.entries.sum(axis=1)]
+
+
+def column_sums_dense(m: NeighborhoodMatrix, g: Graph) -> tuple[list[int], list[int]]:
+    """Reference for `nm.column_sums`, over the dense M."""
+    totals = [int(s) for s in m.entries.sum(axis=0)]
+    prefix = np.concatenate(([0], np.cumsum(g.degrees[g.indices])))
+    formula = (g.degrees * g.degrees - np.diff(prefix[g.indptr])).tolist()
+    for j, (total, closed) in enumerate(zip(totals, formula, strict=True)):
+        if total != closed:
+            raise InvalidMatrixError(f"column sums: column {j} sums to {total}, formula {closed}")
+    return totals, formula
+
+
+def transpose_dense(m: NeighborhoodMatrix) -> NeighborhoodMatrix:
+    """Reference for `nm.transpose`: the dense M^T, scanned."""
+    return NeighborhoodMatrix(m.entries.T, m.labels)
+
+
+def is_symmetric_dense(m: NeighborhoodMatrix) -> bool:
+    """Reference for `nm.is_symmetric`, over the dense M."""
+    return np.array_equal(m.entries, m.entries.T)
+
+
+def row_profile_dense(m: NeighborhoodMatrix, i: int) -> RowProfile:
+    """Reference for `nm.row_profile`: row i of the dense M."""
+    if not 0 <= i < m.n:
+        raise IndexError(f"row index {i} out of range for n={m.n}")
+    row = m.entries[i]
+    if row.min(initial=0) >= 0 and row.any():
+        raise InvalidMatrixError(f"row {i} has no negative entry: not an NM row")
+    level1 = frozenset(int(j) for j in np.nonzero(row > 0)[0])
+    level2 = {int(j): int(-row[j]) for j in np.nonzero(row < 0)[0] if int(j) != i}
+    out_edge_count = {j: int(row[j]) - 1 for j in level1}
+    candidates = frozenset(int(j) for j in np.nonzero(row == int(row.min()))[0])
+    return RowProfile(row_index=i, level1=level1, level2=level2, out_edge_count=out_edge_count,
+                      diagonal_candidates=candidates, degree=-int(row[i]))
 
 
 def random_bipartite(half: int, degree: int, seed: int) -> Graph:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nmgraph import nm
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
 from nmgraph.graph import Graph, arcs, connected_components, from_edges
+from nmgraph.matio import read_matrix_market
 from nmgraph.nm import (
     NeighborhoodMatrix,
     build_mn,
@@ -33,6 +34,7 @@ from helpers import (
     TwoLevelSubgraph,
     all_graphs_up_to,
     bfs_levels,
+    column_sums_dense,
     complete_graph,
     cycle_graph,
     edgeless,
@@ -41,10 +43,14 @@ from helpers import (
     graphs,
     graphs_of_any_density,
     has_edge,
+    is_symmetric_dense,
     two_squares_graph,
     path_graph,
     q3_cube,
     random_corpus,
+    row_profile_dense,
+    row_sums_dense,
+    transpose_dense,
     two_level_subgraph,
 )
 
@@ -128,12 +134,6 @@ class TestBuild:
         with pytest.raises(ValueError, match=r"^labels must be 2 distinct integers from 0 to 2\^63 - 1$"):
             NeighborhoodMatrix(entries=np.zeros((2, 2), dtype=np.int64), labels=labels)
 
-    def test_adopt_freezes_without_copy(self):
-        fresh = EXAMPLE7_MATRIX.copy()
-        m = NeighborhoodMatrix.adopt(fresh, tuple(range(1, 8)))
-        assert m.entries is fresh
-        assert not fresh.flags.writeable
-
 
 class TestNonzeroView:
     def test_row_major_order_without_the_diagonal(self):
@@ -141,7 +141,7 @@ class TestNonzeroView:
         np.fill_diagonal(off_diagonal, 0)
         expected_rows, expected_cols = np.nonzero(off_diagonal)
         column_major = np.asfortranarray(EXAMPLE7_MATRIX)
-        column_major.setflags(write=False)  # kept as stored, not copied
+        column_major.setflags(write=False)  # scanned in row-major order all the same
         for entries in (EXAMPLE7_MATRIX, column_major):
             m = NeighborhoodMatrix(entries=entries, labels=tuple(range(1, 8)))
             diagonal, rows, cols, vals = m.nonzeros()
@@ -170,11 +170,19 @@ class TestNonzeroView:
         assert m.entries is entries
         assert np.array_equal(entries, set_based_entries(cycle_graph(100)))
 
-    def test_dense_matrices_compare_without_a_scan(self):
-        g = complete_graph(7)  # the BLAS kernel: M starts dense
-        m, same = build_nm(g), NeighborhoodMatrix(set_based_entries(g), g.labels)
-        assert m == same
-        assert "_nonzeros" not in vars(m) and "_nonzeros" not in vars(same)
+    @pytest.mark.parametrize("build", [
+        build_nm,  # the BLAS kernel, for K7
+        build_nm_product,
+        lambda g: NeighborhoodMatrix(set_based_entries(g), g.labels),
+    ], ids=["blas-kernel", "product", "public-constructor"])
+    def test_dense_built_matrices_hold_no_dense_array(self, build):
+        g = complete_graph(7)
+        m = build(g)
+        held = [a for v in vars(m).values() if isinstance(v, tuple)
+                for a in v if isinstance(a, np.ndarray)]
+        assert len(held) == 4 and all(a.ndim == 1 and a.base is None for a in held)
+        assert np.array_equal(m.entries, set_based_entries(g))
+        assert vars(m)["entries"] is m.entries  # densified once, on first read
 
     @pytest.mark.parametrize("g", [cycle_graph(100), edgeless(3)])
     def test_a_view_compares_with_a_dense_matrix_by_views(self, g):
@@ -210,7 +218,7 @@ def kernel_matrix(g: Graph, kernel: str) -> np.ndarray:
     else:
         entries = nm._negated_square_by_blas(g.n, tails, heads)
     assert entries.dtype == np.int64 and entries.shape == (g.n, g.n)
-    assert entries.base is None  # adopt keeps it without a copy
+    assert entries.base is None  # a fresh array: densified, or the BLAS buffer itself
     if kernel == "blas":
         entries[tails, heads] += degrees[heads]
     return entries
@@ -254,7 +262,7 @@ class TestSquareKernels:
     def test_build_keeps_the_kernel_buffer(self, g):
         entries = build_nm(g).entries
         assert entries.dtype == np.int64
-        assert entries.base is None  # adopt did not copy a view
+        assert entries.base is None  # densified into a fresh array, not a view
 
     def test_float32_guard_raises_before_allocating(self):
         empty = np.empty(0, dtype=np.intp)
@@ -551,6 +559,72 @@ class TestRowProfile:
                 p = row_profile(m, i)
                 assert sum(p.out_edge_count.values()) == sum(p.level2.values())
                 assert i in p.diagonal_candidates
+
+
+def _outcome(function, *args):
+    """What a call returns, or the text of the InvalidMatrixError it raises."""
+    try:
+        return function(*args)
+    except InvalidMatrixError as exc:
+        return f"raised: {exc}"
+
+
+def _handed_over(entries: np.ndarray, labels: tuple[int, ...]) -> list[NeighborhoodMatrix]:
+    """One dense array as each constructor and reader takes it in: the
+    public constructor, a view found by np.nonzero, and a Matrix Market
+    text listing every nonzero entry backwards."""
+    n = len(entries)
+    rows, cols = np.nonzero(entries * ~np.eye(n, dtype=bool))
+    view = NeighborhoodMatrix.from_nonzeros(np.diagonal(entries).copy(), rows, cols,
+                                            entries[rows, cols], labels)
+    coordinates = np.argwhere(entries)[::-1]
+    text = "".join([f"%%MatrixMarket matrix coordinate integer general\n"
+                    f"% labels: {' '.join(map(str, labels))}\n{n} {n} {len(coordinates)}\n",
+                    *(f"{r + 1} {c + 1} {entries[r, c]}\n" for r, c in coordinates.tolist())])
+    return [NeighborhoodMatrix(entries, labels), view, read_matrix_market(text)]
+
+
+class TestViewFunctionsMatchDenseReferences:
+    """Each function that reads M's view gives what the dense reference
+    gives, on valid M from either kernel and on corrupted M however it is
+    handed over: edited entries up to 2^62 in magnitude, all-zero rows."""
+
+    @staticmethod
+    def _agree(m: NeighborhoodMatrix, g: Graph) -> None:
+        assert row_sums(m) == row_sums_dense(m)
+        assert _outcome(column_sums, m, g) == _outcome(column_sums_dense, m, g)
+        t = transpose(m)
+        assert t == transpose_dense(m)
+        assert np.array_equal(t.entries, m.entries.T)
+        assert is_symmetric(m) == is_symmetric_dense(m)
+        for i in range(m.n):
+            assert _outcome(row_profile, m, i) == _outcome(row_profile_dense, m, i)
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    @given(g=graphs_of_any_density(max_n=12), data=st.data())
+    def test_valid_and_corrupted(self, build, g, data):
+        with mock.patch.object(nm, "SPARSE_WORK_RATIO", BUILDS[build]):
+            m = build_nm(g)
+        self._agree(m, g)
+        if g.n == 0:
+            return
+        entries = m.entries.copy()
+        index = st.integers(0, g.n - 1)
+        value = st.integers(-3, 3) | st.integers(-2 ** 62, 2 ** 62)
+        for i, j, v in data.draw(st.lists(st.tuples(index, index, value), max_size=6)):
+            entries[i, j] = v
+        for i in data.draw(st.lists(index, max_size=2)):
+            entries[i] = 0
+        for corrupted in _handed_over(entries, g.labels):
+            assert np.array_equal(corrupted.entries, entries)
+            self._agree(corrupted, g)
+
+    @pytest.mark.parametrize("g", [edgeless(0), edgeless(3), from_edges(5, [(1, 3)]),
+                                   example7_graph()], ids=["n0", "edgeless3", "isolated", "example7"])
+    def test_every_handover_of_a_valid_matrix(self, g):
+        for m in _handed_over(build_nm(g).entries, g.labels):
+            assert m == build_nm(g)
+            self._agree(m, g)
 
 
 class TestTwoLevelSubgraph:

@@ -230,3 +230,19 @@ def test_regularity_by_edge_degrees_on_all_graphs_up_to_5():
 @given(st.one_of(graphs(), sparse_graphs(), graphs_of_any_density()))
 def test_regularity_by_edge_degrees_matches_components(g: Graph):
     assert_regularity_read_as_components(g)
+
+
+def test_a_view_built_matrix_is_verified_without_densifying(monkeypatch):
+    # a few disjoint edges and a short path on 40 vertices: the 2-path
+    # kernel builds M, and the determinant check skips n > DETERMINANT_LIMIT
+    g = from_edges(40, [(0, 1), (2, 3), (4, 5), (6, 7), (7, 8), (8, 9)])
+    assert g.n > verify.DETERMINANT_LIMIT
+    assert nm.SPARSE_WORK_RATIO * int(g.degrees[g.indices].sum()) < g.n ** 3
+
+    def refused(self):
+        raise AssertionError("NeighborhoodMatrix.entries read")
+
+    monkeypatch.setattr(NeighborhoodMatrix, "entries", property(refused))
+    results = verify.run_suite([g])
+    assert [r.name for r in results if not r.passed] == []
+    assert all(r.checked == 1 for r in results)
