@@ -30,6 +30,8 @@ EXIT_INVALID_NM = 4
 
 
 def _read_text(path: str) -> str:
+    """The file's text, decoded as UTF-8.  A file that is not UTF-8 is a
+    parse error here, though a reader may read the body from the path."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -58,7 +60,7 @@ def _in_range(kind: type, low: float, high: float = math.inf):
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    graph = parse_edge_list(_read_text(args.input))
+    graph = parse_edge_list(_read_text(args.input), args.input)
     m = build_nm(graph)
     if args.format == "mm":
         text = matio.write_matrix_market(m)
@@ -69,7 +71,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    m = matio.read_auto(_read_text(args.input))
+    m = matio.read_auto(_read_text(args.input), args.input)
     graph = reconstruct_adjacency(m)
     _write_text(args.output, format_edge_list(graph))
     return EXIT_OK
@@ -77,7 +79,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter_ns()
-    graph = parse_edge_list(_read_text(args.input))
+    graph = parse_edge_list(_read_text(args.input), args.input)
     t1 = time.perf_counter_ns()
     m = build_nm(graph)
     t2 = time.perf_counter_ns()
@@ -116,7 +118,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _verify_self_test(args.seed)
 
     if args.input is not None:
-        graphs = [parse_edge_list(_read_text(args.input))]
+        graphs = [parse_edge_list(_read_text(args.input), args.input)]
     else:
         graphs = corpus(args.trials, args.size, args.seed)
 

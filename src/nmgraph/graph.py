@@ -91,8 +91,8 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
-    if bad.any():
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n or (pairs[:, 0] == pairs[:, 1]).any()):
+        bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
         u, v = pairs[int(np.argmax(bad))].tolist()
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
@@ -140,8 +140,9 @@ class ComponentPartition:
         return frozenset(v for v, c in enumerate(self.membership) if c == cid)
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse "u v" lines into a Graph.
+def parse_edge_list(text: str, path: str | None = None) -> Graph:
+    """Parse "u v" lines into a Graph; `path`, when given, names the file
+    `text` was read from, so that numpy's C reader can read it.
 
     Labels are non-negative integers in the one integer grammar of
     `textio` (ASCII int64); they are remapped to dense internal indices in
@@ -150,16 +151,15 @@ def parse_edge_list(text: str) -> Graph:
     other than two integers, a negative label or a self-loop is rejected
     with its line number.
     """
-    lines = text.splitlines()
-    _, body = textio.scan(lines, "#")
-    pairs = textio.int_table(lines, body, 2, 0)
-    bad = (pairs < 0).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
-    if bad.any():
+    rows = textio.Rows(text, "#", path=path)
+    pairs = rows.table(2)
+    if pairs.size and (pairs.min() < 0 or (pairs[:, 0] == pairs[:, 1]).any()):
+        bad = (pairs < 0).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
         k = int(np.argmax(bad))
         a, b = pairs[k].tolist()
         if min(a, b) < 0:
-            raise textio.row_error(lines, body, k, f"negative label in {body[k]!r}")
-        raise textio.row_error(lines, body, k, f"self-loop {a}-{b} not allowed")
+            raise rows.error(k, f"negative label in {rows.line(k)!r}")
+        raise rows.error(k, f"self-loop {a}-{b} not allowed")
     flat = pairs.ravel()
     by_label = np.argsort(flat)
     starts = _run_starts(flat[by_label])  # one run per distinct label

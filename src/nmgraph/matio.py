@@ -15,8 +15,13 @@ formats carry the external vertex labels in a comment line so that a
 compute -> reconstruct -> compute round trip preserves labelling; labels
 must be distinct and non-negative.
 
-The text work is `textio`'s: one line scan, one whole-array parse and
-one whole-array formatter, so no Python code runs per entry.
+The text work is `textio`'s.  Given the file's path, the Matrix Market
+reader reads only the banner, the labels comment and the size line in
+Python.  numpy's C reader reads the entries straight from the file when
+the text is plain, and the line path reads them otherwise.  A file named
+like a compressed one (`.gz`, ...) is read as plain text either way.
+The dense reader, whose n lines are few and long, takes the line path.
+Writing is one whole-array formatter, so no Python code runs per entry.
 """
 
 from __future__ import annotations
@@ -36,17 +41,19 @@ def write_dense(m: NeighborhoodMatrix) -> str:
 
 
 def read_dense(text: str) -> NeighborhoodMatrix:
-    lines = text.splitlines()
-    comments, body = textio.scan(lines, "#")
-    if not body:
+    # The line path alone: n lines of n entries cost little to split, and
+    # numpy's C reader on the file, no faster on a 1024 x 1024 file, left
+    # the process up to 11 MiB larger over a compute/reconstruct loop.
+    rows = textio.Rows(text, "#", 1)
+    if not rows.count:
         raise ParseError("empty dense matrix file")
-    n = textio.int_table(lines, body[:1], 1, 0).item()
+    n = rows.head_ints(0, 1).item()
     if n < 0:
-        raise textio.row_error(lines, body, 0, f"negative dimension {n}")
-    if len(body) - 1 != n:
-        raise ParseError(f"expected {n} matrix rows, found {len(body) - 1}")
-    labels = _labels(lines, comments, "#", n)
-    return NeighborhoodMatrix(textio.int_table(lines, body, n, 1), labels)
+        raise rows.error(0, f"negative dimension {n}")
+    if rows.count - 1 != n:
+        raise ParseError(f"expected {n} matrix rows, found {rows.count - 1}")
+    labels = _labels(rows, n)
+    return NeighborhoodMatrix(rows.table(n), labels)
 
 
 def write_matrix_market(m: NeighborhoodMatrix) -> str:
@@ -61,67 +68,70 @@ def write_matrix_market(m: NeighborhoodMatrix) -> str:
     return header + textio.int_lines(np.column_stack((r + 1, c + 1, v)))
 
 
-def read_matrix_market(text: str) -> NeighborhoodMatrix:
-    lines = text.splitlines()
-    banner = next(filter(None, map(str.strip, lines)), "")  # the first non-blank line
-    at = textio.lineno(lines, banner) if banner else 1
+def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix:
+    rows = textio.Rows(text, "%", 1, path)
+    banner = rows.first  # the first non-blank line
     if not banner.startswith("%%MatrixMarket"):
-        raise ParseError("missing MatrixMarket header", at)
+        raise ParseError("missing MatrixMarket header",
+                         textio.lineno(rows.lines, banner) if banner else 1)
     if banner.lower().split() != _MM_HEADER.lower().split():
-        raise ParseError(f"unsupported MatrixMarket type {banner!r}, expected {_MM_HEADER!r}", at)
+        raise ParseError(f"unsupported MatrixMarket type {banner!r}, expected {_MM_HEADER!r}",
+                         textio.lineno(rows.lines, banner))
 
-    comments, body = textio.scan(lines, "%")
-    if not body:
+    if not rows.count:
         raise ParseError("missing size line")
-    rows, cols, nnz = textio.int_table(lines, body[:1], 3, 0)[0].tolist()
-    if rows != cols:
-        raise textio.row_error(lines, body, 0, f"matrix is {rows}x{cols}, expected square")
+    n, cols, nnz = rows.head_ints(0, 3).tolist()
+    if n != cols:
+        raise rows.error(0, f"matrix is {n}x{cols}, expected square")
     # Checked before allocating the diagonal: a file compute writes names
     # every vertex in its labels comment, so it is longer than its dimension.
-    if not 0 <= rows <= len(text):
-        raise textio.row_error(lines, body, 0,
-                               f"dimension {rows} out of range for a {len(text)}-character file")
-    if len(body) - 1 != nnz:
-        raise ParseError(f"expected {nnz} entries, found {len(body) - 1}")
-    labels = _labels(lines, comments, "%", rows)
+    if not 0 <= n <= len(text):
+        raise rows.error(0, f"dimension {n} out of range for a {len(text)}-character file")
+    if rows.count - 1 != nnz:
+        raise ParseError(f"expected {nnz} entries, found {rows.count - 1}")
+    labels = _labels(rows, n)
 
-    table = textio.int_table(lines, body, 3, 1)
+    table = rows.table(3)
     r, c = table[:, 0], table[:, 1]  # 1-based as written: shifting first could wrap at -2**63
-    outside = (r < 1) | (r > rows) | (c < 1) | (c > rows)
+    outside = (r < 1) | (r > n) | (c < 1) | (c > n)
     if outside.any():
         k = int(np.argmax(outside))
-        raise textio.row_error(lines, body, k + 1, f"index ({r[k]},{c[k]}) out of range")
-    flat = (r - 1) * rows + (c - 1)
-    order = np.argsort(flat, kind="stable")
-    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
-    if repeats.size:
-        k = int(repeats.min())
-        raise textio.row_error(lines, body, k + 1, f"duplicate coordinate ({r[k]},{c[k]})")
-    r, c, v = (table[order, k] for k in range(3))  # row-major, as the view wants
+        raise rows.error(k + 1, f"index ({r[k]},{c[k]}) out of range")
+    # A file compute writes is row-major with no coordinate twice already;
+    # only a file in another order is sorted, and only there can one repeat.
+    if not ((r[1:] > r[:-1]) | (r[1:] == r[:-1]) & (c[1:] > c[:-1])).all():
+        flat = (r - 1) * n + (c - 1)
+        order = np.argsort(flat, kind="stable")
+        repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+        if repeats.size:
+            k = int(repeats.min())
+            raise rows.error(k + 1, f"duplicate coordinate ({r[k]},{c[k]})")
+        table = table[order]
+    r, c, v = table.T  # row-major, as the view wants
     r -= 1  # in range, so no longer able to wrap
     c -= 1
     on = r == c
-    diagonal = np.zeros(rows, dtype=np.int64)
+    diagonal = np.zeros(n, dtype=np.int64)
     diagonal[r[on]] = v[on]
     off = np.flatnonzero(~on & (v != 0))  # the view lists no zero
     return NeighborhoodMatrix.from_nonzeros(diagonal, r[off], c[off], v[off], labels)
 
 
-def read_auto(text: str) -> NeighborhoodMatrix:
+def read_auto(text: str, path: str | None = None) -> NeighborhoodMatrix:
     """Dispatch on the MatrixMarket banner on the first non-blank line;
     anything else is dense."""
     if text.lstrip().startswith("%%MatrixMarket"):
-        return read_matrix_market(text)
+        return read_matrix_market(text, path)
     return read_dense(text)
 
 
-def _labels(lines: list[str], comments: list[str], marker: str, n: int) -> tuple[int, ...]:
+def _labels(rows: textio.Rows, n: int) -> tuple[int, ...]:
     """The labels named by the last `labels:` comment, else 0..n-1."""
     labels = None
-    for line in comments:
-        stripped = line.lstrip(marker).strip()
+    for line in rows.comments:
+        stripped = line.lstrip(rows.marker).strip()
         if stripped.startswith("labels:"):
-            labels = _parse_label_comment(lines, line, stripped[len("labels:"):])
+            labels = _parse_label_comment(rows, line, stripped[len("labels:"):])
     if labels is None:
         return tuple(range(n))
     if len(labels) != n:
@@ -129,13 +139,13 @@ def _labels(lines: list[str], comments: list[str], marker: str, n: int) -> tuple
     return labels
 
 
-def _parse_label_comment(lines: list[str], line: str, text: str) -> tuple[int, ...]:
+def _parse_label_comment(rows: textio.Rows, line: str, text: str) -> tuple[int, ...]:
     try:
         labels = tuple(textio.ints(text).tolist())
         check_labels(labels, len(labels))
     except ValueError:
         raise ParseError(
             f"bad labels comment {line!r}: labels must be distinct non-negative integers",
-            textio.lineno(lines, line),
+            textio.lineno(rows.lines, line),
         ) from None
     return labels

@@ -11,6 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -437,3 +438,43 @@ def imported_modules(source: str) -> set[str]:
         elif isinstance(node, ast.Import):
             names |= {a.name for a in node.names}
     return names
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Small and full-range int64 labels with optional '+' signs, mixed
+    separators and padding, comments, blank lines and duplicate edges in
+    both orientations."""
+    label = st.one_of(st.integers(0, 20), st.integers(0, 2**63 - 1), st.just(2**63 - 1))
+    pool = draw(st.lists(label, min_size=2, max_size=10, unique=True))
+    pair = st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True)
+    token = st.sampled_from(["", "+"])
+    space = st.sampled_from([" ", "\t", "  ", " \t "])
+    pad = st.sampled_from(["", " ", "\t"])
+    edge = st.builds(lambda p, s1, s2, sep, left, right: f"{left}{s1}{p[0]}{sep}{s2}{p[1]}{right}",
+                     pair, token, token, space, pad, pad)
+    other = st.sampled_from(["", "   ", "\t", "#", "# comment", "  # 1 2 3", "#1 1"])
+    lines = draw(st.lists(st.one_of(edge, edge, other), max_size=40))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def matrices(draw, max_n: int = 12) -> NeighborhoodMatrix:
+    """Any square int64 matrix: small entries mixed with the full range."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    values = st.one_of(st.integers(-12, 12), st.sampled_from([-2**63, 2**63 - 1, 0]),
+                       st.integers(-2**63, 2**63 - 1))
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    return NeighborhoodMatrix(entries=np.array(rows, dtype=np.int64).reshape(n, n),
+                              labels=tuple(labels))
+
+
+def read_file(reader, text: str, path: Path | None):
+    """reader(text) on the line path alone; or, given a path, the text
+    written there byte for byte and read back as the CLI reads it, passed
+    with the path, so that numpy's C reader may read the file."""
+    if path is None:
+        return reader(text)
+    path.write_bytes(text.encode("utf-8"))
+    return reader(path.read_text(encoding="utf-8"), str(path))

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,14 @@ class TestReconstruct:
         assert out == ""
         assert re.fullmatch(r"error: not a valid NM: entry \(\d+,\d+\) is -?\d+, "
                             r"the recovered graph's is -?\d+\n", err)
+
+    @pytest.mark.parametrize("write", [matio.write_dense, matio.write_matrix_market])
+    def test_file_named_like_gzip_is_plain_text(self, write, tmp_path):
+        matrix = tmp_path / "m.gz"
+        matrix.write_text(write(build_nm(example7_graph())))
+        out = tmp_path / "r.edges"
+        assert main(["reconstruct", str(matrix), "-o", str(out)]) == 0
+        assert out.read_text() == format_edge_list(example7_graph())
 
     def test_matrix_market_after_blank_line(self, tmp_path, capsys):
         mfile = tmp_path / "m.mtx"
@@ -266,6 +275,34 @@ class TestAnalyze:
         doc1.pop("timingsMicros")
         doc2.pop("timingsMicros")
         assert doc1 == doc2
+
+    def test_file_named_like_gzip_is_plain_text(self, tmp_path, capsys):
+        docs = []
+        for name in ("g.txt", "g.gz"):
+            src = tmp_path / name
+            src.write_text(format_edge_list(petersen()))
+            assert main(["analyze", str(src)]) == 0
+            docs.append(re.sub(r'  "timingsMicros": \{[^}]*\},\n', "", capsys.readouterr().out))
+        assert docs[0] == docs[1] == (GOLDEN / "analyze_petersen.json").read_text()
+
+    @pytest.mark.parametrize("text", ["", "# only\n\n# comments\n", "# caf\u00e9\n"])
+    def test_no_edges_gives_n_0_without_a_warning(self, text, tmp_path, capsys):
+        src = tmp_path / "g.txt"
+        src.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(src)]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 0
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+    def test_pipe_is_read_once(self):
+        # a pipe gives nothing when opened again, so its text is what is read
+        done = subprocess.run(
+            [sys.executable, "-m", "nmgraph.cli", "analyze", "/dev/stdin"], capture_output=True,
+            input=format_edge_list(petersen()), text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (json.loads(done.stdout)["n"], json.loads(done.stdout)["edgeCount"]) == (10, 15)
 
 
 class TestVerify:

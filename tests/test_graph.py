@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from itertools import accumulate
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from helpers import (
     common_neighbors,
     complete_graph,
     diameter_by_bfs,
+    edge_list_texts,
     edgeless,
     edges,
     example7_graph,
@@ -43,6 +45,7 @@ from helpers import (
     q3_cube,
     random_bipartite,
     random_corpus,
+    read_file,
     reference_girth,
     sparse_graphs,
 )
@@ -119,24 +122,6 @@ def reference_format(g) -> str:
     return "".join(f"{a} {b}\n" for a, b in pairs)
 
 
-@st.composite
-def edge_list_texts(draw) -> str:
-    """Small and full-range int64 labels with optional '+' signs, mixed
-    separators and padding, comments, blank lines and duplicate edges in
-    both orientations."""
-    label = st.one_of(st.integers(0, 20), st.integers(0, 2**63 - 1), st.just(2**63 - 1))
-    pool = draw(st.lists(label, min_size=2, max_size=10, unique=True))
-    pair = st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True)
-    token = st.sampled_from(["", "+"])
-    space = st.sampled_from([" ", "\t", "  ", " \t "])
-    pad = st.sampled_from(["", " ", "\t"])
-    edge = st.builds(lambda p, s1, s2, sep, left, right: f"{left}{s1}{p[0]}{sep}{s2}{p[1]}{right}",
-                     pair, token, token, space, pad, pad)
-    other = st.sampled_from(["", "   ", "\t", "#", "# comment", "  # 1 2 3", "#1 1"])
-    lines = draw(st.lists(st.one_of(edge, edge, other), max_size=40))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
-
-
 class TestWholeArrayEdgeList:
     @settings(max_examples=200)
     @given(edge_list_texts())
@@ -161,11 +146,41 @@ class TestWholeArrayEdgeList:
         ("1 2\n  3 3  \n", 2, "self-loop 3-3"),
         ("1 2\n-1 -1\n", 2, "negative label"),             # reported before the self-loop
         ("3 3\n1 2\n3 3\n", 1, "self-loop"),               # the first of identical lines
+        ("1 2\n1 2 # x\n", 2, "not an int64 integer"),   # a marker after an edge
+        ("1\v2\n", 1, "expected 2 entries, got 1"),       # \v breaks the line
+        ("1 2\n3\x1c4\n", 2, "expected 2 entries, got 1"),
+        ("1 2\n3\u20284\n", 2, "expected 2 entries, got 1"),
+        ("# caf\u00e9\n1 2\n4 4\n", 3, "self-loop 4-4"),  # a non-ASCII comment
+        ("1 2\r\n\r\n3 3\r\n", 3, "self-loop 3-3"),       # CRLF line endings
     ])
-    def test_malformed_line_is_named(self, text, line, message):
-        with pytest.raises(ParseError, match=message) as excinfo:
-            parse_edge_list(text)
-        assert excinfo.value.line_number == line
+    def test_malformed_line_is_named(self, text, line, message, tmp_path):
+        for path in (None, tmp_path / "g.txt"):  # the text alone, then the file too
+            with pytest.raises(ParseError, match=message) as excinfo:
+                read_file(parse_edge_list, text, path)
+            assert excinfo.value.line_number == line
+
+    @pytest.mark.parametrize("text", [
+        "1 2\f3 4\n",            # \f, \x1c and U+2028 break lines, as \n does
+        "1 2\x1c3 4",
+        "1 2\u20283 4\n",
+        "1 2\t\x1f\n3 4\n",     # \x1f is whitespace, not a line break
+        "# caf\u00e9\n1 2\n3 4\n",
+        "1 2\r\n3 4\r\n",
+        "# 1 # 2\n  # 3\n\n1 2\n# 4\n3 4\n",
+    ])
+    def test_line_grammar_decides(self, text, tmp_path):
+        for path in (None, tmp_path / "g.txt"):
+            g = read_file(parse_edge_list, text, path)
+            assert (g.labels, g.adj) == reference_parse(text)
+            assert g.edge_count == 2
+
+    @pytest.mark.parametrize("text", ["", "\n \t\n", "# only\n# comments", "\n# c\u00e9\n"])
+    def test_no_edges_and_no_warning(self, text, tmp_path):
+        for path in (None, tmp_path / "g.txt"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = read_file(parse_edge_list, text, path)
+            assert (g.n, g.edge_count) == (0, 0)
 
 
 class TestFromEdges:

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from nmgraph import matio, textio
 from nmgraph.errors import ParseError
 from nmgraph.nm import NeighborhoodMatrix, build_nm
-from helpers import edgeless, example7_graph, random_corpus
+from helpers import edgeless, example7_graph, matrices, random_corpus, read_file
 
-INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
 MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 
 
@@ -113,17 +112,6 @@ def reference_matrix_market(m: NeighborhoodMatrix) -> str:
              f"{m.n} {m.n} {len(triples)}"]
     lines += [" ".join(map(str, t)) for t in triples]
     return "\n".join(lines) + "\n"
-
-
-@st.composite
-def matrices(draw, max_n: int = 12) -> NeighborhoodMatrix:
-    """Any square int64 matrix: small entries mixed with the full range."""
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    values = st.one_of(st.integers(-12, 12), st.sampled_from([-2**63, 2**63 - 1, 0]), INT64)
-    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
-    labels = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
-    return NeighborhoodMatrix(entries=np.array(rows, dtype=np.int64).reshape(n, n),
-                              labels=tuple(labels))
 
 
 class TestWholeArrayFormat:
@@ -249,11 +237,15 @@ class TestMalformedMatrixMarket:
         ("2 2 1\n1 0 1\n", 3),                        # column index out of range
         ("2 2 3\n1 1 -1\n2 2 -1\n1 1 -1\n", 5),      # duplicate, same text
         ("2 2 3\n1 2 4\n% note\n2 1 1\n1 2 5\n", 6),  # duplicate, after a comment
+        ("2 2 1\n1 1 1 % x\n", 3),                   # a marker after the entry
+        ("2 2 2\n1 1\x1c1\n", 3),                     # \x1c breaks the line
+        ("% caf\u00e9\r\n2 2 1\r\n3 1 1\r\n", 4),       # non-ASCII comment, CRLF
     ])
-    def test_bad_entry_names_its_line(self, body, line):
-        with pytest.raises(ParseError) as excinfo:
-            matio.read_matrix_market(f"{MM_HEADER}\n{body}")
-        assert excinfo.value.line_number == line
+    def test_bad_entry_names_its_line(self, body, line, tmp_path):
+        for path in (None, tmp_path / "m.mtx"):  # the text alone, then the file too
+            with pytest.raises(ParseError) as excinfo:
+                read_file(matio.read_matrix_market, f"{MM_HEADER}\n{body}", path)
+            assert excinfo.value.line_number == line
 
     @pytest.mark.parametrize("coordinate", ["-9223372036854775808 1", "1 -9223372036854775808"],
                              ids=["row", "column"])

@@ -1,0 +1,133 @@
+"""The one reader kernel: numpy's C reader on the file path, and the line
+path that decides every text it could read differently."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nmgraph
+from nmgraph import matio, textio
+from nmgraph.graph import parse_edge_list
+from nmgraph.nm import build_nm
+from helpers import edge_list_texts, example7_graph, matrices, read_file
+
+# Line breaks of str.splitlines, whitespace numpy's tokenizer reads as a
+# separator, and non-ASCII text.
+ODD = ["\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
+       "\u2029", "\xe9"]
+FILLERS = ["", "  \t", "#", "# c", "%", "% c", "# labels: 5 6", "% labels: 0 1", "% caf\xe9",
+           "%%MatrixMarket matrix coordinate integer general", "1 1 0", "2"]
+SUFFIXES = [".txt", ".mtx", ".gz", ".bz2", ".xz", ".lzma"]
+
+
+@st.composite
+def perturbed(draw, texts) -> str:
+    """A text from `texts` with up to three of its lines changed: dropped,
+    repeated, given a filler line before it (blank, comment, labels comment,
+    banner or size line), an inline comment, an odd character or an odd
+    line end; and blank lines before the header."""
+    lines = draw(texts).split("\n")
+    ends = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        change = draw(st.sampled_from(["drop", "twice", "filler", "inline", "odd", "end"]))
+        if change == "drop":
+            del lines[k], ends[k]
+            if not lines:
+                lines, ends = [""], ["\n"]
+        elif change in ("twice", "filler"):
+            lines.insert(k, lines[k] if change == "twice" else draw(st.sampled_from(FILLERS)))
+            ends.insert(k, "\n")
+        elif change == "inline":
+            lines[k] += draw(st.sampled_from([" # x", " % x", "#", "%"]))
+        elif change == "odd":
+            odd = draw(st.sampled_from(ODD))
+            lines[k] = lines[k].replace(" ", odd, 1) if " " in lines[k] else lines[k] + odd
+        else:
+            ends[k] = draw(st.sampled_from(ODD[:-1] + ["\r\n"]))
+    head = draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+    return "".join(f"{h}\n" for h in head) + "".join(map(str.__add__, lines, ends))
+
+
+def outcome(reader, text: str, path: Path | None):
+    """The reader's result, or the type and message of what it raised."""
+    try:
+        return read_file(reader, text, path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("input")
+
+
+def matrix_market_texts():
+    return matrices(max_n=6).map(matio.write_matrix_market)
+
+
+class TestPathReadsAsTheLinePath:
+    """Fed the file's path, each reader gives what the line path gives
+    on the text alone: the same value, or the same error and line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=perturbed(edge_list_texts()), suffix=st.sampled_from(SUFFIXES))
+    def test_parse_edge_list(self, input_dir, text, suffix):
+        path = input_dir / f"g{suffix}"
+        assert outcome(parse_edge_list, text, path) == outcome(parse_edge_list, text, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=perturbed(matrix_market_texts()), suffix=st.sampled_from(SUFFIXES))
+    def test_read_matrix_market(self, input_dir, text, suffix):
+        path = input_dir / f"m{suffix}"
+        assert (outcome(matio.read_matrix_market, text, path)
+                == outcome(matio.read_matrix_market, text, None))
+
+
+def plain_inputs():
+    m = build_nm(example7_graph())
+    return [(parse_edge_list, "# c\n\n1 2\n2 3\n  3 1\n"),
+            (matio.read_matrix_market, matio.write_matrix_market(m))]
+
+
+@pytest.mark.parametrize("reader, text", plain_inputs(), ids=["edges", "mm"])
+def test_plain_file_builds_no_line_list(reader, text, tmp_path, monkeypatch):
+    expected = reader(text)
+
+    def refuse(*args):
+        raise AssertionError("the text was split into lines")
+
+    monkeypatch.setattr(textio, "scan", refuse)
+    assert read_file(reader, text, tmp_path / "input.txt") == expected
+
+
+@pytest.mark.parametrize("reader, text", plain_inputs(), ids=["edges", "mm"])
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_suffix_is_read_as_plain_text(reader, text, suffix, tmp_path):
+    # numpy would open the file through a decompressor, so the line path reads it
+    assert read_file(reader, text, tmp_path / f"input{suffix}") == reader(text)
+
+
+def test_carriage_return_in_the_text_as_given(tmp_path):
+    # a text read without newline translation: numpy would read the file's
+    # lines with it, so the line path reads the text
+    text = "%%MatrixMarket matrix coordinate integer general\n2 2 2\r1 2 5\n2 1 5\n"
+    path = tmp_path / "input.mtx"
+    path.write_bytes(text.encode("ascii"))
+    assert matio.read_matrix_market(text, str(path)) == matio.read_matrix_market(text)
+
+
+def test_only_textio_calls_loadtxt():
+    # every reader goes through the same C path and the same fallback
+    callers = set()
+    for path in sorted(Path(nmgraph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "loadtxt"
+                    or isinstance(node, ast.alias) and node.name == "loadtxt"):
+                callers.add(path.stem)
+    assert callers == {"textio"}
