@@ -11,7 +11,8 @@ the row-major off-diagonal nonzeros (rows, cols, vals).  Every count is
 a sum over those entries: codegrees over the positive ones, and one
 histogram of the off-diagonal values, whose zeros are the n(n - 1) - nnz
 off-diagonal entries the view does not list.  Components are hooked
-together across the positive entries.
+together across the positive entries, unless a row with no zero shows
+the graph connected.
 """
 
 from __future__ import annotations
@@ -203,21 +204,29 @@ class StructuralReport:
 
 
 def structural_report(m: NeighborhoodMatrix) -> StructuralReport:
+    """Every count and predicate of m, read off its nonzero view.
+
+    Components are hooked together across the positive entries, except
+    when some row has no zero: m_ij is nonzero iff i and j are adjacent or
+    share a neighbour, so that row's vertex reaches every other in at most
+    two steps and the graph is connected without a search.
+    """
     n = m.n
     diagonal, rows, cols, vals = m.nonzeros()
     counts = _off_diagonal_histogram(n, diagonal, vals)
     tails, heads, c = _adjacency(diagonal, rows, cols, vals)
     q1, q2 = _four_cycles(n, c, counts)
     stored = np.diff(rows.searchsorted(np.arange(n + 1)))  # off-diagonal nonzeros per row
+    no_zero_row = bool(((stored == n - 1) & (diagonal != 0)).any())
     all_counts = counts + np.bincount(diagonal + n, minlength=2 * n + 1)  # the diagonal too
     return StructuralReport(
-        component_count=component_ids(n, tails, heads)[0],
+        component_count=1 if no_zero_row else component_ids(n, tails, heads)[0],
         triangle_count=_triangles(c),
         s1_quarters=q1,
         s2_quarters=q2,
         induced_c4_free=_induced_c4_free(n, tails, heads, rows, cols, vals),
         diameter_at_most_2=n >= 2 and len(vals) == n * (n - 1),
-        some_row_has_no_zero=bool(((stored == n - 1) & (diagonal != 0)).any()),
+        some_row_has_no_zero=no_zero_row,
         distinct_entry_values=tuple((np.flatnonzero(all_counts) - n).tolist()),
         srg_parameters=_srg_parameters(n, diagonal, counts),
     )

@@ -21,6 +21,11 @@ import numpy as np
 from nmgraph import textio
 
 BFS_ROOT_BLOCK = 256  # roots per whole-array BFS in diameter; temporaries O(block * n)
+# parse_edge_list indexes its remap table by the labels themselves while the
+# largest is below this many times the labels read, plus 1024: the table then
+# holds at most about that many entries per label read.
+RELABEL_TABLE_SLACK = 4
+REMAP_BLOCK = 1 << 16  # labels remapped per step, which bounds the remap's scratch memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,31 +88,55 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
     or any iterable of pairs; duplicates collapse.
 
     The first bad pair is reported: a self-loop before an index out of
-    range; labels go through `check_labels`.  The runs come from one sort
-    of the arc keys u * n + v, each pair in both orientations, with
-    repeated keys dropped: vertex u's run starts where the sorted keys
-    reach u * n, and each key's head is the key mod n.
+    range; labels go through `check_labels`.  The graph itself is built
+    by `_from_pairs`.
     """
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
-    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)  # a copy: _from_pairs overwrites it
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n or (pairs[:, 0] == pairs[:, 1]).any()):
         bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
         u, v = pairs[int(np.argmax(bad))].tolist()
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"edge ({u},{v}) out of bounds for n={n}")
-    u, v = pairs.T
-    keys = np.concatenate((u * n + v, v * n + u))
-    keys.sort()
-    keys = keys[_run_starts(keys)]
-    indptr = keys.searchsorted(np.arange(n + 1) * n)
-    indices = keys % n
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
     if labels is None:
         labels = tuple(range(n))
     check_labels(labels, n)
+    return _from_pairs(n, pairs, labels)
+
+
+def _from_pairs(n: int, pairs: np.ndarray, labels: tuple[int, ...]) -> Graph:
+    """The Graph of pairs, an intp array of shape (k, 2) whose entries are
+    already known to lie in [0, n) with no self-loop, with labels already
+    known to pass `check_labels`.  pairs is overwritten.
+
+    The runs come from one sort of the arc keys u * n + v, each pair in
+    both orientations, with repeated keys dropped: vertex u's run starts
+    where the sorted keys reach u * n, and each key's head is the key mod
+    n.  The keys are built in pairs' own memory, and sorted as int32 when
+    n * n fits, which is faster.
+    """
+    u, v = pairs.T
+    forward = u * n
+    forward += v
+    v *= n
+    v += u
+    u[...] = forward
+    del forward
+    keys = pairs.ravel()
+    if n * n < 2**31:  # every key fits int32
+        keys = keys.astype(np.int32)
+    keys.sort()
+    starts = _run_starts(keys)
+    if not starts.all():  # some edge repeats
+        keys = keys[starts]
+    del starts
+    indptr = keys.searchsorted(np.arange(n + 1, dtype=keys.dtype) * n)
+    keys %= n
+    indices = keys.astype(np.intp, copy=False)
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
     return Graph(labels=labels, indptr=indptr, indices=indices)
 
 
@@ -150,6 +179,13 @@ def parse_edge_list(text: str, path: str | None = None) -> Graph:
     and blank lines are ignored; duplicate edges collapse.  A line with
     other than two integers, a negative label or a self-loop is rejected
     with its line number.
+
+    The remap goes through a table indexed by label id: the label itself
+    when the largest is below RELABEL_TABLE_SLACK * k + 1024 for k labels
+    read, otherwise its rank among the distinct labels.  Each id's first
+    position orders the distinct ids, so only they are sorted.  The pairs
+    then hold no self-loop and ranks below n, and the labels are distinct
+    ints in [0, 2^63), so the graph is built without checking them again.
     """
     rows = textio.Rows(text, "#", path=path)
     pairs = rows.table(2)
@@ -160,15 +196,25 @@ def parse_edge_list(text: str, path: str | None = None) -> Graph:
         if min(a, b) < 0:
             raise rows.error(k, f"negative label in {rows.line(k)!r}")
         raise rows.error(k, f"self-loop {a}-{b} not allowed")
-    flat = pairs.ravel()
-    by_label = np.argsort(flat)
-    starts = _run_starts(flat[by_label])  # one run per distinct label
-    first = np.minimum.reduceat(by_label, np.flatnonzero(starts))  # its first position
-    index = np.empty_like(by_label)
-    index[by_label] = np.cumsum(starts) - 1  # the rank of each entry's label
-    order = np.argsort(first)  # labels by first appearance
-    edges = np.argsort(order)[index].reshape(-1, 2)
-    return from_edges(len(first), edges, labels=tuple(flat[first[order]].tolist()))
+    del rows, text  # only the table is needed now, and its memory becomes the edges
+    ids = pairs.ravel()
+    k = len(ids)
+    if k and ids.max() >= RELABEL_TABLE_SLACK * k + 1024:
+        distinct, ids = np.unique(ids, return_inverse=True)
+        size = len(distinct)
+    else:
+        distinct, size = None, int(ids.max(initial=-1)) + 1
+    del pairs
+    table = np.full(size, k)  # each id's first position, then its rank
+    np.minimum.at(table, ids, np.arange(k))
+    seen = np.flatnonzero(table < k)
+    order = seen[np.argsort(table[seen])]  # the ids by first appearance
+    labels = tuple((order if distinct is None else distinct[order]).tolist())
+    table[order] = np.arange(len(order))
+    del distinct, seen
+    for start in range(0, k, REMAP_BLOCK):  # in place, block by block
+        ids[start:start + REMAP_BLOCK] = table[ids[start:start + REMAP_BLOCK]]
+    return _from_pairs(len(order), ids.reshape(-1, 2), labels)
 
 
 def format_edge_list(g: Graph) -> str:

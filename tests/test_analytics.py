@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import nmgraph
 from nmgraph import analytics
 from nmgraph.errors import InvalidMatrixError
-from nmgraph.graph import diameter, from_edges, girth
+from nmgraph.graph import arcs, component_ids, diameter, from_edges, girth
 from nmgraph.nm import NeighborhoodMatrix, build_nm
 from nmgraph.oracles import srg_parameters, subgraph_census
 from helpers import (
@@ -24,6 +25,7 @@ from helpers import (
     cycle_graph,
     edgeless,
     example7_graph,
+    graphs_of_any_density,
     two_squares_graph,
     k4_minus_edge,
     paley,
@@ -119,6 +121,27 @@ class TestPredicates:
         assert not _report(edgeless(1)).some_row_has_no_zero
         k3_and_isolated = from_edges(4, [(0, 1), (0, 2), (1, 2)])
         assert not _report(k3_and_isolated).some_row_has_no_zero
+
+    @settings(max_examples=200)
+    @given(graphs_of_any_density())
+    def test_row_without_zero_means_connected(self, g):
+        r = _report(g)
+        count = component_ids(g.n, *arcs(g))[0]
+        assert r.component_count == count
+        if r.some_row_has_no_zero:
+            assert count == 1
+
+    @pytest.mark.parametrize("g, no_zero_row, count", [
+        (complete_multipartite(1, 5), True, 1),  # the star K1,5
+        (from_edges(4, [(0, 1), (0, 2), (1, 2)]), False, 2),  # K3 and an isolated vertex
+    ])
+    def test_zero_free_row_skips_hooking(self, g, no_zero_row, count, monkeypatch):
+        hooked = []
+        monkeypatch.setattr(analytics, "component_ids",
+                            lambda *args: hooked.append(1) or component_ids(*args))
+        r = _report(g)
+        assert (r.some_row_has_no_zero, r.component_count) == (no_zero_row, count)
+        assert len(hooked) == (not no_zero_row)
 
     def test_q3_one_zero_per_row_but_diameter_3(self):
         m = build_nm(q3_cube())

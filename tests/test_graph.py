@@ -135,6 +135,32 @@ class TestWholeArrayEdgeList:
         assert g.labels == (2**63 - 1, 0, 5)
         assert format_edge_list(g) == "0 9223372036854775807\n5 9223372036854775807\n"
 
+    @pytest.mark.parametrize("top, by_unique", [
+        (graph.RELABEL_TABLE_SLACK * 8 + 1024 - 1, False),  # 8 labels read
+        (graph.RELABEL_TABLE_SLACK * 8 + 1024, True),
+    ])
+    def test_relabel_table_bound(self, top, by_unique, monkeypatch):
+        text = f"7 3\n3 0\n0 {top}\n{top} 7\n"
+        unique, calls = np.unique, []
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+        g = parse_edge_list(text)
+        assert (g.labels, g.adj) == reference_parse(text)
+        assert len(calls) == by_unique
+
+    def test_remap_spans_blocks(self):
+        rng = np.random.default_rng(4)
+        lines = graph.REMAP_BLOCK + 7  # 2 * REMAP_BLOCK + 14 labels: three blocks
+        tails = rng.integers(0, 5000, lines)
+        heads = (tails + rng.integers(1, 5000, lines)) % 5000  # no self-loop
+        text = "".join(f"{a} {b}\n" for a, b in zip(tails.tolist(), heads.tolist()))
+        g = parse_edge_list(text)
+        assert (g.labels, g.adj) == reference_parse(text)
+
+    @pytest.mark.parametrize("text", ["0 9223372036854775807\n", "9223372036854775807 0\n"])
+    def test_labels_zero_and_int64_max(self, text):
+        g = parse_edge_list(text)
+        assert (g.labels, g.adj) == reference_parse(text)
+
     @pytest.mark.parametrize("text, line, message", [
         ("1 2\n1 2 3\n", 2, "expected 2 entries, got 3"),
         ("# c\n\n7\n", 3, "expected 2 entries, got 1"),
@@ -184,6 +210,23 @@ class TestWholeArrayEdgeList:
 
 
 class TestFromEdges:
+    @pytest.mark.parametrize("n", [46_340, 46_341])  # the last n whose n * n fits int32, and the first
+    def test_either_side_of_int32_keys(self, n):
+        assert 46_340 ** 2 <= np.iinfo(np.int32).max < 46_341 ** 2
+        pairs = [(n - 1, n - 2), (0, n - 1), (n - 2, n - 1), (5, 0), (n - 1, 1)]
+        g = from_edges(n, pairs)
+        adj = [set() for _ in range(n)]
+        for u, v in pairs:
+            adj[u].add(v)
+            adj[v].add(u)
+        assert g.adj == tuple(map(frozenset, adj))
+        assert g.indptr.dtype == g.indices.dtype == np.intp
+
+    def test_input_array_left_unchanged(self):
+        pairs = np.array([[0, 1], [1, 2]], dtype=np.intp)
+        from_edges(3, pairs)
+        assert pairs.tolist() == [[0, 1], [1, 2]]
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
             from_edges(3, [(0, 1), (1, 1)])
