@@ -59,8 +59,9 @@ class Graph:
 
     @cached_property
     def tails(self) -> np.ndarray:
-        """tails[k] is the vertex whose run holds indices[k]; read-only,
-        built on first use and kept, so `arcs` repeats no work."""
+        """tails[k] is the vertex whose run holds indices[k], so (tails,
+        indices) is every edge in both orientations; read-only, built on
+        first use and kept."""
         tails = np.repeat(np.arange(self.n), self.degrees)
         tails.setflags(write=False)
         return tails
@@ -88,8 +89,8 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
     or any iterable of pairs; duplicates collapse.
 
     The first bad pair is reported: a self-loop before an index out of
-    range; labels go through `check_labels`.  The graph itself is built
-    by `_from_pairs`.
+    range.  Given labels go through `check_labels`; the default labels
+    0..n-1 need no check.  The graph itself is built by `_from_pairs`.
     """
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
@@ -100,9 +101,10 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]],
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"edge ({u},{v}) out of bounds for n={n}")
-    if labels is None:
-        labels = tuple(range(n))
-    check_labels(labels, n)
+    if labels is None and n >= 0:
+        labels = tuple(range(n))  # valid as built
+    else:  # a negative n fails here too
+        check_labels(labels or (), n)
     return _from_pairs(n, pairs, labels)
 
 
@@ -220,29 +222,22 @@ def parse_edge_list(text: str, path: str | None = None) -> Graph:
 def format_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list: one "u v" line per edge, sorted by label."""
     labels = np.array(g.labels, dtype=np.int64)
-    tails, heads = arcs(g)
+    tails, heads = g.tails, g.indices
     once = tails < heads
     pairs = np.sort(labels[np.column_stack((tails[once], heads[once]))], axis=1)
     return textio.int_lines(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
 
 
-def arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge in both orientations, as (tails, heads): heads is the
-    stored `indices`, each vertex's sorted neighbours in one run, the runs
-    in vertex order.  Both are read-only."""
-    return g.tails, g.indices
-
-
 def adjacency_matrix(g: Graph, dtype: type = np.int64) -> np.ndarray:
     """The dense n x n 0/1 adjacency matrix A in the given dtype."""
     a = np.zeros((g.n, g.n), dtype=dtype)
-    a[arcs(g)] = 1
+    a[g.tails, g.indices] = 1
     return a
 
 
 def connected_components(g: Graph) -> ComponentPartition:
     """Components of g, numbered in first-seen order, from its arcs."""
-    return ComponentPartition(tuple(component_ids(g.n, *arcs(g))[1].tolist()))
+    return ComponentPartition(tuple(component_ids(g.n, g.tails, g.indices)[1].tolist()))
 
 
 def component_ids(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[int, np.ndarray]:

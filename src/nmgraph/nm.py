@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
-from nmgraph.graph import Graph, arcs, check_labels, from_edges
+from nmgraph.graph import Graph, adjacency_matrix, check_labels, from_edges
 from nmgraph.oracles import blas_adjacency
 
 _ENTRY_DTYPE = np.int64
@@ -127,38 +127,29 @@ def _scan(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 def build_nm(g: Graph) -> NeighborhoodMatrix:
     """M = A(D - A) as -A^2 plus deg(j) at each edge (i, j).
 
-    When the P 2-paths are few against the n^3 steps of a dense product
-    (SPARSE_WORK_RATIO * P < n^3), `_nonzeros_by_paths` gives M's nonzero
-    view with no n x n array; else `_negated_square_by_blas` gives -A^2,
-    and M is scanned off that buffer.
+    Both kernels take the Graph and give M's nonzero view.  When the P
+    2-paths are few against the n^3 steps of a dense product
+    (SPARSE_WORK_RATIO * P < n^3), `_nonzeros_by_paths` runs, with no
+    n x n array; else `_nonzeros_by_blas`.
     """
-    n = g.n
-    tails, heads = arcs(g)
-    degrees = g.degrees
-    paths = int(degrees[heads].sum())
-    if SPARSE_WORK_RATIO * paths < n ** 3:
-        return NeighborhoodMatrix.from_nonzeros(*_nonzeros_by_paths(n, degrees, tails, heads),
-                                                labels=g.labels)
-    entries = _negated_square_by_blas(n, tails, heads)
-    entries[tails, heads] += degrees[heads]
-    return NeighborhoodMatrix.from_nonzeros(*_scan(entries), labels=g.labels)
+    paths = int(g.degrees[g.indices].sum())
+    kernel = _nonzeros_by_paths if SPARSE_WORK_RATIO * paths < g.n ** 3 else _nonzeros_by_blas
+    return NeighborhoodMatrix.from_nonzeros(*kernel(g), labels=g.labels)
 
 
-def _nonzeros_by_paths(n: int, degrees: np.ndarray, tails: np.ndarray,
-                       heads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _nonzeros_by_paths(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """M's nonzero view by sorting 2-paths (Latapy 2008) row block by row
     block, as in Gustavson's row-wise sparse product (1978).
 
-    A^2[i, k] is the number of paths i-j-k.  heads holds each vertex's
-    neighbours in one run, the runs in vertex order, and tails the vertex
-    of each run; every directed edge (i, j) expands into deg(j) paths,
-    whose ends k are read from j's run.  Rows go in blocks of about
-    PATH_BLOCK paths and edges, at most a quarter of them all, which
-    bounds the scratch memory.  Runs with i = k are A^2's diagonal, where
-    M has -deg(i) instead.
+    A^2[i, k] is the number of paths i-j-k.  The arcs (tails, indices)
+    hold each vertex's neighbours in one run, the runs in vertex order;
+    every directed edge (i, j) expands into deg(j) paths, whose ends k are
+    read from j's run.  Rows go in blocks of about PATH_BLOCK paths and
+    edges, at most a quarter of them all, which bounds the scratch memory.
+    Runs with i = k are A^2's diagonal, where M has -deg(i) instead.
     """
+    n, indptr, tails, heads, degrees = g.n, g.indptr, g.tails, g.indices, g.degrees
     fan = degrees[heads]  # paths through each directed edge
-    indptr = np.concatenate(([0], np.cumsum(degrees)))
     path_start = np.cumsum(fan) - fan
     work = np.concatenate(([0], np.cumsum(fan + 1)))[indptr]  # paths and edges before each row
     block = min(PATH_BLOCK, max(int(work[-1]) // 4, 1))  # see PATH_BLOCK
@@ -191,6 +182,7 @@ def _nonzeros_by_paths(n: int, degrees: np.ndarray, tails: np.ndarray,
     return (np.negative(degrees), *out[:, :filled])
 
 
+# A function of its own, so that one block's temporaries are freed before the next's.
 def _block_by_sorting(n: int, r0: int, keys: np.ndarray, p: int, degrees: np.ndarray,
                       out: np.ndarray, filled: int) -> int:
     """Rows r0 onwards of the view from one sort of the block's keys, p
@@ -228,15 +220,19 @@ def _block_by_sorting(n: int, r0: int, keys: np.ndarray, p: int, degrees: np.nda
     return filled + size
 
 
-def _negated_square_by_blas(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """-A^2 by a float32 product, exact because every partial sum is an
+def _nonzeros_by_blas(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """M's nonzero view, scanned off -A^2 plus deg(j) at each edge (i, j).
+    -A^2 is a float32 product, exact because every partial sum is an
     integer at most n - 1 < 2^24."""
+    n = g.n
     if n >= FLOAT32_EXACT:
         raise SizeGuardError(f"n={n} too large for an exact float32 product (limit {FLOAT32_EXACT})")
-    a = np.zeros((n, n), dtype=np.float32)
-    a[tails, heads] = 1
+    a = adjacency_matrix(g, np.float32)
     entries = np.empty((n, n), dtype=_ENTRY_DTYPE)
-    return np.negative(a @ a, out=entries, casting="unsafe")
+    np.negative(a @ a, out=entries, casting="unsafe")
+    del a  # freed before the scan, which sets the kernel's peak
+    entries[g.tails, g.indices] += g.degrees[g.indices]
+    return _scan(entries)
 
 
 def build_nm_product(g: Graph) -> NeighborhoodMatrix:

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nmgraph.errors import InvalidMatrixError
-from nmgraph.graph import Graph, arcs, from_edges
+from nmgraph.graph import Graph, from_edges
 from nmgraph.nm import NeighborhoodMatrix, RowProfile
 from nmgraph.oracles import SubgraphCensus
 from nmgraph.random_graphs import gnp
@@ -360,7 +360,7 @@ def has_edge(g: Graph, u: int, v: int) -> bool:
 
 def edges(g: Graph) -> Iterator[tuple[int, int]]:
     """Yield each edge once as (u, v) with u < v."""
-    tails, heads = arcs(g)
+    tails, heads = g.tails, g.indices
     once = tails < heads
     return zip(tails[once].tolist(), heads[once].tolist())
 

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmgraph import analytics, cli, graph, matio, verify
+from nmgraph import analytics, cli, graph, matio, oracles, verify
 from nmgraph.cli import build_parser, main
 from nmgraph.nm import NeighborhoodMatrix, build_nm
 from helpers import (EXAMPLE7_EDGE_LINES, EXAMPLE7_MATRIX, example7_graph, petersen,
                      two_squares_graph)
 from nmgraph.graph import format_edge_list
+from nmgraph.random_graphs import gnp
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -139,6 +140,16 @@ class TestReconstruct:
         mfile.write_text("\n" + matio.write_matrix_market(build_nm(example7_graph())))
         assert main(["reconstruct", str(mfile)]) == 0
         assert capsys.readouterr().out == format_edge_list(example7_graph())
+
+    @pytest.mark.parametrize("body, message", [
+        ("", "error: missing size line"),
+        ("2 3 0\n", "error: line 2: matrix is 2x3, expected square"),
+    ])
+    def test_matrix_market_size_line_exit_2(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(f"%%MatrixMarket matrix coordinate integer general\n{body}")
+        assert main(["reconstruct", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
     def test_malformed_matrix_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -317,6 +328,11 @@ class TestVerify:
         assert main(["verify", "--self-test"]) == 1
         assert "corruption detected" in capsys.readouterr().out
 
+    def test_self_test_fails_when_the_corruption_is_accepted(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "reconstruct_adjacency", lambda m: None)
+        assert main(["verify", "--self-test"]) == 0
+        assert capsys.readouterr().out == "self-test FAIL: corrupted matrix was accepted\n"
+
     def test_raising_check_is_a_fail_row(self, monkeypatch, capsys):
         def corrupted(g):
             entries = build_nm(g).entries.copy()
@@ -416,6 +432,21 @@ class TestBench:
         row = doc["rows"][0]
         assert row["n"] == 16 and row["reps"] == 3
         assert row["triangleCount"] >= 0
+
+    def test_density_defaults_to_mean_degree_8(self, capsys):
+        assert main(["bench", "--size", "16", "--reps", "1", "--seed", "1"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        g = gnp(16, 8 / 15, seed=1)
+        assert row["edgeCount"] == g.edge_count
+        assert row["triangleCount"] == analytics.triangle_count(build_nm(g))
+
+    def test_count_mismatch_exit_1(self, monkeypatch, capsys):
+        trace = oracles.triangle_count_trace
+        monkeypatch.setattr(oracles, "triangle_count_trace", lambda g: trace(g) + 1)
+        argv = ["bench", "--size", "8", "--reps", "1", "--seed", "2", "--density", "1"]
+        assert main(argv) == 1  # K8: 56 triangles
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "count mismatch: nm=56 dense=57\n")
 
     def test_empty(self, capsys):
         assert main(["bench", "--size", "0"]) == 0

@@ -273,6 +273,18 @@ class TestFromEdges:
         with pytest.raises(ValueError, match=r"^labels must be 3 distinct integers from 0 to 2\^63 - 1$"):
             from_edges(3, [(0, 1), (1, 2)], labels=labels)
 
+    def test_only_given_labels_are_checked(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(graph, "check_labels", lambda *args: checked.append(args))
+        from_edges(3, [(0, 1)])
+        assert checked == []
+        from_edges(3, [(0, 1)], labels=(4, 5, 6))
+        assert checked == [((4, 5, 6), 3)]
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^labels must be -1 distinct integers"):
+            from_edges(-1, [])
+
     @settings(max_examples=200)
     @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),

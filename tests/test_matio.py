@@ -258,6 +258,18 @@ class TestMalformedMatrixMarket:
                 matio.read_matrix_market(f"{MM_HEADER}\n2 2 1\n{coordinate} 1\n")
         assert excinfo.value.line_number == 3
 
+    @pytest.mark.parametrize("body, message, line", [
+        ("", "missing size line", None),  # no line to name
+        ("% only a comment\n\n", "missing size line", None),
+        ("2 3 0\n", "line 2: matrix is 2x3, expected square", 2),
+        ("3 2 0\n", "line 2: matrix is 3x2, expected square", 2),
+    ])
+    def test_size_line_rejections(self, body, message, line, tmp_path):
+        for path in (None, tmp_path / "m.mtx"):  # the text alone, then the file too
+            with pytest.raises(ParseError) as excinfo:
+                read_file(matio.read_matrix_market, f"{MM_HEADER}\n{body}", path)
+            assert (str(excinfo.value), excinfo.value.line_number) == (message, line)
+
     def test_duplicate_coordinate_message(self):
         with pytest.raises(ParseError, match=r"duplicate coordinate \(1,2\)"):
             matio.read_matrix_market(f"{MM_HEADER}\n2 2 2\n1 2 1\n1 2 1\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from nmgraph import nm
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
-from nmgraph.graph import Graph, arcs, connected_components, from_edges
+from nmgraph.graph import Graph, connected_components, from_edges
 from nmgraph.matio import read_matrix_market
 from nmgraph.nm import (
     NeighborhoodMatrix,
@@ -68,6 +69,15 @@ class TestBuild:
     def test_k2(self):
         m = build_nm(from_edges(2, [(0, 1)]))
         assert m.entries.tolist() == [[-1, 1], [1, -1]]
+
+    @pytest.mark.parametrize("entries, shape", [
+        (np.zeros((2, 3), dtype=np.int64), "(2, 3)"),
+        (np.zeros(4, dtype=np.int64), "(4,)"),
+    ])
+    def test_public_constructor_rejects_a_non_square_array(self, entries, shape):
+        expected = re.escape(f"expected a square matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=expected):
+            NeighborhoodMatrix(entries, (0, 1))
 
     def test_two_squares_golden(self):
         assert np.array_equal(build_nm(two_squares_graph()).entries, TWO_SQUARES_MATRIX)
@@ -202,25 +212,16 @@ class TestNonzeroView:
 
 KERNELS = {
     "paths": "_nonzeros_by_paths",
-    "blas": "_negated_square_by_blas",
+    "blas": "_nonzeros_by_blas",
 }
 
 
 def kernel_matrix(g: Graph, kernel: str) -> np.ndarray:
-    """M from one kernel: the 2-path kernel's nonzero view, densified, or
-    the BLAS kernel's -A^2 plus deg(j) at each edge (i, j)."""
-    degrees = np.array([g.degree(v) for v in range(g.n)], dtype=np.intp)
-    tails = np.repeat(np.arange(g.n), degrees)
-    heads = np.array([j for nbrs in g.adj for j in nbrs], dtype=np.intp)
-    if kernel == "paths":
-        view = nm._nonzeros_by_paths(g.n, degrees, tails, heads)
-        entries = NeighborhoodMatrix.from_nonzeros(*view, labels=g.labels).entries
-    else:
-        entries = nm._negated_square_by_blas(g.n, tails, heads)
-    assert entries.dtype == np.int64 and entries.shape == (g.n, g.n)
-    assert entries.base is None  # a fresh array: densified, or the BLAS buffer itself
-    if kernel == "blas":
-        entries[tails, heads] += degrees[heads]
+    """M from one kernel's nonzero view, densified."""
+    view = getattr(nm, KERNELS[kernel])(g)
+    assert all(a.dtype == np.int64 for a in view)
+    entries = NeighborhoodMatrix.from_nonzeros(*view, labels=g.labels).entries
+    assert entries.shape == (g.n, g.n)
     return entries
 
 
@@ -265,9 +266,9 @@ class TestSquareKernels:
         assert entries.base is None  # densified into a fresh array, not a view
 
     def test_float32_guard_raises_before_allocating(self):
-        empty = np.empty(0, dtype=np.intp)
+        # a stub with nothing but n: the guard reads no other field
         with pytest.raises(SizeGuardError, match="float32"):
-            nm._negated_square_by_blas(nm.FLOAT32_EXACT, empty, empty)
+            nm._nonzeros_by_blas(SimpleNamespace(n=nm.FLOAT32_EXACT))
 
 
 # build_nm's SPARSE_WORK_RATIO that forces each kernel: the BLAS one for
@@ -310,7 +311,7 @@ class TestViewFromEitherKernel:
 
     def test_rows_span_several_blocks_at_the_default_size(self):
         g = gnp(300, 0.1, seed=3)  # about 270K 2-paths
-        assert int(g.degrees[arcs(g)[1]].sum()) > 3 * nm.PATH_BLOCK
+        assert int(g.degrees[g.indices].sum()) > 3 * nm.PATH_BLOCK
         _views_equal(_view(g, "paths"), build_nm_product(g))
 
     @pytest.mark.parametrize("g", [
@@ -546,6 +547,11 @@ class TestRowProfile:
         m = build_nm(path_graph(3))
         p = row_profile(m, 0)
         assert p.diagonal_candidates == {0, 2}
+
+    @pytest.mark.parametrize("i", [-1, 7])
+    def test_index_out_of_range(self, i):
+        with pytest.raises(IndexError, match=rf"row index {i} out of range for n=7"):
+            row_profile(build_nm(example7_graph()), i)
 
     def test_malformed_row_rejected(self):
         m = NeighborhoodMatrix(entries=np.array([[0, 1], [1, 0]]), labels=(0, 1))

@@ -14,10 +14,13 @@ from nmgraph.nm import NeighborhoodMatrix, build_nm
 from nmgraph.random_graphs import corpus, gnp
 from helpers import (
     all_graphs_up_to,
+    complete_graph,
+    cycle_graph,
     edgeless,
     example7_graph,
     graphs,
     graphs_of_any_density,
+    path_graph,
     random_corpus,
     sparse_graphs,
 )
@@ -116,6 +119,63 @@ def test_set_based_disagreement_fails_dual_path(monkeypatch):
     failed = [r for r in results if not r.passed]
     assert [r.name for r in failed] == ["dual-path-identity"]
     assert failed[0].first_failure == "row-sum and set-based constructions disagree"
+
+
+def _shifted_census(**shifts):
+    """A wrong census: the real one with each named count shifted."""
+    return lambda c: dataclasses.replace(c, **{k: getattr(c, k) + d for k, d in shifts.items()})
+
+
+@pytest.mark.parametrize("module, name, wrong, g, check, detail", [
+    (verify, "reconstruct_adjacency", lambda h: edgeless(h.n), example7_graph(),
+     "reconstruction-round-trip", "reconstructed edge set differs"),
+    (oracles, "triangle_count_trace", lambda t: t + 1, example7_graph(),
+     "triangle-count-oracles", "matrix count 1 != trace count 2"),
+    (oracles, "subgraph_census", _shifted_census(triangle_count=1), example7_graph(),
+     "triangle-count-oracles", "matrix count 1 != enumeration 2"),
+    (oracles, "subgraph_census", _shifted_census(k4_count=1), example7_graph(),
+     "four-cycle-count-oracles", "quarter terms 1, 0 != enumeration 1, 3"),
+    (verify, "girth", lambda gr: 3, cycle_graph(5),
+     "characterization-biconditionals", "triangle-free predicate vs girth oracle"),
+    # three more induced C4s, six fewer K4-e and one more K4 leave both
+    # quarter terms as they were, so only the induced count is wrong
+    (oracles, "subgraph_census",
+     _shifted_census(c4_induced=3, k4_minus_edge_count=-6, k4_count=1), cycle_graph(5),
+     "characterization-biconditionals", "induced-C4-free predicate vs enumeration"),
+    (verify, "girth", lambda gr: 4, cycle_graph(5),
+     "characterization-biconditionals", "girth>=5 predicate vs girth oracle 4"),
+    (verify, "diameter", lambda d: 3, complete_graph(4),
+     "diameter-predicates", "diameter<=2 predicate vs oracle diameter 3"),
+    # the middle of P5 reaches every vertex in two steps; the diameter is 4
+    (verify, "diameter", lambda d: 5, path_graph(5),
+     "diameter-predicates", "row without zeros but diameter 5 > 4"),
+], ids=["round-trip", "trace", "census-triangles", "quarter-terms", "triangle-free",
+        "induced-c4-free", "girth-at-least-5", "diameter-at-most-2", "row-without-zeros"])
+def test_each_check_fails_on_a_wrong_oracle(monkeypatch, module, name, wrong, g, check, detail):
+    assert all(r.passed for r in verify.run_suite([g]))
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: wrong(real(*args)))
+    failed = [(r.name, r.first_failure) for r in verify.run_suite([g]) if not r.passed]
+    assert failed == [(check, detail)]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda e: e.__setitem__((0, 0), e[0, 0] - 1),  # the diagonal
+    lambda e: e.__setitem__((0, 1), e[0, 1] + 1),  # a stored entry
+    lambda e: e.__setitem__((0, 3), 5),  # an entry M does not store
+], ids=["diagonal", "stored", "unstored"])
+def test_set_based_array_is_compared_everywhere(monkeypatch, corrupt):
+    set_based = oracles.set_based_entries
+    g = from_edges(4, [(0, 1), (1, 2)])  # m_03 = 0: 0 and 3 share no neighbour
+
+    def corrupted(h):
+        entries = set_based(h)
+        corrupt(entries)
+        return entries
+
+    monkeypatch.setattr(oracles, "set_based_entries", corrupted)
+    failed = [(r.name, r.first_failure) for r in verify.run_suite([g]) if not r.passed]
+    assert failed == [("dual-path-identity", "row-sum and set-based constructions disagree")]
 
 
 def test_off_diagonal_magnitude_fails_entry_shape(monkeypatch):
