@@ -16,12 +16,15 @@ compute -> reconstruct -> compute round trip preserves labelling; labels
 must be distinct and non-negative.
 
 The text work is `textio`'s.  Given the file's path, the Matrix Market
-reader reads only the banner, the labels comment and the size line in
+reader walks only the banner, the labels comment and the size line in
 Python.  numpy's C reader reads the entries straight from the file when
 the text is plain, and the line path reads them otherwise.  A file named
 like a compressed one (`.gz`, ...) is read as plain text either way.
 The dense reader, whose n lines are few and long, takes the line path.
-Writing is one whole-array formatter, so no Python code runs per entry.
+Every error names its file line as `textio.Rows` numbers it: the banner
+and each comment carry their numbers, and a bad entry's line is found by
+walking the text again only as far as that entry.  Writing is one
+whole-array formatter, so no Python code runs per entry.
 """
 
 from __future__ import annotations
@@ -70,13 +73,12 @@ def write_matrix_market(m: NeighborhoodMatrix) -> str:
 
 def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix:
     rows = textio.Rows(text, "%", 1, path)
-    banner = rows.first  # the first non-blank line
+    number, banner = rows.first  # the first non-blank line
     if not banner.startswith("%%MatrixMarket"):
-        raise ParseError("missing MatrixMarket header",
-                         textio.lineno(rows.lines, banner) if banner else 1)
+        raise ParseError("missing MatrixMarket header", number)
     if banner.lower().split() != _MM_HEADER.lower().split():
         raise ParseError(f"unsupported MatrixMarket type {banner!r}, expected {_MM_HEADER!r}",
-                         textio.lineno(rows.lines, banner))
+                         number)
 
     if not rows.count:
         raise ParseError("missing size line")
@@ -128,10 +130,10 @@ def read_auto(text: str, path: str | None = None) -> NeighborhoodMatrix:
 def _labels(rows: textio.Rows, n: int) -> tuple[int, ...]:
     """The labels named by the last `labels:` comment, else 0..n-1."""
     labels = None
-    for line in rows.comments:
+    for number, line in rows.comments:
         stripped = line.lstrip(rows.marker).strip()
         if stripped.startswith("labels:"):
-            labels = _parse_label_comment(rows, line, stripped[len("labels:"):])
+            labels = _parse_label_comment(number, line, stripped[len("labels:"):])
     if labels is None:
         return tuple(range(n))
     if len(labels) != n:
@@ -139,13 +141,13 @@ def _labels(rows: textio.Rows, n: int) -> tuple[int, ...]:
     return labels
 
 
-def _parse_label_comment(rows: textio.Rows, line: str, text: str) -> tuple[int, ...]:
+def _parse_label_comment(number: int, line: str, text: str) -> tuple[int, ...]:
     try:
         labels = tuple(textio.ints(text).tolist())
         check_labels(labels, len(labels))
     except ValueError:
         raise ParseError(
             f"bad labels comment {line!r}: labels must be distinct non-negative integers",
-            textio.lineno(rows.lines, line),
+            number,
         ) from None
     return labels

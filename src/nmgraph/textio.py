@@ -5,16 +5,18 @@ Every integer read from text follows one grammar: a plain ASCII decimal
 with an optional sign that fits in int64.  `1_0`, non-ASCII digits such
 as full-width `１` and values past the int64 range are rejected.
 
-A file is read as `Rows`.  Given its path, Python reads only the header
-lines (comments, the Matrix Market banner and size line), and numpy's C
+A file is read as `Rows`, through one walk over its lines that yields
+each non-blank line, stripped, with its 1-based line number.  Plain
+text is split lazily at '\n'; any other text by str.splitlines.  Given
+the file's path, the walk stops at the body's first line, and numpy's C
 reader reads the body straight from the file, in one `np.loadtxt` call
-that builds no Python string per line.  numpy's tokenizer agrees
-with the line grammar only on plain text, so the line path decides every
-other file: the text is split into lines, each is stripped and
-classified, and the body is parsed as one list of lines.  The line path
-also decides every file numpy rejects, so that it alone names a bad
-line.  Formatting is one uint8 buffer per row block, so no Python code
-runs per entry either way.
+that builds no Python string per line.  numpy's tokenizer agrees with
+the line grammar only on plain text, so the line path decides every
+other file: the walk goes on to the end, and the body is parsed as one
+list of lines.  The line path also decides every file numpy rejects, so
+that it alone names a bad line.  An error names its line by walking
+again, only as far as that line.  Formatting is one uint8 buffer per
+row block, so no Python code runs per entry either way.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import os
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
+from typing import Iterator
 
 import numpy as np
 
 from nmgraph.errors import ParseError
 
-# Entries formatted per pass: bounds the formatter's temporaries.
+# Entries formatted, or characters split into lines, per pass: bounds the
+# temporaries of the formatter and of a walk that stops early.
 _BLOCK = 1 << 16
 _TENS = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
 # The ASCII whitespace besides newline, space and tab, left to the line
@@ -46,34 +50,90 @@ class Rows:
     comment lines, whose first non-blank character is `marker`, are set
     aside in `comments`.  Every line is stripped.
 
-    The first `head` significant lines are kept as text in `head`; the
-    rest, the body, is an int64 table, returned by one `table(ncols)` call.
-    `count` is the number of significant lines and `first` the first
-    non-blank line, comment or not.  Given the file's `path`, with `text`
-    its decoded content, numpy's C reader reads the body from the file when
-    the text is plain; the line path reads it otherwise, or without a path,
-    with the same result.
+    The first `head` significant non-comment lines are kept as text in
+    `head`; the rest, the body, is an int64 table, returned by one
+    `table(ncols)` call.  `count` is the number of significant
+    non-comment lines.  `first` is the first non-blank line, comment or
+    not, and `comments` the comment lines, each as a (line number, line)
+    pair; an all-blank text's `first` is (1, "").  Given the file's
+    `path`, with `text` its decoded content, numpy's C reader reads the
+    body from the file when the text is plain; the line path reads it
+    otherwise, or without a path, with the same result.  Every walk over
+    the text's lines, the error path's included, is one of `_walk`.
     """
 
     def __init__(self, text: str, marker: str, head: int = 0, path: str | None = None):
         self.text, self.marker, self._head = text, marker, head
-        loaded = _load(text, marker, head, path) if path is not None else None
+        self._plain = text.isascii() and not any(c in text for c in _ODD_WHITESPACE)
+        loaded = self._load(path) if path is not None else None
         if loaded is None:
-            self.comments, body = self._scanned
+            self.first, self.comments, body = self._walked
             self.head, self._table, self.count = body[:head], None, len(body)
-            self.first = next(filter(None, map(str.strip, self.lines)), "")
         else:
-            self.comments, self.head, self.first, self._table = loaded
+            self.first, self.comments, self.head, self._table = loaded
             self.count = head + len(self._table)
 
-    @cached_property
-    def lines(self) -> list[str]:
-        """The text's lines: built on the line path, or to name a line."""
-        return self.text.splitlines()
+    def _walk(self) -> Iterator[tuple[int, str]]:
+        """(1-based line number, stripped line) of each non-blank line.
+
+        Plain text is split lazily at '\\n', its only line break in the
+        sense of str.splitlines, so a walk that stops early splits only
+        the block of lines it has reached; any other text is split by
+        str.splitlines.
+        """
+        lines = _lazy_lines(self.text) if self._plain else self.text.splitlines()
+        return filter(itemgetter(1), enumerate(map(str.strip, lines), start=1))
+
+    def _split(self, stop: int | None) -> tuple[tuple[int, str], list[tuple[int, str]],
+                                                list[str], int]:
+        """(first, comments, the significant non-comment lines, number):
+        the walk stops at non-comment line `stop`, whose line number is
+        `number`; 0 when it reaches the end first."""
+        first, comments, body = None, [], []
+        for number, line in self._walk():
+            first = first or (number, line)
+            if line.startswith(self.marker):
+                comments.append((number, line))
+            elif len(body) == stop:
+                return first, comments, body, number
+            else:
+                body.append(line)
+        return first or (1, ""), comments, body, 0
 
     @cached_property
-    def _scanned(self) -> tuple[list[str], list[str]]:
-        return scan(self.lines, self.marker)
+    def _walked(self) -> tuple[tuple[int, str], list[tuple[int, str]], list[str]]:
+        """The line path: the whole text walked."""
+        return self._split(None)[:3]
+
+    def _load(self, path: str) -> tuple[tuple[int, str], list[tuple[int, str]], list[str],
+                                        np.ndarray] | None:
+        """(first, comments, head lines, body table) with the body read
+        from the file at `path` by numpy's C reader; None when the line
+        path must decide, or when there is no body.
+
+        The walk stops at the body's first line.  A comment inside the
+        body is a token numpy rejects, so it too falls to the line path.
+        Only a regular file is read again: a pipe would give nothing the
+        second time.
+        """
+        if not self._plain or path.endswith(_COMPRESSED) or not os.path.isfile(path):
+            return None
+        first, comments, heads, number = self._split(self._head)
+        if not number:  # no body: nothing to save
+            return None
+        try:
+            # An absolute path, so that numpy takes no name for a URL.
+            table = np.loadtxt(os.path.abspath(path), dtype=np.int64, comments=None,
+                               skiprows=number - 1, ndmin=2, encoding="utf-8")
+        except (ValueError, OSError):
+            return None
+        return first, comments, heads, table
+
+    def _numbered(self, k: int) -> tuple[int, str]:
+        """(line number, line) of significant non-comment line k, walked
+        to lazily.  Error path only."""
+        body = (item for item in self._walk() if not item[1].startswith(self.marker))
+        return next(islice(body, k, None))
 
     def head_ints(self, k: int, ncols: int) -> np.ndarray:
         """Head line k as an int64 array of ncols entries."""
@@ -83,16 +143,16 @@ class Rows:
         """The body as an int64 array of shape (count - head, ncols)."""
         if self._table is not None and self._table.shape[1] == ncols:
             return self._table
-        return self._parse(self._scanned[1][self._head:], ncols, self._head)
+        return self._parse(self._walked[2][self._head:], ncols, self._head)
 
     def line(self, k: int) -> str:
-        """Significant line k.  Error path only: it scans the text."""
-        return self._scanned[1][k]
+        """Significant non-comment line k.  Error path only."""
+        return self._numbered(k)[1]
 
     def error(self, k: int, message: str) -> ParseError:
-        """A ParseError naming the file line of significant line k."""
-        body = self._scanned[1]
-        return ParseError(message, lineno(self.lines, body[k], body[:k].count(body[k])))
+        """A ParseError naming the file line of significant non-comment
+        line k."""
+        return ParseError(message, self._numbered(k)[0])
 
     def _parse(self, rows: list[str], ncols: int, first: int) -> np.ndarray:
         """rows, the significant lines from line `first` on, as an int64
@@ -116,65 +176,17 @@ class Rows:
         raise ParseError("malformed integer table")
 
 
-def _load(text: str, marker: str, head: int,
-          path: str) -> tuple[list[str], list[str], str, np.ndarray] | None:
-    """(comments, head lines, first non-blank line, body table) with the
-    body read from the file at `path` by numpy's C reader; None when the
-    line path must decide, or when there is no body.
-
-    Python walks the text's lines only up to the body's first line.  A
-    comment inside the body is a token numpy rejects, so it too falls to
-    the line path.  Only a regular file is read again: a pipe would give
-    nothing the second time.
-    """
-    if (not text.isascii() or any(c in text for c in _ODD_WHITESPACE)
-            or path.endswith(_COMPRESSED) or not os.path.isfile(path)):
-        return None
-    comments: list[str] = []
-    heads: list[str] = []
-    first = ""
-    skip = start = 0
+def _lazy_lines(text: str) -> Iterator[str]:
+    """The lines of text split at '\\n', one block at a time: each block
+    ends at the first line end `size` characters on, and `size` doubles
+    from 1 to _BLOCK, so that a walk that stops within the first lines
+    splits little more than them."""
+    start, size = 0, 1
     while start < len(text):
-        end = text.find("\n", start)
+        end = text.find("\n", start + size)
         end = len(text) if end < 0 else end
-        line = text[start:end].strip()
-        first = first or line
-        if line and not line.startswith(marker):
-            if len(heads) == head:
-                break
-            heads.append(line)
-        elif line:
-            comments.append(line)
-        skip, start = skip + 1, end + 1
-    if len(heads) < head or start >= len(text):  # no body: nothing to save
-        return None
-    try:
-        # An absolute path, so that numpy takes no name for a URL.
-        table = np.loadtxt(os.path.abspath(path), dtype=np.int64, comments=None,
-                           skiprows=skip, ndmin=2, encoding="utf-8")
-    except (ValueError, OSError):
-        return None
-    return comments, heads, first, table
-
-
-def scan(lines: list[str], marker: str) -> tuple[list[str], list[str]]:
-    """Split lines into the comment lines and the body, both stripped.
-
-    Blank lines are dropped, and a comment is a line whose first
-    non-blank character is `marker`.  Lines are stripped and classified
-    through C-level calls; Python code runs only per comment line.
-    """
-    kept = list(filter(None, map(str.strip, lines)))
-    firsts = "".join(map(itemgetter(0), kept))
-    comments: list[str] = []
-    body: list[str] = []
-    start = 0
-    while (k := firsts.find(marker, start)) >= 0:
-        body += kept[start:k]
-        comments.append(kept[k])
-        start = k + 1
-    body += kept[start:]
-    return comments, body
+        yield from text[start:end].split("\n")
+        start, size = end + 1, min(2 * size, _BLOCK)
 
 
 def ints(text: str) -> np.ndarray:
@@ -220,10 +232,3 @@ def _format_block(block: np.ndarray) -> str:
         more = magnitude > 0
         pos, magnitude = pos[more] - 1, magnitude[more]
     return out.tobytes().decode("ascii")
-
-
-def lineno(lines: list[str], line: str, nth: int = 0) -> int:
-    """1-based number of the nth file line that strips to `line`.  Error
-    path only: it re-scans the file."""
-    hits = (i for i, raw in enumerate(lines, start=1) if raw.strip() == line)
-    return next(islice(hits, nth, None))

@@ -478,3 +478,16 @@ def read_file(reader, text: str, path: Path | None):
         return reader(text)
     path.write_bytes(text.encode("utf-8"))
     return reader(path.read_text(encoding="utf-8"), str(path))
+
+
+def numbered_lines(text: str, marker: str) -> tuple[tuple[int, str], list[tuple[int, str]],
+                                                   list[tuple[int, str]]]:
+    """Reference for the line numbers of `textio.Rows`: (first, comments,
+    body), each line a (1-based number, stripped line) pair, numbered by
+    str.splitlines.  first is the first non-blank line, (1, "") when there
+    is none; a comment's first non-blank character is `marker`."""
+    numbered = [(number, raw.strip()) for number, raw in enumerate(text.splitlines(), start=1)
+                if raw.strip()]
+    comments = [(number, line) for number, line in numbered if line.startswith(marker)]
+    body = [(number, line) for number, line in numbered if not line.startswith(marker)]
+    return (numbered[0] if numbered else (1, "")), comments, body

@@ -151,6 +151,12 @@ class TestReconstruct:
         assert main(["reconstruct", str(bad)]) == 2
         assert capsys.readouterr().err.splitlines() == [message]
 
+    def test_duplicate_coordinate_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 2 1\n1 2 1\n")
+        assert main(["reconstruct", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: line 4: duplicate coordinate (1,2)"]
+
     def test_malformed_matrix_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n1 2 3\n")

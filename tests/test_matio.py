@@ -270,9 +270,11 @@ class TestMalformedMatrixMarket:
                 read_file(matio.read_matrix_market, f"{MM_HEADER}\n{body}", path)
             assert (str(excinfo.value), excinfo.value.line_number) == (message, line)
 
-    def test_duplicate_coordinate_message(self):
-        with pytest.raises(ParseError, match=r"duplicate coordinate \(1,2\)"):
-            matio.read_matrix_market(f"{MM_HEADER}\n2 2 2\n1 2 1\n1 2 1\n")
+    def test_duplicate_coordinate_message(self, tmp_path):
+        for path in (None, tmp_path / "m.mtx"):  # the text alone, then the file too
+            with pytest.raises(ParseError) as excinfo:
+                read_file(matio.read_matrix_market, f"{MM_HEADER}\n2 2 2\n1 2 1\n1 2 1\n", path)
+            assert str(excinfo.value) == "line 4: duplicate coordinate (1,2)"
 
     @pytest.mark.parametrize("header", [
         "%%MatrixMarket matrix coordinate integer symmetric",

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 import nmgraph
 from nmgraph import matio, textio
+from nmgraph.errors import ParseError
 from nmgraph.graph import parse_edge_list
 from nmgraph.nm import build_nm
-from helpers import edge_list_texts, example7_graph, matrices, read_file
+from helpers import edge_list_texts, example7_graph, matrices, numbered_lines, read_file
 
 # Line breaks of str.splitlines, whitespace numpy's tokenizer reads as a
 # separator, and non-ASCII text.
@@ -89,6 +91,38 @@ class TestPathReadsAsTheLinePath:
                 == outcome(matio.read_matrix_market, text, None))
 
 
+class TestLineNumbers:
+    """Rows numbers every line as str.splitlines does, read from the text
+    alone or from a file, whichever path reads the body."""
+
+    FORMATS = {"edges": (edge_list_texts(), "#", 0), "mm": (matrix_market_texts(), "%", 1),
+               "dense": (matrices(max_n=6).map(matio.write_dense), "#", 1)}
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), suffix=st.sampled_from([None, ".txt", ".gz"]),
+           block=st.integers(1, 40) | st.just(textio._BLOCK))
+    def test_rows_number_lines_as_splitlines(self, input_dir, fmt, data, suffix, block):
+        texts, marker, head = self.FORMATS[fmt]
+        text = data.draw(perturbed(texts))
+        path = None
+        if suffix is not None:
+            path = input_dir / f"{fmt}{suffix}"
+            path.write_bytes(text.encode("utf-8"))
+            text = path.read_text(encoding="utf-8")  # as the CLI reads it
+        first, comments, body = numbered_lines(text, marker)
+        # a small block makes a lazy split cut most texts into several blocks
+        with mock.patch.object(textio, "_BLOCK", block):
+            rows = textio.Rows(text, marker, head, path and str(path))
+            assert (rows.first, rows.comments, rows.count) == (first, comments, len(body))
+            assert ([(rows.error(k, "").line_number, rows.line(k)) for k in range(rows.count)]
+                    == body)
+
+
+def refuse_walk(rows):
+    raise AssertionError("the text was walked past its header")
+
+
 def plain_inputs():
     m = build_nm(example7_graph())
     return [(parse_edge_list, "# c\n\n1 2\n2 3\n  3 1\n"),
@@ -98,12 +132,30 @@ def plain_inputs():
 @pytest.mark.parametrize("reader, text", plain_inputs(), ids=["edges", "mm"])
 def test_plain_file_builds_no_line_list(reader, text, tmp_path, monkeypatch):
     expected = reader(text)
-
-    def refuse(*args):
-        raise AssertionError("the text was split into lines")
-
-    monkeypatch.setattr(textio, "scan", refuse)
+    monkeypatch.setattr(textio.Rows, "_walked", property(refuse_walk))
     assert read_file(reader, text, tmp_path / "input.txt") == expected
+
+
+@pytest.mark.parametrize("bad, message", [("4 4", "self-loop 4-4 not allowed"),
+                                          ("4 -1", "negative label in '4 -1'")])
+def test_error_after_the_file_read_walks_only_to_its_line(bad, message, tmp_path, monkeypatch):
+    # a small stand-in for a file of millions of lines: naming line 3
+    # walks the text only as far as line 3, and never on the line path
+    text = f"1 2\n2 3\n{bad}\n" + "".join(f"{v} {v + 1}\n" for v in range(5, 1002))
+    split = set()
+    lazy_lines = textio._lazy_lines
+
+    def recorded(text):
+        for line in lazy_lines(text):
+            split.add(line)
+            yield line
+
+    monkeypatch.setattr(textio, "_lazy_lines", recorded)
+    monkeypatch.setattr(textio.Rows, "_walked", property(refuse_walk))
+    with pytest.raises(ParseError) as excinfo:
+        read_file(parse_edge_list, text, tmp_path / "input.txt")
+    assert str(excinfo.value) == f"line 3: {message}"
+    assert split == {"1 2", "2 3", bad}
 
 
 @pytest.mark.parametrize("reader, text", plain_inputs(), ids=["edges", "mm"])
@@ -123,11 +175,14 @@ def test_carriage_return_in_the_text_as_given(tmp_path):
 
 
 def test_only_textio_calls_loadtxt():
-    # every reader goes through the same C path and the same fallback
-    callers = set()
+    # every reader goes through the same C path and the same fallback, and
+    # splits a text into lines only through textio's one walk; cli splits
+    # only its own output
+    callers = {"loadtxt": set(), "splitlines": set()}
     for path in sorted(Path(nmgraph.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute) and node.attr == "loadtxt"
-                    or isinstance(node, ast.alias) and node.name == "loadtxt"):
-                callers.add(path.stem)
-    assert callers == {"textio"}
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in callers:
+                callers[name].add(path.stem)
+    assert callers == {"loadtxt": {"textio"}, "splitlines": {"cli", "textio"}}
