@@ -19,7 +19,7 @@ import nmgraph
 from nmgraph import analytics, matio, oracles, verify
 from nmgraph.errors import InvalidMatrixError, ParseError
 from nmgraph.graph import format_edge_list, parse_edge_list
-from nmgraph.nm import NeighborhoodMatrix, build_nm, reconstruct_adjacency
+from nmgraph.nm import NeighborhoodMatrix, build_nm, reconstruct_adjacency, scan
 from nmgraph.random_graphs import corpus, gnp
 
 EXIT_OK = 0
@@ -146,7 +146,7 @@ def _verify_self_test(seed: int) -> int:
     graph = gnp(8, 0.4, seed=seed)
     entries = oracles.set_based_entries(graph)
     entries[0, 1] += 1
-    corrupted = NeighborhoodMatrix(entries, graph.labels)
+    corrupted = NeighborhoodMatrix.from_nonzeros(*scan(entries), graph.labels)
     try:
         reconstruct_adjacency(corrupted)
     except InvalidMatrixError as exc:

@@ -25,7 +25,9 @@ BFS_ROOT_BLOCK = 256  # roots per whole-array BFS in diameter; temporaries O(blo
 # largest is below this many times the labels read, plus 1024: the table then
 # holds at most about that many entries per label read.
 RELABEL_TABLE_SLACK = 4
-REMAP_BLOCK = 1 << 16  # labels remapped per step, which bounds the remap's scratch memory
+# Labels remapped, or arc keys compacted, per step: bounds the scratch memory
+# of both in-place passes.
+INPLACE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +119,8 @@ def _from_pairs(n: int, pairs: np.ndarray, labels: tuple[int, ...]) -> Graph:
     both orientations, with repeated keys dropped: vertex u's run starts
     where the sorted keys reach u * n, and each key's head is the key mod
     n.  The keys are built in pairs' own memory, and sorted as int32 when
-    n * n fits, which is faster.
+    n * n fits, which is faster.  Repeats are dropped in place, one block
+    of INPLACE_BLOCK keys at a time, so that no copy of all the keys is made.
     """
     u, v = pairs.T
     forward = u * n
@@ -131,8 +134,13 @@ def _from_pairs(n: int, pairs: np.ndarray, labels: tuple[int, ...]) -> Graph:
         keys = keys.astype(np.int32)
     keys.sort()
     starts = _run_starts(keys)
-    if not starts.all():  # some edge repeats
-        keys = keys[starts]
+    if not starts.all():  # some edge repeats: keep each key's first copy, in place
+        kept = 0
+        for start in range(0, len(keys), INPLACE_BLOCK):
+            block = keys[start:start + INPLACE_BLOCK][starts[start:start + INPLACE_BLOCK]]
+            keys[kept:kept + len(block)] = block  # never past this block's end
+            kept += len(block)
+        keys = keys[:kept]
     del starts
     indptr = keys.searchsorted(np.arange(n + 1, dtype=keys.dtype) * n)
     keys %= n
@@ -214,8 +222,8 @@ def parse_edge_list(text: str, path: str | None = None) -> Graph:
     labels = tuple((order if distinct is None else distinct[order]).tolist())
     table[order] = np.arange(len(order))
     del distinct, seen
-    for start in range(0, k, REMAP_BLOCK):  # in place, block by block
-        ids[start:start + REMAP_BLOCK] = table[ids[start:start + REMAP_BLOCK]]
+    for start in range(0, k, INPLACE_BLOCK):  # in place, block by block
+        ids[start:start + INPLACE_BLOCK] = table[ids[start:start + INPLACE_BLOCK]]
     return _from_pairs(len(order), ids.reshape(-1, 2), labels)
 
 

@@ -23,8 +23,13 @@ like a compressed one (`.gz`, ...) is read as plain text either way.
 The dense reader, whose n lines are few and long, takes the line path.
 Every error names its file line as `textio.Rows` numbers it: the banner
 and each comment carry their numbers, and a bad entry's line is found by
-walking the text again only as far as that entry.  Writing is one
-whole-array formatter, so no Python code runs per entry.
+walking the text again only as far as that entry.
+
+Both writers read M's nonzero entries alone, in row-major order, and
+take their digits from `textio`'s one kernel, so no Python code runs
+per entry.  The Matrix Market writer formats one line per entry; the
+dense writer lays the entries over a template of zeros, so it never
+builds the n x n array.
 """
 
 from __future__ import annotations
@@ -34,13 +39,43 @@ import numpy as np
 from nmgraph import textio
 from nmgraph.errors import ParseError
 from nmgraph.graph import check_labels
-from nmgraph.nm import NeighborhoodMatrix
+from nmgraph.nm import NeighborhoodMatrix, scan
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 
 
 def write_dense(m: NeighborhoodMatrix) -> str:
-    return f"# labels: {' '.join(map(str, m.labels))}\n{m.n}\n" + textio.int_lines(m.entries)
+    """The dense text, written from M's nonzero entries alone into one
+    uint8 buffer.
+
+    With no nonzero entry the body would be n^2 tokens "0 ".  Each
+    nonzero entry of w characters moves every later byte by w - 1, so a
+    zero between two nonzero entries sits on that pattern where the
+    shift so far is even, and one byte off it where the shift is odd.
+    The buffer is therefore the shift's parity, repeated over each
+    stretch between nonzero entries as '0' ^ ' ' or 0, XORed with the
+    pattern.  The header, the row ends and each nonzero entry's sign
+    and digits are then written over it.
+    """
+    n = m.n
+    flat, vals = _row_major(m)
+    head = f"# labels: {' '.join(map(str, m.labels))}\n{n}\n".encode("ascii")
+    width = textio.widths(vals)
+    shift = np.zeros(len(vals) + 1, dtype=np.int64)  # before each nonzero entry, then in all
+    np.cumsum(width - 1, out=shift[1:])
+    size = len(head) + 2 * n * n + int(shift[-1])
+    row_ends = n * np.arange(1, n + 1)
+    newlines = len(head) - 1 + 2 * row_ends + shift[flat.searchsorted(row_ends)]
+    starts = len(head) + 2 * flat + shift[:-1]
+    flip = (shift & 1).astype(np.uint8) << 4  # '0' ^ ' ' == 0x10 where the shift is odd
+    # of even length, so that the pattern is XORed in two bytes at a time
+    out = np.repeat(flip, np.diff(starts, prepend=0, append=size + size % 2))
+    out.view(np.uint16)[:] ^= np.frombuffer(b"0 " if len(head) % 2 == 0 else b" 0", np.uint16)
+    out = out[:size]
+    out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    out[newlines] = ord("\n")
+    textio.put_ints(out, starts, width, vals)
+    return str(out, "ascii")
 
 
 def read_dense(text: str) -> NeighborhoodMatrix:
@@ -56,19 +91,27 @@ def read_dense(text: str) -> NeighborhoodMatrix:
     if rows.count - 1 != n:
         raise ParseError(f"expected {n} matrix rows, found {rows.count - 1}")
     labels = _labels(rows, n)
-    return NeighborhoodMatrix(rows.table(n), labels)
+    return NeighborhoodMatrix.from_nonzeros(*scan(rows.table(n)), labels)  # labels checked
 
 
 def write_matrix_market(m: NeighborhoodMatrix) -> str:
-    """Every nonzero entry in row-major order: the view's off-diagonal
-    entries with the nonzero diagonal ones merged in."""
+    n = m.n
+    flat, vals = _row_major(m)
+    rows = flat // n
+    header = f"{_MM_HEADER}\n% labels: {' '.join(map(str, m.labels))}\n{n} {n} {len(vals)}\n"
+    return header + textio.int_lines(np.column_stack((rows + 1, flat - rows * n + 1, vals)))
+
+
+def _row_major(m: NeighborhoodMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, vals): every nonzero entry m[i, j] as its flat index i n + j
+    and its value, in row-major order; the view's off-diagonal entries
+    with the nonzero diagonal ones merged in."""
     n = m.n
     diagonal, rows, cols, vals = m.nonzeros()
     d = np.flatnonzero(diagonal)
-    at = (rows * n + cols).searchsorted(d * (n + 1))
-    r, c, v = (np.insert(a, at, b) for a, b in ((rows, d), (cols, d), (vals, diagonal[d])))
-    header = f"{_MM_HEADER}\n% labels: {' '.join(map(str, m.labels))}\n{n} {n} {len(r)}\n"
-    return header + textio.int_lines(np.column_stack((r + 1, c + 1, v)))
+    flat = rows * n + cols
+    at = flat.searchsorted(d * (n + 1))
+    return np.insert(flat, at, d * (n + 1)), np.insert(vals, at, diagonal[d])
 
 
 def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix:

@@ -51,7 +51,7 @@ class NeighborhoodMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         check_labels(labels, arr.shape[0])
-        self._hold(_scan(arr), labels)
+        self._hold(scan(arr), labels)
 
     def _hold(self, view: tuple[np.ndarray, ...], labels: tuple[int, ...]) -> None:
         for a in view:
@@ -92,8 +92,7 @@ class NeighborhoodMatrix:
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense n x n int64 M, read-only, filled from the view on first
-        use: n^2 memory, which only the dense writer, the determinant and
-        the tests ask for."""
+        use: n^2 memory, which only the determinant and the tests ask for."""
         diagonal, rows, cols, vals = self._view
         entries = np.zeros((self.n, self.n), dtype=_ENTRY_DTYPE)
         entries[rows, cols] = vals
@@ -114,8 +113,9 @@ class NeighborhoodMatrix:
         return self._view
 
 
-def _scan(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero view of a square int64 array, sharing no memory with it."""
+def scan(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero view of a square int64 array, sharing no memory with it:
+    what `NeighborhoodMatrix.from_nonzeros` takes."""
     n = len(entries)
     mask = entries != 0
     np.fill_diagonal(mask, False)
@@ -232,7 +232,7 @@ def _nonzeros_by_blas(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     np.negative(a @ a, out=entries, casting="unsafe")
     del a  # freed before the scan, which sets the kernel's peak
     entries[g.tails, g.indices] += g.degrees[g.indices]
-    return _scan(entries)
+    return scan(entries)
 
 
 def build_nm_product(g: Graph) -> NeighborhoodMatrix:
@@ -240,7 +240,7 @@ def build_nm_product(g: Graph) -> NeighborhoodMatrix:
     that is exact (see `oracles.blas_adjacency`)."""
     a = blas_adjacency(g)
     d = np.diag(a.sum(axis=1))
-    return NeighborhoodMatrix.from_nonzeros(*_scan((a @ (d - a)).astype(_ENTRY_DTYPE)),
+    return NeighborhoodMatrix.from_nonzeros(*scan((a @ (d - a)).astype(_ENTRY_DTYPE)),
                                             labels=g.labels)
 
 
@@ -251,7 +251,7 @@ def build_mn(g: Graph) -> NeighborhoodMatrix:
     """
     a = blas_adjacency(g)
     d = np.diag(a.sum(axis=1))
-    return NeighborhoodMatrix.from_nonzeros(*_scan(((d - a) @ a).astype(_ENTRY_DTYPE)),
+    return NeighborhoodMatrix.from_nonzeros(*scan(((d - a) @ a).astype(_ENTRY_DTYPE)),
                                             labels=g.labels)
 
 

@@ -1,5 +1,5 @@
-"""Integer text: one reader and one whole-array formatter, shared by the
-edge-list format and both matrix formats.
+"""Integer text: one reader and one whole-array digit kernel, shared by
+the edge-list format and both matrix formats.
 
 Every integer read from text follows one grammar: a plain ASCII decimal
 with an optional sign that fits in int64.  `1_0`, non-ASCII digits such
@@ -15,8 +15,14 @@ the line grammar only on plain text, so the line path decides every
 other file: the walk goes on to the end, and the body is parsed as one
 list of lines.  The line path also decides every file numpy rejects, so
 that it alone names a bad line.  An error names its line by walking
-again, only as far as that line.  Formatting is one uint8 buffer per
-row block, so no Python code runs per entry either way.
+again, only as far as that line.
+
+Formatting writes into uint8 buffers.  One digit kernel, `widths` and
+`put_ints`, sizes and writes every integer of every format; its passes
+run in the narrowest unsigned dtype that holds the largest magnitude.
+`int_lines` lays out a table one row block at a time, and the dense
+matrix writer lays out its own buffer, so no Python code runs per entry
+either way.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from nmgraph.errors import ParseError
 # Entries formatted, or characters split into lines, per pass: bounds the
 # temporaries of the formatter and of a walk that stops early.
 _BLOCK = 1 << 16
-_TENS = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
+_TENS = [10 ** k for k in range(1, 20)]  # Python ints: compared in any unsigned dtype
 # The ASCII whitespace besides newline, space and tab, left to the line
 # path.  str.splitlines breaks lines at all of it but \x1f, where numpy's
 # tokenizer reads a separator inside a line, or, for \r, where its file
@@ -160,7 +166,10 @@ class Rows:
         if not rows:
             return np.zeros((0, ncols), dtype=np.int64)
         try:
-            table = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+            # Each line is one row, so numpy allocates the table once, without
+            # growing it row block by row block
+            table = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2,
+                               max_rows=len(rows))
         except ValueError:
             table = None
         if table is not None and table.shape[1] == ncols:
@@ -212,23 +221,48 @@ def int_lines(table: np.ndarray) -> str:
 def _format_block(block: np.ndarray) -> str:
     cols = block.shape[1]
     values = block.ravel()
-    negative = values < 0
-    # Read as uint64, abs() is |v| even for the int64 minimum, where it wraps.
-    magnitude = np.abs(values).view(np.uint64)
-    digits = np.ones(len(values), dtype=np.intp)
-    for ten in _TENS[_TENS <= magnitude.max()]:
-        digits += magnitude >= ten
-    width = digits + negative + 1  # sign, digits, separator
+    width = widths(values) + 1  # sign, digits, separator
     ends = np.cumsum(width)
     out = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
     out[ends[cols - 1::cols] - 1] = ord("\n")
-    out[(ends - width)[negative]] = ord("-")
-    # One place value per pass, least significant first, over the fields
-    # that still have digits left.
-    pos = ends - 2
+    put_ints(out, ends - width, width - 1, values)
+    return str(out, "ascii")
+
+
+def widths(values: np.ndarray) -> np.ndarray:
+    """The characters of each int64 value's decimal: its digits, plus
+    one for the sign of a negative value."""
+    magnitude = _magnitudes(values)
+    digits = np.ones(len(values), dtype=np.intp)
+    digits += values < 0
+    for ten in _TENS[:len(str(magnitude.max(initial=0))) - 1]:  # the tens up to the largest
+        digits += magnitude >= ten
+    return digits
+
+
+def put_ints(out: np.ndarray, starts: np.ndarray, width: np.ndarray, values: np.ndarray) -> None:
+    """Write each int64 value's decimal into the uint8 buffer out, from
+    starts onwards, width characters long as `widths` gives them.
+
+    One place value per pass, least significant first, over the values
+    that still have digits left, so no Python code runs per value.
+    """
+    out[starts[values < 0]] = ord("-")
+    magnitude = _magnitudes(values)
+    pos = starts + width - 1
     while pos.size:
         magnitude, digit = np.divmod(magnitude, 10)
         out[pos] = digit + ord("0")
         more = magnitude > 0
-        pos, magnitude = pos[more] - 1, magnitude[more]
-    return out.tobytes().decode("ascii")
+        if not more.all():
+            pos, magnitude = pos[more], magnitude[more]
+        pos -= 1
+
+
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    """|v| of each int64 value, in the narrowest unsigned dtype that holds
+    the largest, so that the digit passes work on as few bytes as they
+    can.  Read as uint64, abs() is |v| even for the int64 minimum, where
+    it wraps."""
+    magnitude = np.abs(values).view(np.uint64)
+    return magnitude.astype(np.min_scalar_type(magnitude.max(initial=0)), copy=False)

@@ -73,7 +73,7 @@ def _check_dual_path(ctx: GraphContext) -> str | None:
     if ctx.m != build_nm_product(ctx.g):
         return "row-sum and product constructions disagree"
     # The set-based array must match M's diagonal and stored entries and be
-    # zero elsewhere.  It is not scanned into a view: `_scan` is part of the
+    # zero elsewhere.  It is not scanned into a view: `nm.scan` is part of the
     # BLAS kernel, and this oracle shares no code with it.
     dense = oracles.set_based_entries(ctx.g)
     diagonal, rows, cols, vals = ctx.m.nonzeros()

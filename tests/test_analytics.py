@@ -253,9 +253,8 @@ class TestReport:
 
 
 # The functions allowed to read the dense M: the property that derives it,
-# and the two readers that need every entry, zeros included.
-DENSE_READERS = {"nm": {"NeighborhoodMatrix.entries", "determinant_exact"},
-                 "matio": {"write_dense"}}
+# and the determinant, which needs every entry, zeros included.
+DENSE_READERS = {"nm": {"NeighborhoodMatrix.entries", "determinant_exact"}}
 
 
 def _entries_readers(tree: ast.AST, scope: str = "<module>") -> set[str]:

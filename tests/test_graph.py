@@ -149,7 +149,7 @@ class TestWholeArrayEdgeList:
 
     def test_remap_spans_blocks(self):
         rng = np.random.default_rng(4)
-        lines = graph.REMAP_BLOCK + 7  # 2 * REMAP_BLOCK + 14 labels: three blocks
+        lines = graph.INPLACE_BLOCK + 7  # 2 * INPLACE_BLOCK + 14 labels: three blocks
         tails = rng.integers(0, 5000, lines)
         heads = (tails + rng.integers(1, 5000, lines)) % 5000  # no self-loop
         text = "".join(f"{a} {b}\n" for a, b in zip(tails.tolist(), heads.tolist()))
@@ -252,6 +252,22 @@ class TestFromEdges:
         g = from_edges(3, [(0, 1), (1, 0), (0, 1), (2, 1), (1, 2)])
         assert g.adj == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
         assert g.edge_count == 2
+
+    @pytest.mark.parametrize("n", [6, 46_341], ids=["int32-keys", "int64-keys"])
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 64])
+    def test_repeats_compact_across_blocks(self, monkeypatch, n, block):
+        # the sorted arc keys hold runs of one key on both sides of a block
+        # boundary, blocks that are all repeats and blocks with none
+        monkeypatch.setattr(graph, "INPLACE_BLOCK", block)
+        pairs = [(0, 1)] * 5 + [(2, 1), (1, 2)] * 3 + [(0, 5), (3, 4), (5, 0), (4, 3), (1, 5)]
+        g = from_edges(n, pairs)
+        adj = [set() for _ in range(n)]
+        for u, v in pairs:
+            adj[u].add(v)
+            adj[v].add(u)
+        assert g.adj == tuple(map(frozenset, adj))
+        assert g.indices.tolist() == [1, 5, 0, 2, 5, 1, 4, 3, 0, 1]
+        assert g.indptr[:7].tolist() == [0, 2, 5, 6, 7, 8, 10]
 
     @pytest.mark.parametrize("edges", [[], np.empty((0, 2), dtype=np.int64)], ids=["list", "array"])
     def test_no_edges(self, edges):

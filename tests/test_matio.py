@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nmgraph import matio, textio
 from nmgraph.errors import ParseError
+from nmgraph.graph import check_labels
 from nmgraph.nm import NeighborhoodMatrix, build_nm
 from helpers import edgeless, example7_graph, matrices, random_corpus, read_file
 
@@ -174,6 +175,87 @@ class TestWholeArrayFormat:
         # nnz is 0, so only the labels comment makes the file longer than n
         m = build_nm(edgeless(40))
         assert matio.read_matrix_market(matio.write_matrix_market(m)) == m
+
+
+@st.composite
+def zero_heavy_matrices(draw, max_n: int = 80) -> NeighborhoodMatrix:
+    """A square int64 matrix that is mostly zeros: up to 3n nonzero entries,
+    the diagonal among them, small values mixed with the int64 extremes."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    entries = np.zeros((n, n), dtype=np.int64)
+    if n:
+        values = st.one_of(st.integers(-300, 300), st.sampled_from([-2**63, 2**63 - 1]),
+                           st.integers(-2**63, 2**63 - 1))
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), values)
+        for i, j, v in draw(st.lists(cells, max_size=3 * n)):
+            entries[i, j] = v
+    labels = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    return NeighborhoodMatrix(entries=entries, labels=tuple(labels))
+
+
+def _dense(rows, labels=None) -> NeighborhoodMatrix:
+    entries = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
+    return NeighborhoodMatrix(entries=entries, labels=labels or tuple(range(len(rows))))
+
+
+class TestDenseFromNonzeros:
+    """The dense writer formats only the nonzero entries over a template of
+    zeros; each case against the entry-by-entry reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(zero_heavy_matrices())
+    def test_writes_the_reference_and_reads_back(self, m):
+        dense = matio.write_dense(m)
+        assert dense == reference_dense(m)
+        assert matio.read_dense(dense) == m
+
+    @pytest.mark.parametrize("m", [
+        _dense([[0, 0, 5], [0, 0, 0], [0, 0, 0]]),            # a row ending in a nonzero
+        _dense([[0, 12, 0], [0, 0, 0], [0, 0, -1]]),          # one ending in a zero
+        _dense([[-3, 0], [0, 0]]),                           # a negative first token
+        _dense([[-3, 0], [0, 0]], labels=(10, 1)),           # behind an odd-length header
+        _dense([[0, 0, 0], [0, 0, 0], [4, -55, 0]]),          # all-zero rows first
+        _dense([[0, 1, 2], [3, 0, -4], [5, 6, 0]]),           # zero diagonal, nonzero elsewhere
+        _dense([[0, 2**63 - 1, 0], [0, -2**63, 0], [-(2**63 - 1), 0, 0]]),
+        _dense([[0, 0, 0, 0], [0, -2**63, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2**63 - 1]]),
+        _dense([[7, -10], [100, -1000]]),                     # no zeros at all
+        _dense([]),
+        _dense([[0]]),
+        _dense([[-1]]),
+        _dense([[0]], labels=(1000,)),
+    ], ids=["last-nonzero", "last-zero", "negative-first", "odd-header", "zero-rows",
+            "zero-diagonal", "int64-extremes", "int64-extremes-apart", "no-zeros", "n0",
+            "n1-zero", "n1-nonzero", "n1-odd-header"])
+    def test_pinned(self, m):
+        dense = matio.write_dense(m)
+        assert dense == reference_dense(m)
+        assert matio.read_dense(dense) == m
+
+    @pytest.mark.parametrize("values, narrowest", [
+        ([0, 7, -9, 10, -99, 100, 255, -255], np.uint8),     # every magnitude below 256
+        ([255, 256, -65535], np.uint16),
+        ([65536, -(2**32 - 1)], np.uint32),
+        ([2**32, -5, 0], np.uint64),                          # one magnitude above 2^32
+        ([-2**63, 2**63 - 1, 0], np.uint64),
+    ])
+    def test_digit_kernel_takes_the_narrowest_dtype(self, values, narrowest):
+        v = np.array(values, dtype=np.int64)
+        assert textio._magnitudes(v).dtype == narrowest
+        assert textio.int_lines(v.reshape(1, -1)) == " ".join(map(str, values)) + "\n"
+        m = _dense(np.diag(v))
+        assert matio.write_dense(m) == reference_dense(m)
+
+    def test_labels_checked_once(self):
+        calls = []
+
+        def counted(labels, n):
+            calls.append(labels)
+            check_labels(labels, n)
+
+        with mock.patch.object(matio, "check_labels", counted), \
+                mock.patch("nmgraph.nm.check_labels", counted):
+            m = matio.read_dense("# labels: 4 9\n2\n0 1\n-1 0\n")
+        assert (m.labels, calls) == ((4, 9), [(4, 9)])
 
 
 class TestMalformedDense:
