@@ -134,7 +134,8 @@ def _from_pairs(n: int, pairs: np.ndarray, labels: tuple[int, ...]) -> Graph:
         keys = keys.astype(np.int32)
     keys.sort()
     starts = _run_starts(keys)
-    if not starts.all():  # some edge repeats: keep each key's first copy, in place
+    repeats = not starts.all()
+    if repeats:  # keep each key's first copy, in place
         kept = 0
         for start in range(0, len(keys), INPLACE_BLOCK):
             block = keys[start:start + INPLACE_BLOCK][starts[start:start + INPLACE_BLOCK]]
@@ -144,7 +145,9 @@ def _from_pairs(n: int, pairs: np.ndarray, labels: tuple[int, ...]) -> Graph:
     del starts
     indptr = keys.searchsorted(np.arange(n + 1, dtype=keys.dtype) * n)
     keys %= n
-    indices = keys.astype(np.intp, copy=False)
+    # int32 keys are copied anyway; int64 ones are copied once repeats were
+    # dropped, so that the buffer's dropped tail is freed with it
+    indices = keys.astype(np.intp, copy=repeats)
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return Graph(labels=labels, indptr=indptr, indices=indices)

@@ -20,7 +20,10 @@ reader walks only the banner, the labels comment and the size line in
 Python.  numpy's C reader reads the entries straight from the file when
 the text is plain, and the line path reads them otherwise.  A file named
 like a compressed one (`.gz`, ...) is read as plain text either way.
-The dense reader, whose n lines are few and long, takes the line path.
+The dense reader reads a text exactly as `write_dense` writes it from
+its bytes, walking only its two header lines in Python, and keeps what
+it read only if writing that back gives the same text; every other
+dense text takes the line path, which alone raises a dense error.
 Every error names its file line as `textio.Rows` numbers it: the banner
 and each comment carry their numbers, and a bad entry's line is found by
 walking the text again only as far as that entry.
@@ -42,11 +45,23 @@ from nmgraph.graph import check_labels
 from nmgraph.nm import NeighborhoodMatrix, scan
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
+_LABELS = "# labels: "
+_WORD = np.dtype("<u8")
+# The two 8-byte words a dense body of zero tokens alone is made of
+_ZERO_WORDS = np.frombuffer(b"0 0 0 0  0 0 0 0", dtype=_WORD)
+# Words of a dense body classified per pass, 1 MiB of text: bounds the masks.
+_WORDS_PER_BLOCK = 1 << 17
 
 
 def write_dense(m: NeighborhoodMatrix) -> str:
     """The dense text, written from M's nonzero entries alone into one
-    uint8 buffer.
+    uint8 buffer (see `_dense_bytes`)."""
+    return str(_dense_bytes(m.labels, *_row_major(m)), "ascii")
+
+
+def _dense_bytes(labels: tuple[int, ...], flat: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The dense text of the M with these labels whose nonzero entries
+    are (flat, vals) in row-major order, as `_row_major` gives them.
 
     With no nonzero entry the body would be n^2 tokens "0 ".  Each
     nonzero entry of w characters moves every later byte by w - 1, so a
@@ -57,9 +72,8 @@ def write_dense(m: NeighborhoodMatrix) -> str:
     pattern.  The header, the row ends and each nonzero entry's sign
     and digits are then written over it.
     """
-    n = m.n
-    flat, vals = _row_major(m)
-    head = f"# labels: {' '.join(map(str, m.labels))}\n{n}\n".encode("ascii")
+    n = len(labels)
+    head = f"{_LABELS}{' '.join(map(str, labels))}\n{n}\n".encode("ascii")
     width = textio.widths(vals)
     shift = np.zeros(len(vals) + 1, dtype=np.int64)  # before each nonzero entry, then in all
     np.cumsum(width - 1, out=shift[1:])
@@ -75,13 +89,97 @@ def write_dense(m: NeighborhoodMatrix) -> str:
     out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
     out[newlines] = ord("\n")
     textio.put_ints(out, starts, width, vals)
-    return str(out, "ascii")
+    return out
 
 
 def read_dense(text: str) -> NeighborhoodMatrix:
-    # The line path alone: n lines of n entries cost little to split, and
-    # numpy's C reader on the file, no faster on a 1024 x 1024 file, left
-    # the process up to 11 MiB larger over a compute/reconstruct loop.
+    """M from a dense text: by `_read_written` when the text is exactly
+    what `write_dense` writes, else line by line, where every bad line is
+    named."""
+    m = _read_written(text)
+    return m if m is not None else _read_lines(text)
+
+
+def _read_written(text: str) -> NeighborhoodMatrix | None:
+    """M from text when writing it back gives text byte for byte, else
+    None; so it returns nothing that the line path would not.
+
+    Python walks the two header lines alone.  The body is read as bytes:
+    in what `write_dense` writes, each nonzero entry is a token other
+    than '0' after a separator, which `_nonzero_tokens` finds, and each
+    token of w characters moves every later one by w - 1 from where the
+    zero tokens "0 " alone would put it.  So a token's flat index i n + j
+    is half its offset in the body less that shift so far, and the
+    digits come from `textio.get_ints`.
+    """
+    first = text.find("\n")
+    second = text.find("\n", first + 1)
+    # The final newline also keeps every token `get_ints` reads inside the buffer.
+    if not (text.startswith(_LABELS) and text.endswith("\n") and text.isascii()) or second < 0:
+        return None
+    try:
+        labels = tuple(map(int, text[len(_LABELS):first].split()))
+        n = int(text[first + 1:second])
+    except ValueError:
+        return None
+    body = second + 1
+    if n != len(labels) or 2 * n * n > len(text) - body:  # n is bounded before any allocation
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    starts = _nonzero_tokens(buf, body)
+    vals, width = textio.get_ints(buf, starts)
+    shift = np.cumsum(width - 1)
+    twice = starts - body
+    twice[1:] -= shift[:-1]
+    flat = twice >> 1
+    if len(flat) and ((twice & 1).any() or flat[0] < 0 or flat[-1] >= n * n
+                      or not (flat[1:] > flat[:-1]).all() or not vals.all()):
+        return None
+    written = _dense_bytes(labels, flat, vals)
+    if len(written) != len(buf) or np.bitwise_xor(written, buf, out=written).any():
+        return None  # compared in place: no text-sized mask
+    try:
+        check_labels(labels, n)
+    except ValueError:
+        return None  # the line path names the labels comment
+    rows = flat // n  # empty when n is 0
+    cols = flat - rows * n
+    on = rows == cols
+    diagonal = np.zeros(n, dtype=np.int64)
+    diagonal[rows[on]] = vals[on]
+    off = ~on
+    return NeighborhoodMatrix.from_nonzeros(diagonal, rows[off], cols[off], vals[off], labels)
+
+
+def _nonzero_tokens(buf: np.ndarray, body: int) -> np.ndarray:
+    """The positions, from body on, of the bytes of buf other than '0'
+    that follow a byte no greater than ' ': in a body that `write_dense`
+    wrote, the first byte of each nonzero entry.
+
+    buf is read as 8-byte words, _WORDS_PER_BLOCK at a time, which bounds
+    the masks.  A word of zero tokens alone, "0 0 0 0 " or " 0 0 0 0",
+    holds no such byte; only the other words are read byte by byte, each
+    beside itself shifted by one byte, with the byte before it shifted in.
+    """
+    end = len(buf) // 8 * 8
+    words = buf[:end].view(_WORD)
+    found = []
+    for lo in range(body // 8, len(words), _WORDS_PER_BLOCK):
+        block = words[lo:lo + _WORDS_PER_BLOCK]
+        at = lo + np.flatnonzero((block != _ZERO_WORDS[0]) & (block != _ZERO_WORDS[1]))
+        held = words[at]
+        before = (held << np.uint64(8) | buf[8 * at - 1]).astype(_WORD, copy=False)
+        lead = before.view(np.uint8) <= ord(" ")
+        lead &= held.view(np.uint8) != ord("0")
+        k = np.flatnonzero(lead)
+        found.append(8 * at[k >> 3] + (k & 7))
+    tail = np.arange(max(end, body), len(buf))  # past the last whole word
+    found.append(tail[(buf[tail - 1] <= ord(" ")) & (buf[tail] != ord("0"))])
+    starts = np.concatenate(found)
+    return starts[starts.searchsorted(body):]  # the first word may start in the header
+
+
+def _read_lines(text: str) -> NeighborhoodMatrix:
     rows = textio.Rows(text, "#", 1)
     if not rows.count:
         raise ParseError("empty dense matrix file")

@@ -22,7 +22,8 @@ Formatting writes into uint8 buffers.  One digit kernel, `widths` and
 run in the narrowest unsigned dtype that holds the largest magnitude.
 `int_lines` lays out a table one row block at a time, and the dense
 matrix writer lays out its own buffer, so no Python code runs per entry
-either way.
+either way.  `get_ints`, the kernel's inverse, reads the decimals at
+given offsets of a uint8 buffer, for the dense reader's byte path.
 """
 
 from __future__ import annotations
@@ -245,18 +246,49 @@ def put_ints(out: np.ndarray, starts: np.ndarray, width: np.ndarray, values: np.
     starts onwards, width characters long as `widths` gives them.
 
     One place value per pass, least significant first, over the values
-    that still have digits left, so no Python code runs per value.
+    that still have digits left, so no Python code runs per value.  Every
+    start gets a '-' first: a value >= 0 writes its first digit over it.
     """
-    out[starts[values < 0]] = ord("-")
+    out[starts] = ord("-")
     magnitude = _magnitudes(values)
     pos = starts + width - 1
     while pos.size:
         magnitude, digit = np.divmod(magnitude, 10)
         out[pos] = digit + ord("0")
-        more = magnitude > 0
-        if not more.all():
+        more = np.flatnonzero(magnitude)
+        if len(more) < len(pos):
             pos, magnitude = pos[more], magnitude[more]
         pos -= 1
+
+
+def get_ints(buf: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, widths): the decimal at each start of the uint8 buffer
+    buf, an optional '-' and then the ASCII digits up to the first other
+    byte, at most 19 of them; the inverse of `put_ints`.  buf must end in
+    a byte that is neither a digit nor '-', so that no read runs past it.
+
+    One place value per pass, most significant first, over the tokens
+    that still have digits left.  Magnitudes are read as uint64, where 19
+    digits cannot overflow, and a magnitude past the int64 range wraps in
+    values: only a caller that writes the values back and compares the
+    text may skip the range check.
+    """
+    negative = buf[starts] == ord("-")
+    ends = starts + negative  # one past the characters read so far
+    digit = buf[ends] - np.uint8(ord("0"))
+    first = digit < 10
+    magnitude = np.where(first, digit, 0).astype(np.uint64)
+    ends += first
+    at = np.flatnonzero(first)  # the tokens whose digits may go on
+    for _ in range(18):
+        digit = buf[ends[at]] - np.uint8(ord("0"))
+        more = np.flatnonzero(digit < 10)
+        if not more.size:
+            break
+        at = at[more]
+        magnitude[at] = magnitude[at] * np.uint64(10) + digit[more]
+        ends[at] += 1
+    return np.where(negative, -magnitude, magnitude).view(np.int64), ends - starts
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:

@@ -32,12 +32,12 @@ from nmgraph.graph import (
     girth,
 )
 from nmgraph.nm import (
+    NeighborhoodMatrix,
     build_mn,
     build_nm,
     build_nm_product,
     column_sums,
     determinant_exact,
-    is_symmetric,
     reconstruct_adjacency,
     row_sums,
     transpose,
@@ -48,13 +48,22 @@ DETERMINANT_LIMIT = 12
 
 class GraphContext:
     """One graph of the corpus with the artefacts its checks share: the
-    matrix, built once, and the structural report and brute-force census,
-    each built on first use.  As properties, a report or census that
-    raises does so inside the check that asked for it."""
+    matrix, built once, and its transpose, the structural report and the
+    brute-force census, each built on first use.  As properties, a report
+    or census that raises does so inside the check that asked for it."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.m = build_nm(g)
+        self._transposed = (None, None)  # (the m it was built from, its transpose)
+
+    @property
+    def transpose(self) -> NeighborhoodMatrix:
+        """M's transpose, shared by the transpose and symmetry checks:
+        built once, and again only when `m` is replaced."""
+        if self._transposed[0] is not self.m:
+            self._transposed = (self.m, transpose(self.m))
+        return self._transposed[1]
 
     @cached_property
     def report(self) -> analytics.StructuralReport:
@@ -86,7 +95,7 @@ def _check_dual_path(ctx: GraphContext) -> str | None:
 
 
 def _check_transpose(ctx: GraphContext) -> str | None:
-    if build_mn(ctx.g) != transpose(ctx.m):
+    if build_mn(ctx.g) != ctx.transpose:
         return "mirrored product is not the transpose"
     return None
 
@@ -127,7 +136,7 @@ def _check_symmetry_iff_regular(ctx: GraphContext) -> str | None:
     # Every component is regular iff every edge joins two equal degrees.
     g = ctx.g
     regular = (g.degrees[g.tails] == g.degrees[g.indices]).all()
-    if is_symmetric(ctx.m) != regular:
+    if (ctx.transpose == ctx.m) != regular:
         return f"symmetry={not regular} but regular-components={regular}"
     return None
 

@@ -470,6 +470,43 @@ def matrices(draw, max_n: int = 12) -> NeighborhoodMatrix:
                               labels=tuple(labels))
 
 
+def reference_read_dense(text: str) -> tuple[tuple[int, ...], list[list[int]]] | None:
+    """Reference for `matio.read_dense`, built from str.split and int alone:
+    (labels, rows of M), or None where the reader must reject the text.
+
+    Lines are split by str.splitlines and stripped, blank ones dropped,
+    '#' ones are comments; the first other line holds n, and n rows of n
+    tokens follow.  A token is an optional sign and ASCII digits that fit
+    int64.  Every `labels:` comment must name distinct non-negative
+    integers, and the last names the n labels, else they are 0..n-1."""
+    def ints(line: str) -> list[int] | None:
+        values = []
+        for token in line.split():
+            digits = token[1:] if token[0] in "+-" else token
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            values.append(int(token))
+        return values if all(-2**63 <= v < 2**63 for v in values) else None
+
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    rows = [ints(line) for line in lines if not line.startswith("#")]
+    if not rows or rows[0] is None or len(rows[0]) != 1:
+        return None
+    n = rows[0][0]
+    if n < 0 or len(rows) != n + 1 or any(row is None or len(row) != n for row in rows[1:]):
+        return None
+    labels = list(range(n))
+    for line in lines:
+        comment = line.lstrip("#").strip()
+        if line.startswith("#") and comment.startswith("labels:"):
+            labels = ints(comment[len("labels:"):])
+            if labels is None or len(set(labels)) != len(labels) or min(labels, default=0) < 0:
+                return None
+    if len(labels) != n:
+        return None
+    return tuple(labels), rows[1:]
+
+
 def read_file(reader, text: str, path: Path | None):
     """reader(text) on the line path alone; or, given a path, the text
     written there byte for byte and read back as the CLI reads it, passed

@@ -269,6 +269,16 @@ class TestFromEdges:
         assert g.indices.tolist() == [1, 5, 0, 2, 5, 1, 4, 3, 0, 1]
         assert g.indptr[:7].tolist() == [0, 2, 5, 6, 7, 8, 10]
 
+    @pytest.mark.parametrize("pairs", [[(0, 1), (1, 0), (2, 3)], [(0, 1), (2, 3)]],
+                             ids=["repeats", "none"])
+    def test_int64_indices_hold_no_longer_buffer(self, pairs):
+        # n^2 >= 2^31, so the arc keys are int64 and compacted in place
+        g = from_edges(46_341, pairs)
+        base = g.indices
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        assert base.nbytes == g.indices.nbytes == 4 * g.indices.itemsize
+
     @pytest.mark.parametrize("edges", [[], np.empty((0, 2), dtype=np.int64)], ids=["list", "array"])
     def test_no_edges(self, edges):
         g = from_edges(3, edges)

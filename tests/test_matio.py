@@ -10,10 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmgraph import matio, textio
+from nmgraph.cli import main
 from nmgraph.errors import ParseError
 from nmgraph.graph import check_labels
 from nmgraph.nm import NeighborhoodMatrix, build_nm
-from helpers import edgeless, example7_graph, matrices, random_corpus, read_file
+from helpers import (
+    edgeless,
+    example7_graph,
+    matrices,
+    petersen,
+    q3_cube,
+    random_corpus,
+    read_file,
+    reference_read_dense,
+)
 
 MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 
@@ -308,6 +318,111 @@ class TestMalformedDense:
         m = matio.read_dense("# labels: 9223372036854775807\n1\n0\n")
         assert m.labels == (2**63 - 1,)
         assert matio.read_dense(matio.write_dense(m)) == m
+
+
+# Tokens of 19 and 20 digits, in and past the int64 range, with leading zeros
+BIG_TOKENS = ["9223372036854775807", "-9223372036854775808", "9223372036854775808",
+              "-9223372036854775809", "1000000000000000000", "10000000000000000000",
+              "99999999999999999999", "18446744073709551616", "00000000000000000001",
+              "-0000000000000000000007"]
+
+
+def _change(pattern: str, new):
+    """A change that replaces one match of pattern, chosen by pick, with
+    new(pick); a text with no match is left as it is."""
+    def change(text: str, pick) -> str:
+        found = list(re.finditer(pattern, text, flags=re.M))
+        if not found:
+            return text
+        match = pick(found)
+        return text[:match.start()] + new(pick) + text[match.end():]
+    return change
+
+
+_BODY_LINE = r"(?<=\n)(?=.)"  # at the start of a line after the first
+# Each changes a dense text in one way; pick(options) chooses one option.
+DENSE_CHANGES = {
+    "tab": _change(" ", lambda pick: "\t"),
+    "double-space": _change(" ", lambda pick: "  "),
+    "leading-zero": _change(r"(?:(?<=\s)|(?<=\s-))(?=\d)", lambda pick: "0"),
+    "plus": _change(r"(?<=\s)(?=\d)", lambda pick: "+"),
+    "minus-zero": _change(r"(?<=\s)0(?=\s)", lambda pick: "-0"),
+    "crlf": lambda text, pick: text.replace("\n", "\r\n"),
+    "blank-line": _change(_BODY_LINE, lambda pick: pick(["\n", "  \n"])),
+    "comment-line": _change(_BODY_LINE, lambda pick: "# note\n"),
+    "no-final-newline": lambda text, pick: text.removesuffix("\n"),
+    "big-token": _change(r"(?<=\s)-?\d+(?=\s)", lambda pick: pick(BIG_TOKENS)),
+    "short-row": _change(r" -?\d+(?=\s)", lambda pick: ""),
+    "long-row": _change(r"(?<=\d)$", lambda pick: pick([" 0", " 7", " -3"])),
+}
+
+
+@st.composite
+def perturbed_dense(draw) -> str:
+    """The dense text of a zero-heavy matrix, as `write_dense` writes it
+    or with up to three changes from DENSE_CHANGES."""
+    text = matio.write_dense(draw(zero_heavy_matrices(max_n=12)))
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+    for change in draw(st.lists(st.sampled_from(sorted(DENSE_CHANGES)), max_size=3)):
+        text = DENSE_CHANGES[change](text, pick)
+    return text
+
+
+def _compute_dense(g) -> str:
+    return matio.write_dense(build_nm(g))
+
+
+class TestDenseFastPath:
+    """`read_dense` reads the text `write_dense` writes from its bytes and
+    accepts what it read only when writing it back gives the same text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_dense())
+    def test_matches_reference_reader(self, text):
+        expected = reference_read_dense(text)
+        try:
+            m = matio.read_dense(text)
+        except ParseError:
+            assert expected is None
+        else:
+            assert expected == (m.labels, m.entries.tolist())
+
+    @pytest.mark.parametrize("g", [
+        example7_graph(), petersen(), q3_cube(), edgeless(0), edgeless(1),
+    ], ids=["example7", "petersen", "q3", "n0", "n1"])
+    def test_compute_output_needs_no_loadtxt(self, g, monkeypatch):
+        text = _compute_dense(g)
+        monkeypatch.setattr("nmgraph.textio.np.loadtxt", _no_loadtxt)
+        assert matio.read_dense(text) == build_nm(g)
+
+    def test_sparse_1024_needs_no_loadtxt(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        tails, heads = np.triu_indices(1024, 1)
+        keep = rng.random(len(tails)) < 8 / 1023
+        edges = tmp_path / "g.txt"
+        edges.write_text("".join(f"{u} {v}\n" for u, v in zip(tails[keep], heads[keep])))
+        assert main(["compute", str(edges), "-o", str(tmp_path / "m.dense")]) == 0
+        text = (tmp_path / "m.dense").read_text()
+        expected = matio._read_lines(text)
+        monkeypatch.setattr("nmgraph.textio.np.loadtxt", _no_loadtxt)
+        assert matio.read_dense(text) == expected
+
+    @pytest.mark.parametrize("change", sorted(DENSE_CHANGES))
+    def test_changed_text_takes_the_line_path(self, change, monkeypatch):
+        text = _compute_dense(example7_graph())
+        changed = DENSE_CHANGES[change](text, lambda options: options[len(options) // 2])
+        monkeypatch.setattr("nmgraph.textio.np.loadtxt", _no_loadtxt)
+        with pytest.raises(AssertionError, match="loadtxt"):
+            matio.read_dense(changed)
+
+    def test_reads_every_nonzero_width(self):
+        values = [1, -1, 9, -9, 10, -10, 99, 100, -1000, 10**18, -10**18, 2**63 - 1, -2**63]
+        m = _dense(np.diag(values))
+        assert matio._read_written(matio.write_dense(m)) == m
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt called")
 
 
 class TestMalformedMatrixMarket:

@@ -7,6 +7,7 @@ import ast
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,3 +187,35 @@ def test_only_textio_calls_loadtxt():
             if name in callers:
                 callers[name].add(path.stem)
     assert callers == {"loadtxt": {"textio"}, "splitlines": {"cli", "textio"}}
+
+
+def _tokens(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The text as a uint8 buffer and the offset of each token in it."""
+    starts = [k for k, c in enumerate(text) if c != " " and (k == 0 or text[k - 1] == " ")]
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8), np.array(starts, dtype=np.intp)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-300, 300),
+                          st.sampled_from([0, -1, 2**63 - 1, -2**63])), min_size=1, max_size=40))
+def test_get_ints_inverts_put_ints(values):
+    text = textio.int_lines(np.array(values, dtype=np.int64).reshape(1, -1))
+    buf, starts = _tokens(text)
+    got, widths = textio.get_ints(buf, starts)
+    assert (got.tolist(), widths.tolist()) == (values, [len(str(v)) for v in values])
+
+
+@pytest.mark.parametrize("token, value, width", [
+    ("007", 7, 3),                                     # leading zeros are read
+    ("-0", 0, 2),
+    ("-", 0, 1),                                       # a sign and no digit
+    ("+5", 0, 0),                                      # no '+': nothing read
+    ("12x", 12, 2),                                    # up to the first non-digit
+    ("9223372036854775808", -2**63, 19),               # past int64: wraps
+    ("-9223372036854775809", 2**63 - 1, 20),
+    ("99999999999999999999", 9999999999999999999 - 2**64, 19),  # 19 digits at most
+])
+def test_get_ints_reads_what_the_caller_must_check(token, value, width):
+    buf, starts = _tokens(token + " ")
+    got, widths = textio.get_ints(buf, starts)
+    assert (got.tolist(), widths.tolist()) == ([value], [width])

@@ -77,6 +77,23 @@ def test_set_based_matrix_built_once_per_graph(monkeypatch):
     assert calls == graphs
 
 
+def test_transpose_built_once_per_graph(monkeypatch):
+    seen = []
+    transpose = nm.transpose
+
+    def recorded(m):
+        seen.append(m)
+        return transpose(m)
+
+    # wherever a module holds the function, its calls are counted
+    monkeypatch.setattr(nm, "transpose", recorded)
+    monkeypatch.setattr(verify, "transpose", recorded)
+    graphs = corpus(20, 16, 7)
+    results = verify.run_suite(graphs)
+    assert all(r.passed for r in results)
+    assert seen == [build_nm(g) for g in graphs]  # one call per graph, in order
+
+
 def test_wrong_srg_parameters_fail_characterizations(monkeypatch):
     report = analytics.structural_report
     monkeypatch.setattr(
