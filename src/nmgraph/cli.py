@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 import nmgraph
 from nmgraph import analytics, matio, oracles, verify
 from nmgraph.errors import InvalidMatrixError, ParseError
@@ -30,19 +32,23 @@ EXIT_INVALID_NM = 4
 
 
 def _read_text(path: str) -> str:
-    """The file's text, decoded as UTF-8.  A file that is not UTF-8 is a
-    parse error here, though a reader may read the body from the path."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    """The file's text, decoded as UTF-8, though a reader may read the
+    body from the path.  A file that is not UTF-8 raises
+    UnicodeDecodeError, which `main` reports as a parse error."""
+    return Path(path).read_text(encoding="utf-8")
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
+def _write(path: str | None, data: np.ndarray) -> None:
+    """A writer's uint8 buffer, written as is to the file at path, else
+    to stdout's binary stream; a text stream put in place of stdout, such
+    as io.StringIO, takes it decoded."""
+    if path is not None:
+        Path(path).write_bytes(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        sys.stdout.write(str(data, "ascii"))
 
 
 def _in_range(kind: type, low: float, high: float = math.inf):
@@ -62,18 +68,15 @@ def _in_range(kind: type, low: float, high: float = math.inf):
 def cmd_compute(args: argparse.Namespace) -> int:
     graph = parse_edge_list(_read_text(args.input), args.input)
     m = build_nm(graph)
-    if args.format == "mm":
-        text = matio.write_matrix_market(m)
-    else:
-        text = matio.write_dense(m)
-    _write_text(args.output, text)
+    write = matio.write_matrix_market if args.format == "mm" else matio.write_dense
+    _write(args.output, write(m))
     return EXIT_OK
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    m = matio.read_auto(_read_text(args.input), args.input)
+    m = matio.read_auto(Path(args.input).read_bytes(), args.input)
     graph = reconstruct_adjacency(m)
-    _write_text(args.output, format_edge_list(graph))
+    _write(args.output, format_edge_list(graph))
     return EXIT_OK
 
 
@@ -152,7 +155,7 @@ def _verify_self_test(seed: int) -> int:
     except InvalidMatrixError as exc:
         print(f"self-test PASS: corruption detected ({exc})")
         print("counterexample edge list of the source graph:")
-        for line in format_edge_list(graph).splitlines():
+        for line in str(format_edge_list(graph), "ascii").splitlines():
             print(f"  {line}")
         return EXIT_INVARIANT
     print("self-test FAIL: corrupted matrix was accepted")
@@ -251,6 +254,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UnicodeDecodeError as exc:  # only an input file is decoded
+        print(f"error: {args.input}: not UTF-8 text (byte {exc.start}: {exc.reason})",
+              file=sys.stderr)
+        return EXIT_PARSE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

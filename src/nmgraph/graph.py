@@ -230,8 +230,9 @@ def parse_edge_list(text: str, path: str | None = None) -> Graph:
     return _from_pairs(len(order), ids.reshape(-1, 2), labels)
 
 
-def format_edge_list(g: Graph) -> str:
-    """Inverse of parse_edge_list: one "u v" line per edge, sorted by label."""
+def format_edge_list(g: Graph) -> np.ndarray:
+    """Inverse of parse_edge_list: one "u v" line per edge, sorted by
+    label, in one uint8 buffer of exactly its size."""
     labels = np.array(g.labels, dtype=np.int64)
     tails, heads = g.tails, g.indices
     once = tails < heads

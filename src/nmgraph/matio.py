@@ -20,22 +20,28 @@ reader walks only the banner, the labels comment and the size line in
 Python.  numpy's C reader reads the entries straight from the file when
 the text is plain, and the line path reads them otherwise.  A file named
 like a compressed one (`.gz`, ...) is read as plain text either way.
-The dense reader reads a text exactly as `write_dense` writes it from
-its bytes, walking only its two header lines in Python, and keeps what
-it read only if writing that back gives the same text; every other
-dense text takes the line path, which alone raises a dense error.
+The dense reader takes the file's bytes.  It reads a text exactly as
+`write_dense` writes it in place, walking only its two header lines in
+Python, and keeps what it read only if writing that back gives the same
+bytes; every other dense text is decoded and takes the line path, which
+alone raises a dense error.  The Matrix Market reader takes the decoded
+text, since Python walks its header lines.
 Every error names its file line as `textio.Rows` numbers it: the banner
 and each comment carry their numbers, and a bad entry's line is found by
 walking the text again only as far as that entry.
 
-Both writers read M's nonzero entries alone, in row-major order, and
-take their digits from `textio`'s one kernel, so no Python code runs
-per entry.  The Matrix Market writer formats one line per entry; the
+Both writers return their text as one uint8 buffer of exactly its size,
+never as a `str`.  They read M's nonzero entries alone, in row-major
+order, and take their digits from `textio`'s one kernel, so no Python
+code runs per entry.  The Matrix Market writer sizes its buffer from
+per-row and per-column counts and fills it one row block at a time; the
 dense writer lays the entries over a template of zeros, so it never
 builds the n x n array.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -45,18 +51,22 @@ from nmgraph.graph import check_labels
 from nmgraph.nm import NeighborhoodMatrix, scan
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
-_LABELS = "# labels: "
+_LABELS = b"# labels: "
 _WORD = np.dtype("<u8")
 # The two 8-byte words a dense body of zero tokens alone is made of
 _ZERO_WORDS = np.frombuffer(b"0 0 0 0  0 0 0 0", dtype=_WORD)
 # Words of a dense body classified per pass, 1 MiB of text: bounds the masks.
 _WORDS_PER_BLOCK = 1 << 17
+# Matrix Market lines formatted per pass: bounds the writer's temporaries.
+_LINES_PER_BLOCK = 1 << 14
+# The leading ASCII characters that str.lstrip strips, those str.isspace holds
+_ASCII_SPACE = re.compile(rb"[\t-\r\x1c-\x1f ]*")
 
 
-def write_dense(m: NeighborhoodMatrix) -> str:
+def write_dense(m: NeighborhoodMatrix) -> np.ndarray:
     """The dense text, written from M's nonzero entries alone into one
-    uint8 buffer (see `_dense_bytes`)."""
-    return str(_dense_bytes(m.labels, *_row_major(m)), "ascii")
+    uint8 buffer of exactly its size (see `_dense_bytes`)."""
+    return _dense_bytes(m.labels, *_row_major(m))
 
 
 def _dense_bytes(labels: tuple[int, ...], flat: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -73,7 +83,7 @@ def _dense_bytes(labels: tuple[int, ...], flat: np.ndarray, vals: np.ndarray) ->
     and digits are then written over it.
     """
     n = len(labels)
-    head = f"{_LABELS}{' '.join(map(str, labels))}\n{n}\n".encode("ascii")
+    head = _LABELS + f"{' '.join(map(str, labels))}\n{n}\n".encode("ascii")
     width = textio.widths(vals)
     shift = np.zeros(len(vals) + 1, dtype=np.int64)  # before each nonzero entry, then in all
     np.cumsum(width - 1, out=shift[1:])
@@ -92,19 +102,20 @@ def _dense_bytes(labels: tuple[int, ...], flat: np.ndarray, vals: np.ndarray) ->
     return out
 
 
-def read_dense(text: str) -> NeighborhoodMatrix:
-    """M from a dense text: by `_read_written` when the text is exactly
-    what `write_dense` writes, else line by line, where every bad line is
-    named."""
-    m = _read_written(text)
-    return m if m is not None else _read_lines(text)
+def read_dense(data: bytes) -> NeighborhoodMatrix:
+    """M from the bytes of a dense text: by `_read_written` when they are
+    exactly what `write_dense` writes, else decoded as UTF-8 and read line
+    by line, where every bad line is named.  Bytes that are not UTF-8
+    raise UnicodeDecodeError."""
+    m = _read_written(data)
+    return m if m is not None else _read_lines(data.decode("utf-8"))
 
 
-def _read_written(text: str) -> NeighborhoodMatrix | None:
-    """M from text when writing it back gives text byte for byte, else
+def _read_written(data: bytes) -> NeighborhoodMatrix | None:
+    """M from data when writing it back gives data byte for byte, else
     None; so it returns nothing that the line path would not.
 
-    Python walks the two header lines alone.  The body is read as bytes:
+    Python walks the two header lines alone.  The body is read in place:
     in what `write_dense` writes, each nonzero entry is a token other
     than '0' after a separator, which `_nonzero_tokens` finds, and each
     token of w characters moves every later one by w - 1 from where the
@@ -112,20 +123,20 @@ def _read_written(text: str) -> NeighborhoodMatrix | None:
     is half its offset in the body less that shift so far, and the
     digits come from `textio.get_ints`.
     """
-    first = text.find("\n")
-    second = text.find("\n", first + 1)
+    first = data.find(b"\n")
+    second = data.find(b"\n", first + 1)
     # The final newline also keeps every token `get_ints` reads inside the buffer.
-    if not (text.startswith(_LABELS) and text.endswith("\n") and text.isascii()) or second < 0:
+    if not (data.startswith(_LABELS) and data.endswith(b"\n") and data.isascii()) or second < 0:
         return None
     try:
-        labels = tuple(map(int, text[len(_LABELS):first].split()))
-        n = int(text[first + 1:second])
+        labels = tuple(map(int, data[len(_LABELS):first].split()))
+        n = int(data[first + 1:second])
     except ValueError:
         return None
     body = second + 1
-    if n != len(labels) or 2 * n * n > len(text) - body:  # n is bounded before any allocation
+    if n != len(labels) or 2 * n * n > len(data) - body:  # n is bounded before any allocation
         return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    buf = np.frombuffer(data, dtype=np.uint8)
     starts = _nonzero_tokens(buf, body)
     vals, width = textio.get_ints(buf, starts)
     shift = np.cumsum(width - 1)
@@ -192,24 +203,58 @@ def _read_lines(text: str) -> NeighborhoodMatrix:
     return NeighborhoodMatrix.from_nonzeros(*scan(rows.table(n)), labels)  # labels checked
 
 
-def write_matrix_market(m: NeighborhoodMatrix) -> str:
-    n = m.n
-    flat, vals = _row_major(m)
-    rows = flat // n
-    header = f"{_MM_HEADER}\n% labels: {' '.join(map(str, m.labels))}\n{n} {n} {len(vals)}\n"
-    return header + textio.int_lines(np.column_stack((rows + 1, flat - rows * n + 1, vals)))
+def write_matrix_market(m: NeighborhoodMatrix) -> np.ndarray:
+    """The Matrix Market text, one "i j value" line per nonzero entry in
+    row-major order, in one uint8 buffer of exactly its size.
 
-
-def _row_major(m: NeighborhoodMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(flat, vals): every nonzero entry m[i, j] as its flat index i n + j
-    and its value, in row-major order; the view's off-diagonal entries
-    with the nonzero diagonal ones merged in."""
+    The size is summed before the buffer is allocated: the lines of each
+    row times the width of its index, the entries of each column times
+    the width of its index, and the values' widths.  The lines are then
+    written row block by row block, each block of about _LINES_PER_BLOCK
+    lines merged with its own diagonal entries, so no temporary holds
+    the whole view.
+    """
     n = m.n
     diagonal, rows, cols, vals = m.nonzeros()
-    d = np.flatnonzero(diagonal)
-    flat = rows * n + cols
+    on = np.flatnonzero(diagonal)
+    per_row = np.bincount(rows, minlength=n)
+    per_row[on] += 1
+    per_col = np.bincount(cols, minlength=n)
+    per_col[on] += 1
+    lines = int(per_row.sum())
+    head = (f"{_MM_HEADER}\n% labels: {' '.join(map(str, m.labels))}\n{n} {n} {lines}\n"
+            .encode("ascii"))
+    index_width = textio.widths(np.arange(1, n + 1))
+    size = (len(head) + int(per_row @ index_width) + int(per_col @ index_width) + 3 * lines
+            + textio.width_sum(vals) + textio.width_sum(diagonal[on]))
+    out = np.empty(size, dtype=np.uint8)
+    out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    # each block starts at the row that holds line k _LINES_PER_BLOCK, so none is empty
+    ends = np.cumsum(per_row)
+    starts = np.unique(ends.searchsorted(np.arange(0, lines, _LINES_PER_BLOCK), "right"))
+    cuts = np.append(starts, n)
+    at = len(head)
+    for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        flat, v = _row_major(m, start, stop)
+        r = flat // n
+        at = textio.put_lines(out, at, np.column_stack((r + 1, flat - r * n + 1, v)))
+    return out
+
+
+def _row_major(m: NeighborhoodMatrix, start: int = 0,
+               stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, vals): every nonzero entry m[i, j] of the rows from start
+    to stop as its flat index i n + j and its value, in row-major order;
+    the view's off-diagonal entries with the nonzero diagonal ones merged
+    in.  All rows by default."""
+    n = m.n
+    stop = n if stop is None else stop
+    diagonal, rows, cols, vals = m.nonzeros()
+    lo, hi = rows.searchsorted((start, stop))
+    d = start + np.flatnonzero(diagonal[start:stop])
+    flat = rows[lo:hi] * n + cols[lo:hi]
     at = flat.searchsorted(d * (n + 1))
-    return np.insert(flat, at, d * (n + 1)), np.insert(vals, at, diagonal[d])
+    return np.insert(flat, at, d * (n + 1)), np.insert(vals[lo:hi], at, diagonal[d])
 
 
 def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix:
@@ -260,12 +305,22 @@ def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix
     return NeighborhoodMatrix.from_nonzeros(diagonal, r[off], c[off], v[off], labels)
 
 
-def read_auto(text: str, path: str | None = None) -> NeighborhoodMatrix:
-    """Dispatch on the MatrixMarket banner on the first non-blank line;
-    anything else is dense."""
-    if text.lstrip().startswith("%%MatrixMarket"):
-        return read_matrix_market(text, path)
-    return read_dense(text)
+def read_auto(data: bytes, path: str | None = None) -> NeighborhoodMatrix:
+    """M from a file's bytes: a Matrix Market text when the MatrixMarket
+    banner is on the first non-blank line, decoded as UTF-8, and a dense
+    text otherwise.  Bytes that are not UTF-8 raise UnicodeDecodeError.
+
+    The first non-blank line is the one str.lstrip finds: a text whose
+    first byte past ASCII whitespace is not ASCII is decoded to find it.
+    """
+    first = _ASCII_SPACE.match(data).end()
+    if data[first:first + 1] < b"\x80":
+        matrix_market = data.startswith(b"%%MatrixMarket", first)
+    else:  # perhaps whitespace that str.lstrip strips too
+        matrix_market = data.decode("utf-8").lstrip().startswith("%%MatrixMarket")
+    if not matrix_market:
+        return read_dense(data)
+    return read_matrix_market(data.decode("utf-8"), path)
 
 
 def _labels(rows: textio.Rows, n: int) -> tuple[int, ...]:

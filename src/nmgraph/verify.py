@@ -276,4 +276,4 @@ def _counterexample(g: Graph) -> str:
     """The edge list behind a '#' line, which parse_edge_list skips, giving
     what edge lines cannot: the vertex count and the isolated vertices."""
     isolated = " ".join(str(g.labels[v]) for v in np.flatnonzero(g.degrees == 0).tolist())
-    return f"# n={g.n} isolated: {isolated or 'none'}\n" + format_edge_list(g)
+    return f"# n={g.n} isolated: {isolated or 'none'}\n" + str(format_edge_list(g), "ascii")

@@ -507,6 +507,12 @@ def reference_read_dense(text: str) -> tuple[tuple[int, ...], list[list[int]]] |
     return tuple(labels), rows[1:]
 
 
+def as_text(buffer: np.ndarray) -> str:
+    """A writer's uint8 buffer as the text it spells: every writer writes
+    ASCII alone."""
+    return str(buffer, "ascii")
+
+
 def read_file(reader, text: str, path: Path | None):
     """reader(text) on the line path alone; or, given a path, the text
     written there byte for byte and read back as the CLI reads it, passed

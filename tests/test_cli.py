@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import inspect
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 
 from nmgraph import analytics, cli, graph, matio, oracles, verify
 from nmgraph.cli import build_parser, main
+from nmgraph.graph import from_edges
 from nmgraph.nm import NeighborhoodMatrix, build_nm
-from helpers import (EXAMPLE7_EDGE_LINES, EXAMPLE7_MATRIX, example7_graph, petersen,
-                     two_squares_graph)
+from helpers import (EXAMPLE7_EDGE_LINES, EXAMPLE7_MATRIX, as_text, complete_graph, edgeless,
+                     example7_graph, paley, petersen, q3_cube, sparse_graphs, two_squares_graph)
 from nmgraph.graph import format_edge_list
 from nmgraph.random_graphs import gnp
 
@@ -36,7 +39,7 @@ def example7_file(tmp_path):
 @pytest.fixture
 def two_squares_file(tmp_path):
     path = tmp_path / "two_squares.edges"
-    path.write_text(format_edge_list(two_squares_graph()))
+    path.write_bytes(format_edge_list(two_squares_graph()))
     return path
 
 
@@ -44,7 +47,7 @@ class TestCompute:
     def test_dense_matches_golden(self, example7_file, tmp_path, capsys):
         out = tmp_path / "m.txt"
         assert main(["compute", str(example7_file), "-o", str(out)]) == 0
-        m = matio.read_dense(out.read_text())
+        m = matio.read_dense(out.read_bytes())
         assert np.array_equal(m.entries, EXAMPLE7_MATRIX)
         assert m.labels == tuple(range(1, 8))
 
@@ -74,7 +77,7 @@ class TestCompute:
         first, second = tmp_path / "m.mtx", tmp_path / "m.txt"
         assert main(["compute", str(example7_file), "--format", "mm", "-o", str(first)]) == 0
         assert main(["compute", str(example7_file), "-o", str(second)]) == 0
-        assert second.read_text() == matio.write_dense(matio.read_auto(first.read_text()))
+        assert second.read_bytes() == bytes(matio.write_dense(matio.read_auto(first.read_bytes())))
 
 
 class TestReconstruct:
@@ -120,7 +123,7 @@ class TestReconstruct:
         entries = EXAMPLE7_MATRIX.copy()
         entries[i, j] = value
         bad = tmp_path / "bad.txt"
-        bad.write_text(write(NeighborhoodMatrix(entries=entries, labels=tuple(range(1, 8)))))
+        bad.write_bytes(write(NeighborhoodMatrix(entries=entries, labels=tuple(range(1, 8)))))
         assert main(["reconstruct", str(bad)]) == 4
         out, err = capsys.readouterr()
         assert out == ""
@@ -130,16 +133,16 @@ class TestReconstruct:
     @pytest.mark.parametrize("write", [matio.write_dense, matio.write_matrix_market])
     def test_file_named_like_gzip_is_plain_text(self, write, tmp_path):
         matrix = tmp_path / "m.gz"
-        matrix.write_text(write(build_nm(example7_graph())))
+        matrix.write_bytes(write(build_nm(example7_graph())))
         out = tmp_path / "r.edges"
         assert main(["reconstruct", str(matrix), "-o", str(out)]) == 0
-        assert out.read_text() == format_edge_list(example7_graph())
+        assert out.read_bytes() == bytes(format_edge_list(example7_graph()))
 
     def test_matrix_market_after_blank_line(self, tmp_path, capsys):
         mfile = tmp_path / "m.mtx"
-        mfile.write_text("\n" + matio.write_matrix_market(build_nm(example7_graph())))
+        mfile.write_text("\n" + as_text(matio.write_matrix_market(build_nm(example7_graph()))))
         assert main(["reconstruct", str(mfile)]) == 0
-        assert capsys.readouterr().out == format_edge_list(example7_graph())
+        assert capsys.readouterr().out == as_text(format_edge_list(example7_graph()))
 
     @pytest.mark.parametrize("body, message", [
         ("", "error: missing size line"),
@@ -199,6 +202,21 @@ class TestTextInput:
         err = capsys.readouterr().err
         assert err.startswith("error: line 1:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("data", [
+        b"# labels: 0 1\n2\n0 0\n0 \xe9\n",
+        b"%%MatrixMarket matrix coordinate integer general\n% caf\xe9\n1 1 0\n",
+        b"%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1 5\xff",
+        b"\xe9%%MatrixMarket matrix coordinate integer general\n1 1 0\n",
+    ], ids=["dense", "mm-comment", "mm-last-byte", "first-byte"])
+    def test_non_utf8_matrix_names_the_byte(self, tmp_path, capsys, data):
+        bad = tmp_path / "m.txt"
+        bad.write_bytes(data)
+        assert main(["reconstruct", str(bad)]) == 2
+        with pytest.raises(UnicodeDecodeError) as excinfo:
+            data.decode("utf-8")
+        byte, reason = excinfo.value.start, excinfo.value.reason
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte {byte}: {reason})\n"
+
     @pytest.mark.parametrize("command", ["compute", "reconstruct", "analyze"])
     def test_non_utf8_input_exit_2(self, tmp_path, capsys, command):
         bad = tmp_path / "latin1.txt"
@@ -206,6 +224,120 @@ class TestTextInput:
         assert main([command, str(bad)]) == 2
         err = capsys.readouterr().err
         assert "not UTF-8" in err and err.count("\n") == 1
+
+
+def _stdout_bytes(argv: list[str]) -> tuple[int, bytes]:
+    """(exit code, the bytes main wrote to stdout), stdout being a text
+    stream over a binary buffer, as a terminal's or a pipe's is."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue()
+
+
+def _outputs(edges: Path, matrices: list[Path], work: Path) -> list[tuple[str, int, bytes]]:
+    """(command, exit code, output) of compute (dense and mm) on the edge
+    list and of reconstruct on each matrix file, each run once to stdout
+    and once to -o; the two outputs must be the same bytes."""
+    runs = [("compute", str(edges)), ("compute", str(edges), "--format", "mm")]
+    runs += [("reconstruct", str(path)) for path in matrices]
+    found = []
+    for argv in runs:
+        code, out = _stdout_bytes([*argv])
+        target = work / "out"
+        target.unlink(missing_ok=True)
+        assert _stdout_bytes([*argv, "-o", str(target)]) == (code, b"")
+        assert (target.read_bytes() if target.exists() else b"") == out
+        found.append((" ".join(argv[:1] + argv[2:]), code, out))
+    return found
+
+
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("io")
+
+
+def _matrix_files(g, directory: Path) -> list[Path]:
+    paths = []
+    for write, name in [(matio.write_dense, "m.dense"), (matio.write_matrix_market, "m.mtx")]:
+        paths.append(directory / name)
+        paths[-1].write_bytes(write(build_nm(g)))
+    return paths
+
+
+class TestOutputBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(g=sparse_graphs(max_n=24))
+    def test_stdout_and_output_file_hold_the_same_bytes(self, io_dir, g):
+        # n = 0 and isolated vertices included: reconstruct reads them from
+        # the matrix, compute from the edge list, which cannot hold them
+        edges = io_dir / "g.edges"
+        edges.write_bytes(format_edge_list(g))
+        _outputs(edges, _matrix_files(g, io_dir), io_dir)
+
+    def test_outputs_match_the_pinned_digest(self, tmp_path):
+        # the sha256 of every output of 44 inputs, as the text writers wrote
+        # them before they wrote bytes: any change to a written byte shows
+        assert _output_digest(tmp_path) == OUTPUT_DIGEST
+
+    @pytest.mark.parametrize("argv", [["compute"], ["compute", "--format", "mm"],
+                                      ["reconstruct"]])
+    def test_stdout_closed_early_is_one_error_line(self, argv, tmp_path):
+        # output well past a pipe's buffer, read for 10 bytes, then closed
+        rng = random.Random(7)
+        g = from_edges(2000, {tuple(sorted(rng.sample(range(2000), 2))) for _ in range(12000)})
+        src = tmp_path / "input"
+        src.write_bytes(matio.write_matrix_market(build_nm(g)) if argv == ["reconstruct"]
+                        else format_edge_list(g))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "nmgraph.cli", *argv, str(src)], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+        child.stdout.read(10)
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 3
+        assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def _digest_inputs() -> list[tuple[str, object]]:
+    """44 graphs: named ones, the empty list, Paley(101), and 36 drawn
+    by a seeded random.Random with labels up to 2^63 - 1, listed in a
+    shuffled order with repeated and reversed pairs."""
+    named = [example7_graph(), petersen(), two_squares_graph(), q3_cube(), complete_graph(5),
+             edgeless(0), paley(101), edgeless(3)]
+    rng = random.Random(2026)
+    drawn = []
+    for k in range(36):
+        n = rng.randint(1, 40)
+        labels = rng.sample(range(10**6), n) if k % 3 else rng.sample(range(2**63 - 40, 2**63), n)
+        p = rng.choice([0.05, 0.2, 0.5, 0.9])
+        pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        pairs += [pair[::-1] for pair in rng.sample(pairs, len(pairs) // 4)]
+        rng.shuffle(pairs)
+        drawn.append("".join(f"{u} {v}\n" for u, v in pairs))
+    return named + drawn
+
+
+def _output_digest(work: Path) -> str:
+    digest = hashlib.sha256()
+    for k, source in enumerate(_digest_inputs()):
+        edges = work / f"g{k}.edges"
+        if isinstance(source, str):
+            edges.write_text(source)
+            g = graph.parse_edge_list(source)
+        else:
+            edges.write_text(as_text(format_edge_list(source)))
+            g = source
+        for name, code, out in _outputs(edges, _matrix_files(g, work), work):
+            digest.update(f"{k} {name} {code} {len(out)}\n".encode() + out)
+    return digest.hexdigest()
+
+
+OUTPUT_DIGEST = "6296051f20e2dc86060c236c1c1f9a62e8cccc6700efabf22f54ff4c9b3e19cb"
 
 
 class TestAnalyze:
@@ -269,8 +401,8 @@ class TestAnalyze:
     def test_golden_document(self, name, tmp_path, capsys):
         # the whole document, key order and layout included, minus the timings
         text = {"example7": "\n".join(EXAMPLE7_EDGE_LINES) + "\n",
-                "two_squares": format_edge_list(two_squares_graph()),
-                "petersen": format_edge_list(petersen()), "empty": ""}[name]
+                "two_squares": as_text(format_edge_list(two_squares_graph())),
+                "petersen": as_text(format_edge_list(petersen())), "empty": ""}[name]
         src = tmp_path / f"{name}.edges"
         src.write_text(text)
         assert main(["analyze", str(src)]) == 0
@@ -297,7 +429,7 @@ class TestAnalyze:
         docs = []
         for name in ("g.txt", "g.gz"):
             src = tmp_path / name
-            src.write_text(format_edge_list(petersen()))
+            src.write_bytes(format_edge_list(petersen()))
             assert main(["analyze", str(src)]) == 0
             docs.append(re.sub(r'  "timingsMicros": \{[^}]*\},\n', "", capsys.readouterr().out))
         assert docs[0] == docs[1] == (GOLDEN / "analyze_petersen.json").read_text()
@@ -316,7 +448,7 @@ class TestAnalyze:
         # a pipe gives nothing when opened again, so its text is what is read
         done = subprocess.run(
             [sys.executable, "-m", "nmgraph.cli", "analyze", "/dev/stdin"], capture_output=True,
-            input=format_edge_list(petersen()), text=True, timeout=60,
+            input=as_text(format_edge_list(petersen())), text=True, timeout=60,
             env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
         assert (done.returncode, done.stderr) == (0, "")
         assert (json.loads(done.stdout)["n"], json.loads(done.stdout)["edgeCount"]) == (10, 15)

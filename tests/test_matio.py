@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 from nmgraph import matio, textio
 from nmgraph.cli import main
 from nmgraph.errors import ParseError
-from nmgraph.graph import check_labels
+from nmgraph.graph import check_labels, from_edges
 from nmgraph.nm import NeighborhoodMatrix, build_nm
 from helpers import (
+    as_text,
     edgeless,
     example7_graph,
     matrices,
@@ -31,43 +33,42 @@ MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 class TestDense:
     def test_round_trip_example7(self):
         m = build_nm(example7_graph())
-        assert matio.read_dense(matio.write_dense(m)) == m
+        assert matio.read_dense(bytes(matio.write_dense(m))) == m
 
     def test_byte_stability(self):
         m = build_nm(example7_graph())
-        assert matio.write_dense(m) == matio.write_dense(m)
+        assert bytes(matio.write_dense(m)) == bytes(matio.write_dense(m))
 
     def test_labels_preserved(self):
         m = build_nm(example7_graph())
-        assert matio.read_dense(matio.write_dense(m)).labels == tuple(range(1, 8))
+        assert matio.read_dense(bytes(matio.write_dense(m))).labels == tuple(range(1, 8))
 
     def test_empty_matrix(self):
         m = build_nm(edgeless(0))
-        text = matio.write_dense(m)
-        assert "0" in text.splitlines()
-        assert matio.read_dense(text).n == 0
+        data = bytes(matio.write_dense(m))
+        assert b"0" in data.splitlines()
+        assert matio.read_dense(data).n == 0
 
     def test_bad_row_count(self):
         with pytest.raises(ParseError):
-            matio.read_dense("2\n1 0\n")
+            matio.read_dense(b"2\n1 0\n")
 
     def test_bad_entry(self):
         with pytest.raises(ParseError):
-            matio.read_dense("1\nx\n")
+            matio.read_dense(b"1\nx\n")
 
     def test_no_floats_in_output(self):
-        text = matio.write_dense(build_nm(example7_graph()))
-        assert "." not in text
+        assert b"." not in bytes(matio.write_dense(build_nm(example7_graph())))
 
 
 class TestMatrixMarket:
     def test_round_trip_example7(self):
         m = build_nm(example7_graph())
-        assert matio.read_matrix_market(matio.write_matrix_market(m)) == m
+        assert matio.read_matrix_market(as_text(matio.write_matrix_market(m))) == m
 
     def test_header_and_one_based(self):
         m = build_nm(example7_graph())
-        lines = matio.write_matrix_market(m).splitlines()
+        lines = as_text(matio.write_matrix_market(m)).splitlines()
         assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
         data = [ln for ln in lines if not ln.startswith("%")]
         n_r, n_c, nnz = (int(x) for x in data[0].split())
@@ -78,14 +79,14 @@ class TestMatrixMarket:
 
     def test_nnz_counts_only_nonzeros(self):
         m = build_nm(example7_graph())
-        lines = matio.write_matrix_market(m).splitlines()
+        lines = as_text(matio.write_matrix_market(m)).splitlines()
         size_line = next(ln for ln in lines if not ln.startswith("%"))
         assert int(size_line.split()[2]) == int(np.count_nonzero(m.entries))
 
     def test_round_trip_random(self):
         for g in random_corpus(15, 20, seed=61):
             m = build_nm(g)
-            assert matio.read_matrix_market(matio.write_matrix_market(m)) == m
+            assert matio.read_matrix_market(as_text(matio.write_matrix_market(m))) == m
 
     def test_rejects_float_field(self):
         with pytest.raises(ParseError):
@@ -99,8 +100,17 @@ class TestMatrixMarket:
 class TestAutoDetect:
     def test_dispatch(self):
         m = build_nm(example7_graph())
-        assert matio.read_auto(matio.write_dense(m)) == m
-        assert matio.read_auto(matio.write_matrix_market(m)) == m
+        assert matio.read_auto(bytes(matio.write_dense(m))) == m
+        assert matio.read_auto(bytes(matio.write_matrix_market(m))) == m
+
+    @pytest.mark.parametrize("lead", ["\x1c", "\x1f \n", "\u3000", "\xa0\n", "\u2028"])
+    def test_banner_found_past_what_str_lstrip_strips(self, lead):
+        # the banner is looked for in the bytes where str.lstrip would find it
+        m = build_nm(example7_graph())
+        mm = as_text(matio.write_matrix_market(m))
+        assert matio.read_auto((lead + mm).encode()) == m
+        with pytest.raises(ParseError):  # not a banner: read as dense
+            matio.read_auto((lead + "x" + mm).encode())
 
 
 # -- the whole-array formatter and parser against per-entry references --------
@@ -130,12 +140,13 @@ class TestWholeArrayFormat:
     @given(matrices(), st.integers(min_value=1, max_value=40))
     def test_writers_match_reference_and_readers_invert(self, m, block):
         # a small block size makes most matrices span several row blocks
-        with mock.patch.object(textio, "_BLOCK", block):
-            dense = matio.write_dense(m)
-            mm = matio.write_matrix_market(m)
+        with mock.patch.object(textio, "_BLOCK", block), \
+                mock.patch.object(matio, "_LINES_PER_BLOCK", block):
+            dense = as_text(matio.write_dense(m))
+            mm = as_text(matio.write_matrix_market(m))
         assert dense == reference_dense(m)
         assert mm == reference_matrix_market(m)
-        assert matio.read_dense(dense) == m
+        assert matio.read_dense(dense.encode()) == m
         assert matio.read_matrix_market(mm) == m
 
     @settings(max_examples=150)
@@ -143,11 +154,11 @@ class TestWholeArrayFormat:
     def test_read_view_writes_the_same_bytes(self, m):
         # the reader hands M over as its nonzero view; writing that view,
         # or densifying it, gives back what the dense M gave
-        mm = matio.write_matrix_market(m)
+        mm = as_text(matio.write_matrix_market(m))
         read = matio.read_matrix_market(mm)
         assert "entries" not in vars(read)
-        assert matio.write_matrix_market(read) == mm
-        assert matio.write_dense(read) == matio.write_dense(m)
+        assert as_text(matio.write_matrix_market(read)) == mm
+        assert as_text(matio.write_dense(read)) == as_text(matio.write_dense(m))
         assert np.array_equal(read.entries, m.entries)
 
     def test_explicit_zeros_and_diagonal_coordinates(self):
@@ -156,15 +167,16 @@ class TestWholeArrayFormat:
         diagonal, rows, cols, vals = m.nonzeros()
         assert (diagonal.tolist(), rows.tolist(), cols.tolist(), vals.tolist()) == (
             [0, 5, 0], [2], [0], [-1])
-        assert matio.write_matrix_market(m).splitlines()[2:] == ["3 3 2", "2 2 5", "3 1 -1"]
+        lines = as_text(matio.write_matrix_market(m)).splitlines()
+        assert lines[2:] == ["3 3 2", "2 2 5", "3 1 -1"]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_tiny_matrices(self, n):
         m = NeighborhoodMatrix(entries=np.full((n, n), -7, dtype=np.int64), labels=tuple(range(n)))
-        assert matio.write_dense(m) == reference_dense(m)
-        assert matio.write_matrix_market(m) == reference_matrix_market(m)
-        assert matio.read_dense(matio.write_dense(m)) == m
-        assert matio.read_matrix_market(matio.write_matrix_market(m)) == m
+        assert as_text(matio.write_dense(m)) == reference_dense(m)
+        assert as_text(matio.write_matrix_market(m)) == reference_matrix_market(m)
+        assert matio.read_dense(bytes(matio.write_dense(m))) == m
+        assert matio.read_matrix_market(as_text(matio.write_matrix_market(m))) == m
 
     def test_many_row_blocks_at_the_default_size(self):
         n = 300  # 90 000 entries: more than one block of _BLOCK entries
@@ -174,17 +186,17 @@ class TestWholeArrayFormat:
         entries[rng.random((n, n)) < 0.5] = 0
         entries[0, :3] = [-2**63, 2**63 - 1, -10]
         m = NeighborhoodMatrix(entries=entries, labels=tuple(range(n, 0, -1)))
-        dense = matio.write_dense(m)
-        mm = matio.write_matrix_market(m)
+        dense = as_text(matio.write_dense(m))
+        mm = as_text(matio.write_matrix_market(m))
         assert dense == reference_dense(m)
         assert mm == reference_matrix_market(m)
-        assert matio.read_dense(dense) == m
+        assert matio.read_dense(dense.encode()) == m
         assert matio.read_matrix_market(mm) == m
 
     def test_edgeless_matrix_market_round_trip(self):
         # nnz is 0, so only the labels comment makes the file longer than n
         m = build_nm(edgeless(40))
-        assert matio.read_matrix_market(matio.write_matrix_market(m)) == m
+        assert matio.read_matrix_market(as_text(matio.write_matrix_market(m))) == m
 
 
 @st.composite
@@ -215,9 +227,9 @@ class TestDenseFromNonzeros:
     @settings(max_examples=150, deadline=None)
     @given(zero_heavy_matrices())
     def test_writes_the_reference_and_reads_back(self, m):
-        dense = matio.write_dense(m)
+        dense = as_text(matio.write_dense(m))
         assert dense == reference_dense(m)
-        assert matio.read_dense(dense) == m
+        assert matio.read_dense(dense.encode()) == m
 
     @pytest.mark.parametrize("m", [
         _dense([[0, 0, 5], [0, 0, 0], [0, 0, 0]]),            # a row ending in a nonzero
@@ -237,9 +249,9 @@ class TestDenseFromNonzeros:
             "zero-diagonal", "int64-extremes", "int64-extremes-apart", "no-zeros", "n0",
             "n1-zero", "n1-nonzero", "n1-odd-header"])
     def test_pinned(self, m):
-        dense = matio.write_dense(m)
+        dense = as_text(matio.write_dense(m))
         assert dense == reference_dense(m)
-        assert matio.read_dense(dense) == m
+        assert matio.read_dense(dense.encode()) == m
 
     @pytest.mark.parametrize("values, narrowest", [
         ([0, 7, -9, 10, -99, 100, 255, -255], np.uint8),     # every magnitude below 256
@@ -251,9 +263,9 @@ class TestDenseFromNonzeros:
     def test_digit_kernel_takes_the_narrowest_dtype(self, values, narrowest):
         v = np.array(values, dtype=np.int64)
         assert textio._magnitudes(v).dtype == narrowest
-        assert textio.int_lines(v.reshape(1, -1)) == " ".join(map(str, values)) + "\n"
+        assert as_text(textio.int_lines(v.reshape(1, -1))) == " ".join(map(str, values)) + "\n"
         m = _dense(np.diag(v))
-        assert matio.write_dense(m) == reference_dense(m)
+        assert as_text(matio.write_dense(m)) == reference_dense(m)
 
     def test_labels_checked_once(self):
         calls = []
@@ -264,7 +276,7 @@ class TestDenseFromNonzeros:
 
         with mock.patch.object(matio, "check_labels", counted), \
                 mock.patch("nmgraph.nm.check_labels", counted):
-            m = matio.read_dense("# labels: 4 9\n2\n0 1\n-1 0\n")
+            m = matio.read_dense(b"# labels: 4 9\n2\n0 1\n-1 0\n")
         assert (m.labels, calls) == ((4, 9), [(4, 9)])
 
 
@@ -283,22 +295,22 @@ class TestMalformedDense:
     ])
     def test_bad_entry_names_its_line(self, text, line):
         with pytest.raises(ParseError) as excinfo:
-            matio.read_dense(text)
+            matio.read_dense(text.encode())
         assert excinfo.value.line_number == line
 
     @pytest.mark.parametrize("comment", ["# labels: 1 1", "# labels: -5 7", "# labels: 1 x"])
     def test_bad_labels_comment(self, comment):
         with pytest.raises(ParseError, match="labels") as excinfo:
-            matio.read_dense(f"\n{comment}\n2\n0 0\n0 0\n")
+            matio.read_dense(f"\n{comment}\n2\n0 0\n0 0\n".encode())
         assert excinfo.value.line_number == 2
 
     def test_label_count_must_match(self):
         with pytest.raises(ParseError, match="3 labels for dimension 2"):
-            matio.read_dense("# labels: 1 2 3\n2\n0 0\n0 0\n")
+            matio.read_dense(b"# labels: 1 2 3\n2\n0 0\n0 0\n")
 
     def test_bad_dimension_line(self):
         with pytest.raises(ParseError) as excinfo:
-            matio.read_dense("# c\n-1\n")
+            matio.read_dense(b"# c\n-1\n")
         assert excinfo.value.line_number == 2
 
     @pytest.mark.parametrize("text, line", [
@@ -311,13 +323,13 @@ class TestMalformedDense:
     ])
     def test_header_integers_follow_the_entry_grammar(self, text, line):
         with pytest.raises(ParseError) as excinfo:
-            matio.read_dense(text)
+            matio.read_dense(text.encode())
         assert excinfo.value.line_number == line
 
     def test_largest_int64_label(self):
-        m = matio.read_dense("# labels: 9223372036854775807\n1\n0\n")
+        m = matio.read_dense(b"# labels: 9223372036854775807\n1\n0\n")
         assert m.labels == (2**63 - 1,)
-        assert matio.read_dense(matio.write_dense(m)) == m
+        assert matio.read_dense(bytes(matio.write_dense(m))) == m
 
 
 # Tokens of 19 and 20 digits, in and past the int64 range, with leading zeros
@@ -361,15 +373,15 @@ DENSE_CHANGES = {
 def perturbed_dense(draw) -> str:
     """The dense text of a zero-heavy matrix, as `write_dense` writes it
     or with up to three changes from DENSE_CHANGES."""
-    text = matio.write_dense(draw(zero_heavy_matrices(max_n=12)))
+    dense = as_text(matio.write_dense(draw(zero_heavy_matrices(max_n=12))))
     pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
     for change in draw(st.lists(st.sampled_from(sorted(DENSE_CHANGES)), max_size=3)):
-        text = DENSE_CHANGES[change](text, pick)
-    return text
+        dense = DENSE_CHANGES[change](dense, pick)
+    return dense
 
 
 def _compute_dense(g) -> str:
-    return matio.write_dense(build_nm(g))
+    return as_text(matio.write_dense(build_nm(g)))
 
 
 class TestDenseFastPath:
@@ -378,10 +390,10 @@ class TestDenseFastPath:
 
     @settings(max_examples=400, deadline=None)
     @given(perturbed_dense())
-    def test_matches_reference_reader(self, text):
-        expected = reference_read_dense(text)
+    def test_matches_reference_reader(self, dense):
+        expected = reference_read_dense(dense)
         try:
-            m = matio.read_dense(text)
+            m = matio.read_dense(dense.encode())
         except ParseError:
             assert expected is None
         else:
@@ -391,9 +403,9 @@ class TestDenseFastPath:
         example7_graph(), petersen(), q3_cube(), edgeless(0), edgeless(1),
     ], ids=["example7", "petersen", "q3", "n0", "n1"])
     def test_compute_output_needs_no_loadtxt(self, g, monkeypatch):
-        text = _compute_dense(g)
+        data = _compute_dense(g).encode()
         monkeypatch.setattr("nmgraph.textio.np.loadtxt", _no_loadtxt)
-        assert matio.read_dense(text) == build_nm(g)
+        assert matio.read_dense(data) == build_nm(g)
 
     def test_sparse_1024_needs_no_loadtxt(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
@@ -402,23 +414,23 @@ class TestDenseFastPath:
         edges = tmp_path / "g.txt"
         edges.write_text("".join(f"{u} {v}\n" for u, v in zip(tails[keep], heads[keep])))
         assert main(["compute", str(edges), "-o", str(tmp_path / "m.dense")]) == 0
-        text = (tmp_path / "m.dense").read_text()
-        expected = matio._read_lines(text)
+        data = (tmp_path / "m.dense").read_bytes()
+        expected = matio._read_lines(data.decode())
         monkeypatch.setattr("nmgraph.textio.np.loadtxt", _no_loadtxt)
-        assert matio.read_dense(text) == expected
+        assert matio.read_dense(data) == expected
 
     @pytest.mark.parametrize("change", sorted(DENSE_CHANGES))
     def test_changed_text_takes_the_line_path(self, change, monkeypatch):
-        text = _compute_dense(example7_graph())
-        changed = DENSE_CHANGES[change](text, lambda options: options[len(options) // 2])
+        dense = _compute_dense(example7_graph())
+        changed = DENSE_CHANGES[change](dense, lambda options: options[len(options) // 2])
         monkeypatch.setattr("nmgraph.textio.np.loadtxt", _no_loadtxt)
         with pytest.raises(AssertionError, match="loadtxt"):
-            matio.read_dense(changed)
+            matio.read_dense(changed.encode())
 
     def test_reads_every_nonzero_width(self):
         values = [1, -1, 9, -9, 10, -10, 99, 100, -1000, 10**18, -10**18, 2**63 - 1, -2**63]
         m = _dense(np.diag(values))
-        assert matio._read_written(matio.write_dense(m)) == m
+        assert matio._read_written(bytes(matio.write_dense(m))) == m
 
 
 def _no_loadtxt(*args, **kwargs):
@@ -508,9 +520,9 @@ class TestMalformedMatrixMarket:
 
     def test_banner_after_blank_lines(self):
         m = build_nm(example7_graph())
-        text = "\n  \n" + matio.write_matrix_market(m)
-        assert matio.read_matrix_market(text) == m
-        assert matio.read_auto(text) == m
+        mm = "\n  \n" + as_text(matio.write_matrix_market(m))
+        assert matio.read_matrix_market(mm) == m
+        assert matio.read_auto(mm.encode()) == m
         with pytest.raises(ParseError) as excinfo:
             matio.read_matrix_market("\n%%MatrixMarket matrix coordinate real general\n1 1 0\n")
         assert excinfo.value.line_number == 2
@@ -524,3 +536,43 @@ class TestMalformedMatrixMarket:
         with pytest.raises(ParseError, match="labels") as excinfo:
             matio.read_matrix_market(f"{MM_HEADER}\n{comment}\n2 2 0\n")
         assert excinfo.value.line_number == 2
+
+
+def _numpy_gnp(n: int, p: float, seed: int):
+    """G(n, p) drawn by numpy, fast at any n: about p n (n - 1) / 2 edges."""
+    rng = np.random.default_rng(seed)
+    draws = rng.binomial(n * (n - 1) // 2, p)
+    u, v = rng.integers(0, n, size=(2, 2 * draws))
+    pairs = np.unique(np.column_stack((np.minimum(u, v), np.maximum(u, v)))[u != v], axis=0)
+    return from_edges(n, pairs[rng.permutation(len(pairs))[:draws]])
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), the peak of what it allocated, traced above what was
+    allocated before it)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWritersAndReaderMemory:
+    def test_matrix_market_writer_holds_no_copy_of_the_view(self):
+        # about 1.4 million lines, 19 MiB of text: no temporary besides the
+        # text outgrows one row block's
+        m = build_nm(_numpy_gnp(20000, 8 / 19999, seed=1))
+        out, peak = _traced_peak(matio.write_matrix_market, m)
+        assert len(out) > 16 << 20
+        assert peak <= len(out) + (8 << 20)
+
+    def test_dense_reader_makes_no_second_copy_of_its_input(self):
+        # a perfect matching: 2 MB of text and 2n nonzero entries, so a
+        # text-sized temporary besides the re-render shows
+        m = build_nm(from_edges(1024, [(2 * i, 2 * i + 1) for i in range(512)]))
+        data = bytes(matio.write_dense(m))
+        nnz = np.count_nonzero(m.nonzeros()[0]) + len(m.nonzeros()[3])
+        read, peak = _traced_peak(matio.read_dense, data)
+        assert read == m
+        assert peak <= len(data) + 256 * nnz + (128 << 10)

@@ -17,7 +17,8 @@ from nmgraph import matio, textio
 from nmgraph.errors import ParseError
 from nmgraph.graph import parse_edge_list
 from nmgraph.nm import build_nm
-from helpers import edge_list_texts, example7_graph, matrices, numbered_lines, read_file
+from helpers import (as_text, edge_list_texts, example7_graph, matrices, numbered_lines,
+                     read_file)
 
 # Line breaks of str.splitlines, whitespace numpy's tokenizer reads as a
 # separator, and non-ASCII text.
@@ -71,7 +72,7 @@ def input_dir(tmp_path_factory):
 
 
 def matrix_market_texts():
-    return matrices(max_n=6).map(matio.write_matrix_market)
+    return matrices(max_n=6).map(matio.write_matrix_market).map(as_text)
 
 
 class TestPathReadsAsTheLinePath:
@@ -97,7 +98,7 @@ class TestLineNumbers:
     alone or from a file, whichever path reads the body."""
 
     FORMATS = {"edges": (edge_list_texts(), "#", 0), "mm": (matrix_market_texts(), "%", 1),
-               "dense": (matrices(max_n=6).map(matio.write_dense), "#", 1)}
+               "dense": (matrices(max_n=6).map(matio.write_dense).map(as_text), "#", 1)}
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @settings(max_examples=150, deadline=None)
@@ -127,7 +128,7 @@ def refuse_walk(rows):
 def plain_inputs():
     m = build_nm(example7_graph())
     return [(parse_edge_list, "# c\n\n1 2\n2 3\n  3 1\n"),
-            (matio.read_matrix_market, matio.write_matrix_market(m))]
+            (matio.read_matrix_market, as_text(matio.write_matrix_market(m)))]
 
 
 @pytest.mark.parametrize("reader, text", plain_inputs(), ids=["edges", "mm"])
@@ -199,7 +200,7 @@ def _tokens(text: str) -> tuple[np.ndarray, np.ndarray]:
 @given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-300, 300),
                           st.sampled_from([0, -1, 2**63 - 1, -2**63])), min_size=1, max_size=40))
 def test_get_ints_inverts_put_ints(values):
-    text = textio.int_lines(np.array(values, dtype=np.int64).reshape(1, -1))
+    text = as_text(textio.int_lines(np.array(values, dtype=np.int64).reshape(1, -1)))
     buf, starts = _tokens(text)
     got, widths = textio.get_ints(buf, starts)
     assert (got.tolist(), widths.tolist()) == (values, [len(str(v)) for v in values])
@@ -219,3 +220,35 @@ def test_get_ints_reads_what_the_caller_must_check(token, value, width):
     buf, starts = _tokens(token + " ")
     got, widths = textio.get_ints(buf, starts)
     assert (got.tolist(), widths.tolist()) == ([value], [width])
+
+
+@pytest.mark.parametrize("text, marker, head, hint", [
+    ("1 2\n3 4\n5 6\n", "#", 0, 3),
+    ("# c\n\n# d\n1 2\n3 4\n", "#", 0, 2),                     # comments in the header
+    ("1 2\n3 4\n5 6", "#", 0, 3),                              # no final newline
+    ("  1 2\n3 4\n", "#", 0, 2),                               # the first line indented
+    ("1 2\n\n3 4\n", "#", 0, None),                            # a blank line in the body
+    ("1 2\n \t\n3 4\n", "#", 0, None),                         # a whitespace-only line
+    ("1 2\n3 4\n  ", "#", 0, None),                            # one with no final newline
+    ("1 2\n  3 4\n", "#", 0, None),                            # an indented line
+    ("1 2\n# c\n3 4\n", "#", 0, None),                         # a comment in the body
+    ("%%MatrixMarket matrix coordinate integer general\n% labels: 4 5\n"
+     "2 2 2\n1 2 5\n2 1 5\n", "%", 1, 2),
+])
+def test_file_read_sizes_the_table_once(text, marker, head, hint, tmp_path, monkeypatch):
+    # numpy is told the row count only when every body line is a row; the
+    # table is the same with the hint, without it and on the line path
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert textio.Rows(text, marker, head)._rows_from(1) is None  # too small to be searched
+    monkeypatch.setattr(textio, "_SIZED_FROM", 0)
+    hints = []
+    rows_from = textio.Rows._rows_from
+    monkeypatch.setattr(textio.Rows, "_rows_from",
+                        lambda rows, number: hints.append(rows_from(rows, number)) or hints[-1])
+    ncols = 2 if head == 0 else 3
+    table = textio.Rows(text, marker, head, str(path)).table(ncols)
+    assert hints == [hint]
+    monkeypatch.setattr(textio.Rows, "_rows_from", lambda rows, number: None)
+    assert np.array_equal(textio.Rows(text, marker, head, str(path)).table(ncols), table)
+    assert np.array_equal(textio.Rows(text, marker, head).table(ncols), table)
