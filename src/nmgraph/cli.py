@@ -32,10 +32,25 @@ EXIT_INVALID_NM = 4
 
 
 def _read_text(path: str) -> str:
-    """The file's text, decoded as UTF-8, though a reader may read the
-    body from the path.  A file that is not UTF-8 raises
-    UnicodeDecodeError, which `main` reports as a parse error."""
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text, decoded as UTF-8.  A file that is not UTF-8 is a
+    parse error here, though a reader may read the body from the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _read_matrix(path: str) -> NeighborhoodMatrix:
+    """M from the file's bytes; `matio` decodes only the texts that
+    Python walks, and one that is not UTF-8 is a parse error here."""
+    try:
+        return matio.read_auto(Path(path).read_bytes(), path)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
 
 
 def _write(path: str | None, data: np.ndarray) -> None:
@@ -74,7 +89,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    m = matio.read_auto(Path(args.input).read_bytes(), args.input)
+    m = _read_matrix(args.input)
     graph = reconstruct_adjacency(m)
     _write(args.output, format_edge_list(graph))
     return EXIT_OK
@@ -254,10 +269,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnicodeDecodeError as exc:  # only an input file is decoded
-        print(f"error: {args.input}: not UTF-8 text (byte {exc.start}: {exc.reason})",
-              file=sys.stderr)
-        return EXIT_PARSE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

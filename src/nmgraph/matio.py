@@ -41,8 +41,6 @@ builds the n x n array.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from nmgraph import textio
@@ -59,8 +57,6 @@ _ZERO_WORDS = np.frombuffer(b"0 0 0 0  0 0 0 0", dtype=_WORD)
 _WORDS_PER_BLOCK = 1 << 17
 # Matrix Market lines formatted per pass: bounds the writer's temporaries.
 _LINES_PER_BLOCK = 1 << 14
-# The leading ASCII characters that str.lstrip strips, those str.isspace holds
-_ASCII_SPACE = re.compile(rb"[\t-\r\x1c-\x1f ]*")
 
 
 def write_dense(m: NeighborhoodMatrix) -> np.ndarray:
@@ -310,17 +306,15 @@ def read_auto(data: bytes, path: str | None = None) -> NeighborhoodMatrix:
     banner is on the first non-blank line, decoded as UTF-8, and a dense
     text otherwise.  Bytes that are not UTF-8 raise UnicodeDecodeError.
 
-    The first non-blank line is the one str.lstrip finds: a text whose
-    first byte past ASCII whitespace is not ASCII is decoded to find it.
+    A text that starts as `write_dense` writes one is dense and is not
+    decoded here: the banner would have to be on its first line.
     """
-    first = _ASCII_SPACE.match(data).end()
-    if data[first:first + 1] < b"\x80":
-        matrix_market = data.startswith(b"%%MatrixMarket", first)
-    else:  # perhaps whitespace that str.lstrip strips too
-        matrix_market = data.decode("utf-8").lstrip().startswith("%%MatrixMarket")
-    if not matrix_market:
-        return read_dense(data)
-    return read_matrix_market(data.decode("utf-8"), path)
+    if not data.startswith(_LABELS):
+        text = data.decode("utf-8")
+        if text.lstrip().startswith("%%MatrixMarket"):
+            return read_matrix_market(text, path)
+        del text  # read_dense decodes the bytes again if it walks the lines
+    return read_dense(data)
 
 
 def _labels(rows: textio.Rows, n: int) -> tuple[int, ...]:

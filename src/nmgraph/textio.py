@@ -10,14 +10,12 @@ each non-blank line, stripped, with its 1-based line number.  Plain
 text is split lazily at '\n'; any other text by str.splitlines.  Given
 the file's path, the walk stops at the body's first line, and numpy's C
 reader reads the body straight from the file, in one `np.loadtxt` call
-that builds no Python string per line.  numpy is told the row count of
-a large text whose every body line is a row, so that it allocates the
-table once.  numpy's tokenizer agrees with the line grammar only on
-plain text, so the line path decides every other file: the walk goes on
-to the end, and the body is parsed as one list of lines.  The line path
-also decides every file numpy rejects, so that it alone names a bad
-line.  An error names its line by walking again, only as far as that
-line.
+that builds no Python string per line.  numpy's tokenizer agrees with
+the line grammar only on plain text, so the line path decides every
+other file: the walk goes on to the end, and the body is parsed as one
+list of lines.  The line path also decides every file numpy rejects, so
+that it alone names a bad line.  An error names its line by walking
+again, only as far as that line.
 
 Formatting writes into uint8 buffers, one per text, of exactly its
 size.  One digit kernel, `widths` and `put_ints`, sizes and writes every
@@ -33,7 +31,6 @@ at given offsets of a uint8 buffer, for the dense reader's byte path.
 from __future__ import annotations
 
 import os
-import re
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
@@ -52,13 +49,6 @@ _TENS = [10 ** k for k in range(1, 20)]  # Python ints: compared in any unsigned
 # tokenizer reads a separator inside a line, or, for \r, where its file
 # reader may see a line break that the text did not hold.
 _ODD_WHITESPACE = "\r\v\f\x1c\x1d\x1e\x1f"
-# A line break before a blank line or before one that starts with whitespace
-_INDENTED = re.compile(r"\n[\n\t ]")
-# Texts from this many characters on tell numpy their row count.  Finding
-# it costs 1-3 ns a character, more time than numpy takes to grow the
-# table; what it saves is the memory of that growth (8.7 MiB at the peak
-# of a 61 MiB table), which matters only at scale.
-_SIZED_FROM = 1 << 22
 # numpy opens a file with one of these suffixes through a decompressor,
 # whatever it holds.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -143,30 +133,10 @@ class Rows:
         try:
             # An absolute path, so that numpy takes no name for a URL.
             table = np.loadtxt(os.path.abspath(path), dtype=np.int64, comments=None,
-                               skiprows=number - 1, max_rows=self._rows_from(number),
-                               ndmin=2, encoding="utf-8")
+                               skiprows=number - 1, ndmin=2, encoding="utf-8")
         except (ValueError, OSError):
             return None
         return first, comments, heads, table
-
-    def _rows_from(self, number: int) -> int | None:
-        """The number of lines from line `number`, the body's first, to
-        the end, when each of them is one row of the table, so that numpy
-        allocates the table once; else None, and numpy grows it.
-
-        Each is a row when no body line holds the comment marker or starts
-        with whitespace, as a blank line does: the body's first line is
-        not blank, so any later one follows a '\\n'.  A text shorter than
-        _SIZED_FROM is not searched.
-        """
-        text, start = self.text, 0
-        if len(text) < _SIZED_FROM:
-            return None
-        for _ in range(number - 1):
-            start = text.index("\n", start) + 1
-        if _INDENTED.search(text, start) or text.find(self.marker, start) >= 0:
-            return None
-        return text.count("\n", start) + (not text.endswith("\n"))
 
     def _numbered(self, k: int) -> tuple[int, str]:
         """(line number, line) of significant non-comment line k, walked

@@ -105,7 +105,7 @@ class TestAutoDetect:
 
     @pytest.mark.parametrize("lead", ["\x1c", "\x1f \n", "\u3000", "\xa0\n", "\u2028"])
     def test_banner_found_past_what_str_lstrip_strips(self, lead):
-        # the banner is looked for in the bytes where str.lstrip would find it
+        # the banner is looked for in the decoded text, past Unicode whitespace
         m = build_nm(example7_graph())
         mm = as_text(matio.write_matrix_market(m))
         assert matio.read_auto((lead + mm).encode()) == m

@@ -220,35 +220,3 @@ def test_get_ints_reads_what_the_caller_must_check(token, value, width):
     buf, starts = _tokens(token + " ")
     got, widths = textio.get_ints(buf, starts)
     assert (got.tolist(), widths.tolist()) == ([value], [width])
-
-
-@pytest.mark.parametrize("text, marker, head, hint", [
-    ("1 2\n3 4\n5 6\n", "#", 0, 3),
-    ("# c\n\n# d\n1 2\n3 4\n", "#", 0, 2),                     # comments in the header
-    ("1 2\n3 4\n5 6", "#", 0, 3),                              # no final newline
-    ("  1 2\n3 4\n", "#", 0, 2),                               # the first line indented
-    ("1 2\n\n3 4\n", "#", 0, None),                            # a blank line in the body
-    ("1 2\n \t\n3 4\n", "#", 0, None),                         # a whitespace-only line
-    ("1 2\n3 4\n  ", "#", 0, None),                            # one with no final newline
-    ("1 2\n  3 4\n", "#", 0, None),                            # an indented line
-    ("1 2\n# c\n3 4\n", "#", 0, None),                         # a comment in the body
-    ("%%MatrixMarket matrix coordinate integer general\n% labels: 4 5\n"
-     "2 2 2\n1 2 5\n2 1 5\n", "%", 1, 2),
-])
-def test_file_read_sizes_the_table_once(text, marker, head, hint, tmp_path, monkeypatch):
-    # numpy is told the row count only when every body line is a row; the
-    # table is the same with the hint, without it and on the line path
-    path = tmp_path / "input.txt"
-    path.write_bytes(text.encode("ascii"))
-    assert textio.Rows(text, marker, head)._rows_from(1) is None  # too small to be searched
-    monkeypatch.setattr(textio, "_SIZED_FROM", 0)
-    hints = []
-    rows_from = textio.Rows._rows_from
-    monkeypatch.setattr(textio.Rows, "_rows_from",
-                        lambda rows, number: hints.append(rows_from(rows, number)) or hints[-1])
-    ncols = 2 if head == 0 else 3
-    table = textio.Rows(text, marker, head, str(path)).table(ncols)
-    assert hints == [hint]
-    monkeypatch.setattr(textio.Rows, "_rows_from", lambda rows, number: None)
-    assert np.array_equal(textio.Rows(text, marker, head, str(path)).table(ncols), table)
-    assert np.array_equal(textio.Rows(text, marker, head).table(ncols), table)
