@@ -40,15 +40,6 @@ def _read_text(path: str) -> str:
         raise _not_utf8(path, exc) from None
 
 
-def _read_matrix(path: str) -> NeighborhoodMatrix:
-    """M from the file's bytes; `matio` decodes only the texts that
-    Python walks, and one that is not UTF-8 is a parse error here."""
-    try:
-        return matio.read_auto(Path(path).read_bytes(), path)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
-
-
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
 
@@ -89,7 +80,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    m = _read_matrix(args.input)
+    try:  # matio decodes only the texts that Python walks
+        m = matio.read_auto(Path(args.input).read_bytes(), args.input)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(args.input, exc) from None
     graph = reconstruct_adjacency(m)
     _write(args.output, format_edge_list(graph))
     return EXIT_OK

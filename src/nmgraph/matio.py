@@ -225,12 +225,13 @@ def write_matrix_market(m: NeighborhoodMatrix) -> np.ndarray:
             + textio.width_sum(vals) + textio.width_sum(diagonal[on]))
     out = np.empty(size, dtype=np.uint8)
     out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
-    # each block starts at the row that holds line k _LINES_PER_BLOCK, so none is empty
+    # each block starts at the row that holds line k _LINES_PER_BLOCK, so none is empty;
+    # distinct by dict, since np.unique imports numpy.ma
     ends = np.cumsum(per_row)
-    starts = np.unique(ends.searchsorted(np.arange(0, lines, _LINES_PER_BLOCK), "right"))
-    cuts = np.append(starts, n)
+    cuts = [*dict.fromkeys(ends.searchsorted(np.arange(0, lines, _LINES_PER_BLOCK), "right")
+                           .tolist()), n]
     at = len(head)
-    for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+    for start, stop in zip(cuts, cuts[1:]):
         flat, v = _row_major(m, start, stop)
         r = flat // n
         at = textio.put_lines(out, at, np.column_stack((r + 1, flat - r * n + 1, v)))
