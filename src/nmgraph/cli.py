@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -52,7 +53,9 @@ def _write(path: str | None, data: np.ndarray) -> None:
         Path(path).write_bytes(data)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+        view = memoryview(data)
+        while view:  # an unbuffered stdout is raw and may take part of it
+            view = view[sys.stdout.buffer.write(view):]
     else:
         sys.stdout.write(str(data, "ascii"))
 
@@ -262,16 +265,36 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
+        return code
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc, EXIT_PARSE)
     except InvalidMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_NM
+        return _error(exc, EXIT_INVALID_NM)
     except (OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, BrokenPipeError):
+            _discard(sys.stdout)
+        return _error(str(exc) or type(exc).__name__, EXIT_IO)
+
+
+def _error(message: object, code: int) -> int:
+    """Print the error line to stderr and return code, which a closed
+    stderr does not change."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        _discard(sys.stderr)
+    return code
+
+
+def _discard(stream) -> None:
+    """Point the process's own stdout or stderr, after a write to it
+    failed, at /dev/null, so that the interpreter's last flush of what it
+    still holds succeeds (the Python docs' note on SIGPIPE).  A stream put
+    in its place, as by a caller capturing output, is left alone."""
+    if stream in (sys.__stdout__, sys.__stderr__):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def entry() -> None:

@@ -50,11 +50,8 @@ from nmgraph.nm import NeighborhoodMatrix, scan
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 _LABELS = b"# labels: "
-_WORD = np.dtype("<u8")
-# The two 8-byte words a dense body of zero tokens alone is made of
-_ZERO_WORDS = np.frombuffer(b"0 0 0 0  0 0 0 0", dtype=_WORD)
-# Words of a dense body classified per pass, 1 MiB of text: bounds the masks.
-_WORDS_PER_BLOCK = 1 << 17
+# Bytes of a dense body classified per pass: bounds the masks.
+_BYTES_PER_BLOCK = 1 << 20
 # Matrix Market lines formatted per pass: bounds the writer's temporaries.
 _LINES_PER_BLOCK = 1 << 14
 
@@ -161,29 +158,16 @@ def _read_written(data: bytes) -> NeighborhoodMatrix | None:
 def _nonzero_tokens(buf: np.ndarray, body: int) -> np.ndarray:
     """The positions, from body on, of the bytes of buf other than '0'
     that follow a byte no greater than ' ': in a body that `write_dense`
-    wrote, the first byte of each nonzero entry.
-
-    buf is read as 8-byte words, _WORDS_PER_BLOCK at a time, which bounds
-    the masks.  A word of zero tokens alone, "0 0 0 0 " or " 0 0 0 0",
-    holds no such byte; only the other words are read byte by byte, each
-    beside itself shifted by one byte, with the byte before it shifted in.
+    wrote, the first byte of each nonzero entry.  body is past the header,
+    so every byte has one before it.  buf is compared _BYTES_PER_BLOCK at
+    a time, which bounds the masks.
     """
-    end = len(buf) // 8 * 8
-    words = buf[:end].view(_WORD)
-    found = []
-    for lo in range(body // 8, len(words), _WORDS_PER_BLOCK):
-        block = words[lo:lo + _WORDS_PER_BLOCK]
-        at = lo + np.flatnonzero((block != _ZERO_WORDS[0]) & (block != _ZERO_WORDS[1]))
-        held = words[at]
-        before = (held << np.uint64(8) | buf[8 * at - 1]).astype(_WORD, copy=False)
-        lead = before.view(np.uint8) <= ord(" ")
-        lead &= held.view(np.uint8) != ord("0")
-        k = np.flatnonzero(lead)
-        found.append(8 * at[k >> 3] + (k & 7))
-    tail = np.arange(max(end, body), len(buf))  # past the last whole word
-    found.append(tail[(buf[tail - 1] <= ord(" ")) & (buf[tail] != ord("0"))])
-    starts = np.concatenate(found)
-    return starts[starts.searchsorted(body):]  # the first word may start in the header
+    found = [np.empty(0, dtype=np.intp)]
+    for lo in range(body, len(buf), _BYTES_PER_BLOCK):
+        lead = buf[lo:lo + _BYTES_PER_BLOCK] != ord("0")
+        lead &= buf[lo - 1:lo - 1 + len(lead)] <= ord(" ")  # in place: two masks at most
+        found.append(lo + np.flatnonzero(lead))
+    return np.concatenate(found)
 
 
 def _read_lines(text: str) -> NeighborhoodMatrix:

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -300,6 +301,54 @@ class TestOutputBytes:
         child.stderr.close()
         assert child.wait(timeout=60) == 3
         assert err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv", [["compute"], ["analyze"], ["verify", "--trials", "2"]],
+                             ids=["compute", "analyze", "verify"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("same_pipe", [False, True], ids=["stderr-apart", "stderr-same"])
+    def test_closed_stdout_exits_3(self, argv, unbuffered, same_pipe, tmp_path):
+        # the pipe's read end is closed before the child starts, so its
+        # first write fails: for output that fits stdout's buffer, main's flush
+        rng = random.Random(7)
+        g = from_edges(2000, {tuple(sorted(rng.sample(range(2000), 2))) for _ in range(12000)})
+        src = tmp_path / "input"
+        src.write_bytes(format_edge_list(g))
+        env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "nmgraph.cli", *argv,
+                 *([str(src)] if argv[0] != "verify" else [])],
+                stdout=write_end, stderr=write_end if same_pipe else subprocess.PIPE,
+                env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 3
+        if not same_pipe:
+            assert child.stderr == b"error: [Errno 32] Broken pipe\n"
+
+    def test_stdout_that_takes_part_of_each_write_gets_every_byte(self, example7_file,
+                                                                    monkeypatch):
+        # an unbuffered stdout's buffer is a raw FileIO, whose write may
+        # take fewer bytes than it is given
+        class Trickle(io.RawIOBase):
+            def __init__(self):
+                self.taken = bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                self.taken += bytes(data[:3])
+                return min(len(data), 3)
+
+        trickle = Trickle()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(trickle))
+        assert main(["compute", str(example7_file)]) == 0
+        assert trickle.taken == matio.write_dense(build_nm(example7_graph())).tobytes()
 
 
 def _digest_inputs() -> list[tuple[str, object]]:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmgraph import matio, textio
@@ -435,6 +435,28 @@ class TestDenseFastPath:
 
 def _no_loadtxt(*args, **kwargs):
     raise AssertionError("np.loadtxt called")
+
+
+class TestNonzeroTokenBlocks:
+    """`_nonzero_tokens` compares the body _BYTES_PER_BLOCK bytes at a time.
+    The default 1 MiB puts at most two boundaries in any test text; blocks
+    of a few bytes put one at every offset of a token."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 8, 9])
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.one_of(zero_heavy_matrices(max_n=24), matrices(max_n=8)))
+    @example(m=_dense([]))  # n = 0
+    @example(m=_dense([[0]]))  # n = 1
+    @example(m=_dense([[-1]]))
+    @example(m=build_nm(petersen()))  # no zero entry
+    def test_blocks_give_the_whole_buffer_scan(self, block, m):
+        buf = matio.write_dense(m)
+        data = bytes(buf)
+        body = data.index(b"\n", data.index(b"\n") + 1) + 1
+        expected = body + np.flatnonzero((buf[body - 1:-1] <= 32) & (buf[body:] != 48))
+        with mock.patch.object(matio, "_BYTES_PER_BLOCK", block):
+            assert matio._nonzero_tokens(buf, body).tolist() == expected.tolist()
+            assert matio.read_dense(data) == m
 
 
 class TestMalformedMatrixMarket:
