@@ -6,13 +6,14 @@ in one pass and returns them as a `StructuralReport`, and
 analytic here recovers adjacency from the matrix itself (entry
 positive iff edge), demonstrating that the matrix alone carries the
 structure: this module imports nothing from the brute-force oracles.
-It sees M only through `NeighborhoodMatrix.nonzeros`: the diagonal and
-the row-major off-diagonal nonzeros (rows, cols, vals).  Every count is
-a sum over those entries: codegrees over the positive ones, and one
-histogram of the off-diagonal values, whose zeros are the n(n - 1) - nnz
-off-diagonal entries the view does not list.  Components are hooked
-together across the positive entries, unless a row with no zero shows
-the graph connected.
+It sees M only through `NeighborhoodMatrix.nonzeros`, the row-major
+nonzero entries (rows, cols, vals) with the diagonal ones among them,
+and the `diagonal` derived from them.  Every count is a sum over those
+entries: codegrees over the positive ones, and one histogram of all
+values, whose zeros are the n^2 - nnz entries the view does not list;
+less the diagonal's, it is the histogram of the off-diagonal values.
+Components are hooked together across the positive entries, unless a
+row with no zero shows the graph connected.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from nmgraph.graph import component_ids
 from nmgraph.nm import NeighborhoodMatrix
 
 
-def _adjacency(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-               vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _adjacency(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+               diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tails, heads, c) over the positive entries (i, j) of the view: the
     ordered adjacent pairs in row-major order, and c = |m_jj| - m_ij, the
     number of common neighbours of each, which no valid NM makes negative."""
@@ -45,17 +46,18 @@ def _pairs(c: np.ndarray) -> int:
     return int((c * (c - 1)).sum()) // 2
 
 
-def _off_diagonal_histogram(n: int, diagonal: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """counts[v + n] = number of off-diagonal entries equal to v.
+def _histogram(n: int, vals: np.ndarray) -> np.ndarray:
+    """counts[v + n] = number of entries of M equal to v, given its
+    nonzero values.
 
     Every entry of a valid neighbourhood matrix lies in [-(n-1), n-1];
     anything outside raises InvalidMatrixError.
     """
     bound = max(n - 1, 0)
-    if any(a.size and (int(a.min()) < -bound or int(a.max()) > bound) for a in (diagonal, vals)):
+    if vals.size and (int(vals.min()) < -bound or int(vals.max()) > bound):
         raise InvalidMatrixError(f"entry magnitude exceeds n - 1 = {n - 1}: not a valid NM")
     counts = np.bincount(vals + n, minlength=2 * n + 1)
-    counts[n] = n * (n - 1) - len(vals)
+    counts[n] = n * n - len(vals)
     return counts
 
 
@@ -127,7 +129,7 @@ def triangle_count(m: NeighborhoodMatrix) -> int:
     Each adjacent pair contributes its common-neighbour count, so the
     double sum counts every triangle six times.
     """
-    return _triangles(_adjacency(*m.nonzeros())[2])
+    return _triangles(_adjacency(*m.nonzeros(), m.diagonal())[2])
 
 
 def _srg_parameters(
@@ -165,15 +167,13 @@ class StructuralReport:
     s1_quarters: int  # 4 s1 and 4 s2, see _four_cycles: s1 and s2 may be
     s2_quarters: int  # half-integers, their sum never is
     induced_c4_free: bool  # see _induced_c4_free
-    # No off-diagonal entry is zero, i.e. all n(n - 1) are stored, and there
-    # are at least two vertices: the graph of no vertices, like that of one,
-    # has no finite diameter.
+    # No off-diagonal entry is zero, and there are at least two vertices:
+    # the graph of no vertices, like that of one, has no finite diameter.
     diameter_at_most_2: bool
-    # Some row is entirely nonzero: it stores n - 1 off-diagonal entries and
-    # its diagonal is nonzero.  Implies diameter <= 4, one way only: the 3-cube
-    # has one zero per row and diameter 3.
+    # Some row is entirely nonzero: it stores n entries.  Implies diameter
+    # <= 4, one way only: the 3-cube has one zero per row and diameter 3.
     some_row_has_no_zero: bool
-    distinct_entry_values: tuple[int, ...]  # the diagonal's and the off-diagonal's
+    distinct_entry_values: tuple[int, ...]  # over all entries, zeros included
     srg_parameters: tuple[int, int, int] | None  # (k, mu1, mu2), see _srg_parameters
 
     @property
@@ -212,21 +212,22 @@ def structural_report(m: NeighborhoodMatrix) -> StructuralReport:
     two steps and the graph is connected without a search.
     """
     n = m.n
-    diagonal, rows, cols, vals = m.nonzeros()
-    counts = _off_diagonal_histogram(n, diagonal, vals)
-    tails, heads, c = _adjacency(diagonal, rows, cols, vals)
+    rows, cols, vals = m.nonzeros()
+    counts = _histogram(n, vals)  # sets the report's peak, so before the diagonal is derived
+    distinct = tuple((np.flatnonzero(counts) - n).tolist())
+    diagonal = m.diagonal()
+    counts -= np.bincount(diagonal + n, minlength=2 * n + 1)  # now off the diagonal only
+    tails, heads, c = _adjacency(rows, cols, vals, diagonal)
     q1, q2 = _four_cycles(n, c, counts)
-    stored = np.diff(rows.searchsorted(np.arange(n + 1)))  # off-diagonal nonzeros per row
-    no_zero_row = bool(((stored == n - 1) & (diagonal != 0)).any())
-    all_counts = counts + np.bincount(diagonal + n, minlength=2 * n + 1)  # the diagonal too
+    no_zero_row = bool((np.diff(rows.searchsorted(np.arange(n + 1))) == n).any())
     return StructuralReport(
         component_count=1 if no_zero_row else component_ids(n, tails, heads)[0],
         triangle_count=_triangles(c),
         s1_quarters=q1,
         s2_quarters=q2,
         induced_c4_free=_induced_c4_free(n, tails, heads, rows, cols, vals),
-        diameter_at_most_2=n >= 2 and len(vals) == n * (n - 1),
+        diameter_at_most_2=n >= 2 and not counts[n],
         some_row_has_no_zero=no_zero_row,
-        distinct_entry_values=tuple((np.flatnonzero(all_counts) - n).tolist()),
+        distinct_entry_values=distinct,
         srg_parameters=_srg_parameters(n, diagonal, counts),
     )

@@ -216,11 +216,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that writes its help and version text to stdout
+    as every command writes its output, flushed before it exits: argparse
+    alone drops a failed write, so a closed pipe would lose the text and
+    exit 0."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+            file.flush()
+        else:
+            super()._print_message(message, file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every call to `main` can share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nmgraph",
         description="Neighbourhood-matrix toolkit for undirected simple graphs",
     )
@@ -263,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
         return code

@@ -34,9 +34,10 @@ Both writers return their text as one uint8 buffer of exactly its size,
 never as a `str`.  They read M's nonzero entries alone, in row-major
 order, and take their digits from `textio`'s one kernel, so no Python
 code runs per entry.  The Matrix Market writer sizes its buffer from
-per-row and per-column counts and fills it one row block at a time; the
-dense writer lays the entries over a template of zeros, so it never
-builds the n x n array.
+per-row and per-column counts and fills it one block of lines at a time;
+the dense writer lays the entries over a template of zeros, so it never
+builds the n x n array.  Both readers hand their entries over in the
+row-major order they read them in.
 """
 
 from __future__ import annotations
@@ -59,12 +60,13 @@ _LINES_PER_BLOCK = 1 << 14
 def write_dense(m: NeighborhoodMatrix) -> np.ndarray:
     """The dense text, written from M's nonzero entries alone into one
     uint8 buffer of exactly its size (see `_dense_bytes`)."""
-    return _dense_bytes(m.labels, *_row_major(m))
+    rows, cols, vals = m.nonzeros()
+    return _dense_bytes(m.labels, rows * m.n + cols, vals)
 
 
 def _dense_bytes(labels: tuple[int, ...], flat: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The dense text of the M with these labels whose nonzero entries
-    are (flat, vals) in row-major order, as `_row_major` gives them.
+    are m[i, j] = vals[k] at flat[k] = i n + j, in row-major order.
 
     With no nonzero entry the body would be n^2 tokens "0 ".  Each
     nonzero entry of w characters moves every later byte by w - 1, so a
@@ -147,12 +149,7 @@ def _read_written(data: bytes) -> NeighborhoodMatrix | None:
     except ValueError:
         return None  # the line path names the labels comment
     rows = flat // n  # empty when n is 0
-    cols = flat - rows * n
-    on = rows == cols
-    diagonal = np.zeros(n, dtype=np.int64)
-    diagonal[rows[on]] = vals[on]
-    off = ~on
-    return NeighborhoodMatrix.from_nonzeros(diagonal, rows[off], cols[off], vals[off], labels)
+    return NeighborhoodMatrix.from_nonzeros(rows, flat - rows * n, vals, labels)
 
 
 def _nonzero_tokens(buf: np.ndarray, body: int) -> np.ndarray:
@@ -190,52 +187,25 @@ def write_matrix_market(m: NeighborhoodMatrix) -> np.ndarray:
     The size is summed before the buffer is allocated: the lines of each
     row times the width of its index, the entries of each column times
     the width of its index, and the values' widths.  The lines are then
-    written row block by row block, each block of about _LINES_PER_BLOCK
-    lines merged with its own diagonal entries, so no temporary holds
-    the whole view.
+    written _LINES_PER_BLOCK at a time, so no temporary holds the whole
+    view.
     """
     n = m.n
-    diagonal, rows, cols, vals = m.nonzeros()
-    on = np.flatnonzero(diagonal)
-    per_row = np.bincount(rows, minlength=n)
-    per_row[on] += 1
-    per_col = np.bincount(cols, minlength=n)
-    per_col[on] += 1
-    lines = int(per_row.sum())
-    head = (f"{_MM_HEADER}\n% labels: {' '.join(map(str, m.labels))}\n{n} {n} {lines}\n"
+    rows, cols, vals = m.nonzeros()
+    head = (f"{_MM_HEADER}\n% labels: {' '.join(map(str, m.labels))}\n{n} {n} {len(vals)}\n"
             .encode("ascii"))
     index_width = textio.widths(np.arange(1, n + 1))
-    size = (len(head) + int(per_row @ index_width) + int(per_col @ index_width) + 3 * lines
-            + textio.width_sum(vals) + textio.width_sum(diagonal[on]))
+    size = (len(head) + int(np.bincount(rows, minlength=n) @ index_width)
+            + int(np.bincount(cols, minlength=n) @ index_width) + 3 * len(vals)
+            + textio.width_sum(vals))
     out = np.empty(size, dtype=np.uint8)
     out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
-    # each block starts at the row that holds line k _LINES_PER_BLOCK, so none is empty;
-    # distinct by dict, since np.unique imports numpy.ma
-    ends = np.cumsum(per_row)
-    cuts = [*dict.fromkeys(ends.searchsorted(np.arange(0, lines, _LINES_PER_BLOCK), "right")
-                           .tolist()), n]
     at = len(head)
-    for start, stop in zip(cuts, cuts[1:]):
-        flat, v = _row_major(m, start, stop)
-        r = flat // n
-        at = textio.put_lines(out, at, np.column_stack((r + 1, flat - r * n + 1, v)))
+    for lo in range(0, len(vals), _LINES_PER_BLOCK):
+        block = slice(lo, lo + _LINES_PER_BLOCK)
+        at = textio.put_lines(out, at, np.column_stack((rows[block] + 1, cols[block] + 1,
+                                                        vals[block])))
     return out
-
-
-def _row_major(m: NeighborhoodMatrix, start: int = 0,
-               stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(flat, vals): every nonzero entry m[i, j] of the rows from start
-    to stop as its flat index i n + j and its value, in row-major order;
-    the view's off-diagonal entries with the nonzero diagonal ones merged
-    in.  All rows by default."""
-    n = m.n
-    stop = n if stop is None else stop
-    diagonal, rows, cols, vals = m.nonzeros()
-    lo, hi = rows.searchsorted((start, stop))
-    d = start + np.flatnonzero(diagonal[start:stop])
-    flat = rows[lo:hi] * n + cols[lo:hi]
-    at = flat.searchsorted(d * (n + 1))
-    return np.insert(flat, at, d * (n + 1)), np.insert(vals[lo:hi], at, diagonal[d])
 
 
 def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix:
@@ -252,8 +222,9 @@ def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix
     n, cols, nnz = rows.head_ints(0, 3).tolist()
     if n != cols:
         raise rows.error(0, f"matrix is {n}x{cols}, expected square")
-    # Checked before allocating the diagonal: a file compute writes names
-    # every vertex in its labels comment, so it is longer than its dimension.
+    # A file compute writes names every vertex in its labels comment, so it
+    # is longer than its dimension.  The bound caps the n-sized arrays that
+    # M's diagonal and a reconstructed graph allocate later.
     if not 0 <= n <= len(text):
         raise rows.error(0, f"dimension {n} out of range for a {len(text)}-character file")
     if rows.count - 1 != nnz:
@@ -279,11 +250,8 @@ def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix
     r, c, v = table.T  # row-major, as the view wants
     r -= 1  # in range, so no longer able to wrap
     c -= 1
-    on = r == c
-    diagonal = np.zeros(n, dtype=np.int64)
-    diagonal[r[on]] = v[on]
-    off = np.flatnonzero(~on & (v != 0))  # the view lists no zero
-    return NeighborhoodMatrix.from_nonzeros(diagonal, r[off], c[off], v[off], labels)
+    listed = v != 0  # the view lists no zero; a mask is smaller and faster than indices here
+    return NeighborhoodMatrix.from_nonzeros(r[listed], c[listed], v[listed], labels)
 
 
 def read_auto(data: bytes, path: str | None = None) -> NeighborhoodMatrix:

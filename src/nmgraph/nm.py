@@ -43,8 +43,8 @@ FLOAT32_EXACT = 2 ** 24
 class NeighborhoodMatrix:
     """M plus the external vertex labels, stored as its nonzero view (see
     `nonzeros`), however it was built.  The view is read-only, nothing
-    about M can be reassigned, and the dense `entries` are derived from
-    the view on first use."""
+    about M can be reassigned, and the dense `entries` and the
+    `diagonal` are derived from the view."""
 
     def __init__(self, entries: np.ndarray, labels: tuple[int, ...]):
         arr = np.asarray(entries, dtype=_ENTRY_DTYPE)
@@ -62,18 +62,18 @@ class NeighborhoodMatrix:
         raise AttributeError(f"NeighborhoodMatrix is immutable: cannot set {name!r}")
 
     @classmethod
-    def from_nonzeros(cls, diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                      vals: np.ndarray, labels: tuple[int, ...]) -> NeighborhoodMatrix:
+    def from_nonzeros(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                      labels: tuple[int, ...]) -> NeighborhoodMatrix:
         """Wrap a freshly built nonzero view without copying it.
 
         The caller vouches for its form (see `nonzeros`): int64 arrays, the
-        off-diagonal entries nonzero, distinct and in row-major order, and
+        entries nonzero, distinct and in row-major order, and
         n labels already checked, as a `Graph`'s are and as the readers
         check theirs.  The arrays are frozen in place, so the caller must
         hold no other reference that it still means to write through.
         """
         m = cls.__new__(cls)
-        m._hold((diagonal, rows, cols, vals), labels)
+        m._hold((rows, cols, vals), labels)
         return m
 
     @property
@@ -93,35 +93,42 @@ class NeighborhoodMatrix:
     def entries(self) -> np.ndarray:
         """The dense n x n int64 M, read-only, filled from the view on first
         use: n^2 memory, which only the determinant and the tests ask for."""
-        diagonal, rows, cols, vals = self._view
+        rows, cols, vals = self._view
         entries = np.zeros((self.n, self.n), dtype=_ENTRY_DTYPE)
         entries[rows, cols] = vals
-        np.fill_diagonal(entries, diagonal)
         entries.setflags(write=False)
         return entries
 
-    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(diagonal, rows, cols, vals): the n diagonal entries, then every
-        nonzero off-diagonal entry, m[rows[k], cols[k]] = vals[k], in
-        row-major order.
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals): every nonzero entry, diagonal ones included,
+        m[rows[k], cols[k]] = vals[k], in row-major order; the list a
+        Matrix Market file holds.
 
         M's one stored form, and the one read of it that analytics,
         reconstruction and the sums, transpose and row decoding make.
-        Every structural count is a sum over these entries; an
-        off-diagonal entry not listed is zero.  The arrays are read-only.
+        Every structural count is a sum over these entries; an entry not
+        listed is zero.  The arrays are read-only.
         """
         return self._view
 
+    def diagonal(self) -> np.ndarray:
+        """The n diagonal entries, zeros included, taken from the view."""
+        rows, cols, vals = self._view
+        diagonal = np.zeros(self.n, dtype=_ENTRY_DTYPE)
+        on = np.flatnonzero(rows == cols)  # indices: at most n, so faster than the mask
+        diagonal[rows[on]] = vals[on]
+        return diagonal
 
-def scan(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+
+def scan(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero view of a square int64 array, sharing no memory with it:
     what `NeighborhoodMatrix.from_nonzeros` takes."""
+    # a flat scan of a mask: several times faster than 2-D np.nonzero, and
+    # than np.flatnonzero of the int64 array itself when M has zeros
     n = len(entries)
-    mask = entries != 0
-    np.fill_diagonal(mask, False)
-    flat = np.flatnonzero(mask)  # a flat scan is several times faster than 2-D np.nonzero
+    flat = np.flatnonzero(entries != 0)
     rows = flat // n  # this and a subtraction: several times faster than np.divmod
-    return entries.diagonal().copy(), rows, flat - rows * n, entries.ravel()[flat]
+    return rows, flat - rows * n, entries.ravel()[flat]
 
 
 def build_nm(g: Graph) -> NeighborhoodMatrix:
@@ -137,7 +144,7 @@ def build_nm(g: Graph) -> NeighborhoodMatrix:
     return NeighborhoodMatrix.from_nonzeros(*kernel(g), labels=g.labels)
 
 
-def _nonzeros_by_paths(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _nonzeros_by_paths(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M's nonzero view by sorting 2-paths (Latapy 2008) row block by row
     block, as in Gustavson's row-wise sparse product (1978).
 
@@ -146,7 +153,8 @@ def _nonzeros_by_paths(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     every directed edge (i, j) expands into deg(j) paths, whose ends k are
     read from j's run.  Rows go in blocks of about PATH_BLOCK paths and
     edges, at most a quarter of them all, which bounds the scratch memory.
-    Runs with i = k are A^2's diagonal, where M has -deg(i) instead.
+    A run with i = k is deg(i) paths and no edge, so it gives M's
+    diagonal entry -deg(i) like any other entry.
     """
     n, indptr, tails, heads, degrees = g.n, g.indptr, g.tails, g.indices, g.degrees
     fan = degrees[heads]  # paths through each directed edge
@@ -156,11 +164,11 @@ def _nonzeros_by_paths(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     cuts = np.flatnonzero(np.diff(work[:-1] // block)) + 1
     bounds = np.concatenate(([0], cuts, [n])).tolist()
     # Each block writes its entries straight into one buffer, sized by a
-    # bound: a row i holds at most n - 1 entries, and at most as many as its
-    # paths, deg(i) of which end at i and are left out while its deg(i)
-    # edges come in.  The buffer is not shrunk to the entries: freed tails
-    # go back to the system and the next build faults them in again.
-    bound = int(np.minimum(np.diff(work) - degrees, max(n - 1, 0)).sum())
+    # bound: a row i holds at most n entries, and at most one more than its
+    # paths, deg(i) of which end at i in one entry while its deg(i) edges
+    # come in.  The buffer is not shrunk to the entries: freed tails go
+    # back to the system and the next build faults them in again.
+    bound = int(np.minimum(np.diff(work) - degrees + (degrees > 0), n).sum())
     out = np.empty((3, bound), dtype=np.int64)
     filled = 0
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
@@ -179,7 +187,7 @@ def _nonzeros_by_paths(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         keys[:p] += np.repeat(row_keys, f)  # (i - r0) n + k
         np.add(row_keys, h, out=keys[p:], casting="unsafe")  # (i - r0) n + j
         filled = _block_by_sorting(n, r0, keys, p, degrees, out, filled)
-    return (np.negative(degrees), *out[:, :filled])
+    return tuple(out[:, :filled])
 
 
 # A function of its own, so that one block's temporaries are freed before the next's.
@@ -203,24 +211,21 @@ def _block_by_sorting(n: int, r0: int, keys: np.ndarray, p: int, degrees: np.nda
     edge &= 1
     entry = entry[last]
     count = np.diff(last, prepend=-1)  # keys in each run
-    rows = entry // n
-    entry -= rows * n  # now the columns
-    rows += r0
-    keep = rows != entry  # the view leaves the diagonal out
-    size = int(np.count_nonzero(keep))
-    r, c, v = out[:, filled:filled + size]
-    r[:] = rows[keep]
-    c[:] = entry[keep]
-    v[:] = count[keep]
+    r, c, v = out[:, filled:filled + len(last)]
+    np.floor_divide(entry, n, out=r)
+    c[:] = entry
+    c -= r * n
+    r += r0
+    v[:] = count
     w = degrees[c]
     w += 1
-    w *= edge[keep]
+    w *= edge
     v -= w
     np.negative(v, out=v)
-    return filled + size
+    return filled + len(last)
 
 
-def _nonzeros_by_blas(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _nonzeros_by_blas(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M's nonzero view, scanned off -A^2 plus deg(j) at each edge (i, j).
     -A^2 is a float32 product, exact because every partial sum is an
     integer at most n - 1 < 2^24."""
@@ -266,7 +271,7 @@ def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:
     else raises InvalidMatrixError naming the first differing entry in
     row-major order, 1-based as both file formats number it.
     """
-    _, rows, cols, vals = m.nonzeros()
+    rows, cols, vals = m.nonzeros()
     upper = (vals > 0) & (rows < cols)
     g = from_edges(m.n, np.column_stack((rows[upper], cols[upper])), labels=m.labels)
     rebuilt = build_nm(g)
@@ -281,13 +286,8 @@ def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:
 def _first_difference(a: NeighborhoodMatrix, b: NeighborhoodMatrix) -> tuple[int, int, int]:
     """(i n + j, a_ij, b_ij) for the first entry in row-major order where
     two unequal matrices of one size differ, found by merging the sorted
-    keys of their nonzero views, diagonals included."""
-    n = a.n
-    keyed = []
-    for m in (a, b):
-        diagonal, rows, cols, vals = m.nonzeros()
-        keyed.append((np.concatenate((rows * n + cols, np.arange(n) * (n + 1))),
-                      np.concatenate((vals, diagonal))))
+    keys of their nonzero views."""
+    keyed = [(rows * a.n + cols, vals) for rows, cols, vals in (a.nonzeros(), b.nonzeros())]
     union = np.union1d(keyed[0][0], keyed[1][0])
     values = []
     for keys, vals in keyed:
@@ -298,18 +298,18 @@ def _first_difference(a: NeighborhoodMatrix, b: NeighborhoodMatrix) -> tuple[int
     return int(union[k]), int(values[0][k]), int(values[1][k])
 
 
-def _totals(diagonal: np.ndarray, index: np.ndarray, vals: np.ndarray) -> list[int]:
-    """The diagonal plus the view's values summed by row or column index,
-    in int64 as a dense sum is: no float weights, which would round the
-    values near 2^63 that an M read from a file can hold."""
-    totals = diagonal.copy()
+def _totals(n: int, index: np.ndarray, vals: np.ndarray) -> list[int]:
+    """The view's values summed by row or column index, in int64 as a
+    dense sum is: no float weights, which would round the values near
+    2^63 that an M read from a file can hold."""
+    totals = np.zeros(n, dtype=_ENTRY_DTYPE)
     np.add.at(totals, index, vals)
     return totals.tolist()
 
 
 def row_sums(m: NeighborhoodMatrix) -> list[int]:
-    diagonal, rows, _, vals = m.nonzeros()
-    return _totals(diagonal, rows, vals)
+    rows, _, vals = m.nonzeros()
+    return _totals(m.n, rows, vals)
 
 
 def column_sums(m: NeighborhoodMatrix, g: Graph) -> tuple[list[int], list[int]]:
@@ -318,8 +318,8 @@ def column_sums(m: NeighborhoodMatrix, g: Graph) -> tuple[list[int], list[int]]:
     of deg(j); raises InvalidMatrixError naming the first column where they
     differ.
     """
-    diagonal, _, cols, vals = m.nonzeros()
-    totals = _totals(diagonal, cols, vals)
+    _, cols, vals = m.nonzeros()
+    totals = _totals(m.n, cols, vals)
     prefix = np.concatenate(([0], np.cumsum(g.degrees[g.indices])))
     formula = (g.degrees * g.degrees - np.diff(prefix[g.indptr])).tolist()
     for j, (total, closed) in enumerate(zip(totals, formula, strict=True)):
@@ -331,10 +331,9 @@ def column_sums(m: NeighborhoodMatrix, g: Graph) -> tuple[list[int], list[int]]:
 def transpose(m: NeighborhoodMatrix) -> NeighborhoodMatrix:
     """M^T under the same labels: for a graph, the mirrored product (D - A)A.
     One stable sort by column puts the swapped view in row-major order."""
-    diagonal, rows, cols, vals = m.nonzeros()
+    rows, cols, vals = m.nonzeros()
     order = np.argsort(cols, kind="stable")
-    return NeighborhoodMatrix.from_nonzeros(diagonal, cols[order], rows[order], vals[order],
-                                            m.labels)
+    return NeighborhoodMatrix.from_nonzeros(cols[order], rows[order], vals[order], m.labels)
 
 
 def is_symmetric(m: NeighborhoodMatrix) -> bool:
@@ -388,11 +387,10 @@ def row_profile(m: NeighborhoodMatrix, i: int) -> RowProfile:
     position ties for the minimum."""
     if not 0 <= i < m.n:
         raise IndexError(f"row index {i} out of range for n={m.n}")
-    diagonal, rows, cols, vals = m.nonzeros()
+    rows, cols, vals = m.nonzeros()
     lo, hi = rows.searchsorted((i, i + 1))
     row = dict(zip(cols[lo:hi].tolist(), vals[lo:hi].tolist()))
-    row[i] = int(diagonal[i])
-    row_min = min(0, *row.values())
+    row_min = min([0, *row.values()])
     if row_min == 0 and any(row.values()):
         raise InvalidMatrixError(f"row {i} has no negative entry: not an NM row")
 
@@ -407,5 +405,5 @@ def row_profile(m: NeighborhoodMatrix, i: int) -> RowProfile:
         level2=level2,
         out_edge_count=out_edge_count,
         diagonal_candidates=candidates,
-        degree=-row[i],
+        degree=-row.get(i, 0),
     )

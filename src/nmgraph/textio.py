@@ -14,8 +14,8 @@ that builds no Python string per line.  numpy's tokenizer agrees with
 the line grammar only on plain text, so the line path decides every
 other file: the walk goes on to the end, and the body is parsed as one
 list of lines.  The line path also decides every file numpy rejects, so
-that it alone names a bad line.  An error names its line by walking
-again, only as far as that line.
+that it alone names a bad line, found by bisecting the list.  An error
+names its line by walking again, only as far as that line.
 
 Formatting writes into uint8 buffers, one per text, of exactly its
 size.  One digit kernel, `widths` and `put_ints`, sizes and writes every
@@ -165,27 +165,41 @@ class Rows:
 
     def _parse(self, rows: list[str], ncols: int, first: int) -> np.ndarray:
         """rows, the significant lines from line `first` on, as an int64
-        array with ncols columns; else the error of the first bad row."""
+        array with ncols columns; else the error of the first bad row.
+
+        A set of rows reads as a table iff each of its rows does on its
+        own, so the first bad row is found by bisection: each probe reads
+        the half not yet known good, about two passes over the rows in
+        all.  That row's own check then words the error.
+        """
         if not rows:
             return np.zeros((0, ncols), dtype=np.int64)
-        try:
-            # Each line is one row, so numpy allocates the table once, without
-            # growing it row block by row block
-            table = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2,
-                               max_rows=len(rows))
-        except ValueError:
-            table = None
-        if table is not None and table.shape[1] == ncols:
+        table = _as_table(rows, ncols)
+        if table is not None:
             return table
-        # Error path: name the first line that fails on its own.
-        for k, line in enumerate(rows, start=first):
-            try:
-                got = len(ints(line))
-            except ValueError:
-                raise self.error(k, f"entry is not an int64 integer in {line!r}") from None
-            if got != ncols:
-                raise self.error(k, f"expected {ncols} entries, got {got}")
+        good, bad = 0, len(rows)  # rows[:good] read; rows[good:bad] hold a row that does not
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            good, bad = (good, mid) if _as_table(rows[good:mid], ncols) is None else (mid, bad)
+        line = rows[good]
+        try:
+            got = len(ints(line))
+        except ValueError:
+            raise self.error(first + good, f"entry is not an int64 integer in {line!r}") from None
+        if got != ncols:
+            raise self.error(first + good, f"expected {ncols} entries, got {got}")
         raise ParseError("malformed integer table")
+
+
+def _as_table(rows: list[str], ncols: int) -> np.ndarray | None:
+    """rows, each one line, as an int64 array with ncols columns, else None."""
+    try:
+        # Each line is one row, so numpy allocates the table once, without
+        # growing it row block by row block
+        table = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2, max_rows=len(rows))
+    except ValueError:
+        return None
+    return table if table.shape[1] == ncols else None
 
 
 def _lazy_lines(text: str) -> Iterator[str]:

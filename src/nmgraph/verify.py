@@ -9,7 +9,8 @@ serialized as an edge list under a '#' line giving its vertex count and
 isolated vertices.
 
 `row-profile-decoding` reads every row of M as its vertex's first two
-BFS levels in one pass over the nonzero view, and names the first row
+BFS levels in one pass over its row-major nonzero entries, the diagonal
+ones among them, and names the first row
 whose positive entries are not the vertex's neighbours, whose level-1
 and level-2 edge counts differ, or whose diagonal is not its minimum;
 that the diagonal is -degree is checked once, by `entry-shape`.
@@ -81,14 +82,13 @@ class GraphContext:
 def _check_dual_path(ctx: GraphContext) -> str | None:
     if ctx.m != build_nm_product(ctx.g):
         return "row-sum and product constructions disagree"
-    # The set-based array must match M's diagonal and stored entries and be
-    # zero elsewhere.  It is not scanned into a view: `nm.scan` is part of the
+    # The set-based array must match M's stored entries and be zero
+    # elsewhere.  It is not scanned into a view: `nm.scan` is part of the
     # BLAS kernel, and this oracle shares no code with it.
     dense = oracles.set_based_entries(ctx.g)
-    diagonal, rows, cols, vals = ctx.m.nonzeros()
-    stored = np.array_equal(dense.diagonal(), diagonal) and np.array_equal(dense[rows, cols], vals)
+    rows, cols, vals = ctx.m.nonzeros()
+    stored = np.array_equal(dense[rows, cols], vals)
     dense[rows, cols] = 0
-    np.fill_diagonal(dense, 0)
     if not stored or dense.any():
         return "row-sum and set-based constructions disagree"
     return None
@@ -113,12 +113,9 @@ def _check_column_sums(ctx: GraphContext) -> str | None:
 
 
 def _check_entry_shape(ctx: GraphContext) -> str | None:
-    # Once the diagonal is -degree, its magnitudes are at most n - 1, so
-    # only the off-diagonal nonzeros need the bound.
-    diagonal, _, _, vals = ctx.m.nonzeros()
-    if not np.array_equal(diagonal, -ctx.g.degrees):
+    if not np.array_equal(ctx.m.diagonal(), -ctx.g.degrees):
         return "diagonal is not -degree"
-    if (np.abs(vals) > ctx.g.n - 1).any():
+    if (np.abs(ctx.m.nonzeros()[2]) > ctx.g.n - 1).any():
         return "entry magnitude exceeds n - 1"
     return None
 
@@ -155,13 +152,13 @@ def _check_row_profiles(ctx: GraphContext) -> str | None:
     # reads stored entries only: a diagonal of -degree <= 0, which
     # entry-shape checks, is never above an unstored zero.
     n, tails, heads = ctx.g.n, ctx.g.tails, ctx.g.indices
-    diagonal, rows, cols, vals = ctx.m.nonzeros()
-    up = vals > 0
-    out, back = np.bincount(rows[up], vals[up] - 1, n), np.bincount(rows[~up], -vals[~up], n)
+    rows, cols, vals = ctx.m.nonzeros()
+    up, down = vals > 0, (vals < 0) & (rows != cols)
+    out, back = np.bincount(rows[up], vals[up] - 1, n), np.bincount(rows[down], -vals[down], n)
     for bad, problem in [
         (np.setxor1d(rows[up] * n + cols[up], tails * n + heads, True) // n, "level 1 is not N(i)"),
         (np.flatnonzero(out != back), "level1->level2 edges unbalanced"),
-        (rows[vals < diagonal[rows]], "diagonal not among argmin positions"),
+        (rows[vals < ctx.m.diagonal()[rows]], "diagonal not among argmin positions"),
     ]:
         if len(bad):
             return f"row {bad[0]}: {problem}"

@@ -302,13 +302,15 @@ class TestOutputBytes:
         assert child.wait(timeout=60) == 3
         assert err == "error: [Errno 32] Broken pipe\n"
 
-    @pytest.mark.parametrize("argv", [["compute"], ["analyze"], ["verify", "--trials", "2"]],
-                             ids=["compute", "analyze", "verify"])
+    @pytest.mark.parametrize("argv", [["compute"], ["analyze"], ["verify", "--trials", "2"],
+                                      ["--help"], ["--version"]],
+                             ids=["compute", "analyze", "verify", "help", "version"])
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("same_pipe", [False, True], ids=["stderr-apart", "stderr-same"])
     def test_closed_stdout_exits_3(self, argv, unbuffered, same_pipe, tmp_path):
         # the pipe's read end is closed before the child starts, so its
-        # first write fails: for output that fits stdout's buffer, main's flush
+        # first write fails: for output that fits stdout's buffer, main's flush,
+        # and for --help and --version, argparse's own print or its flush
         rng = random.Random(7)
         g = from_edges(2000, {tuple(sorted(rng.sample(range(2000), 2))) for _ in range(12000)})
         src = tmp_path / "input"
@@ -321,7 +323,7 @@ class TestOutputBytes:
         try:
             child = subprocess.run(
                 [sys.executable, "-m", "nmgraph.cli", *argv,
-                 *([str(src)] if argv[0] != "verify" else [])],
+                 *([str(src)] if argv[0] in ("compute", "analyze") else [])],
                 stdout=write_end, stderr=write_end if same_pipe else subprocess.PIPE,
                 env=env, timeout=120)
         finally:
@@ -656,6 +658,14 @@ class TestCountArguments:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: nmgraph") and f"argument {argv[1]}" in err
+
+    @pytest.mark.parametrize("argv, out", [(["--version"], "0.1.0\n"),
+                                           (["--help"], "usage: nmgraph [-h] [--version]")])
+    def test_help_and_version_print_and_exit_0(self, capsys, argv, out):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(out)
 
     def test_bounds_are_inclusive(self, capsys):
         assert main(["verify", "--trials", "0", "--size", "0"]) == 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nmgraph import nm
+from nmgraph import matio, nm
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
 from nmgraph.graph import Graph, connected_components, from_edges
 from nmgraph.matio import read_matrix_market
@@ -146,22 +146,21 @@ class TestBuild:
 
 
 class TestNonzeroView:
-    def test_row_major_order_without_the_diagonal(self):
-        off_diagonal = EXAMPLE7_MATRIX.copy()
-        np.fill_diagonal(off_diagonal, 0)
-        expected_rows, expected_cols = np.nonzero(off_diagonal)
+    def test_row_major_order_with_the_diagonal(self):
+        expected_rows, expected_cols = np.nonzero(EXAMPLE7_MATRIX)
         column_major = np.asfortranarray(EXAMPLE7_MATRIX)
         column_major.setflags(write=False)  # scanned in row-major order all the same
         for entries in (EXAMPLE7_MATRIX, column_major):
             m = NeighborhoodMatrix(entries=entries, labels=tuple(range(1, 8)))
-            diagonal, rows, cols, vals = m.nonzeros()
-            assert np.array_equal(diagonal, np.diagonal(EXAMPLE7_MATRIX))
+            rows, cols, vals = m.nonzeros()
+            assert np.array_equal(m.diagonal(), np.diagonal(EXAMPLE7_MATRIX))
             assert np.array_equal(rows, expected_rows)
             assert np.array_equal(cols, expected_cols)
             assert np.array_equal(vals, EXAMPLE7_MATRIX[expected_rows, expected_cols])
 
     def test_empty_at_n_0(self):
-        assert [a.size for a in build_nm(edgeless(0)).nonzeros()] == [0, 0, 0, 0]
+        m = build_nm(edgeless(0))
+        assert [a.size for a in (*m.nonzeros(), m.diagonal())] == [0, 0, 0, 0]
 
     def test_built_once_and_read_only(self):
         m = build_nm(example7_graph())
@@ -190,7 +189,7 @@ class TestNonzeroView:
         m = build(g)
         held = [a for v in vars(m).values() if isinstance(v, tuple)
                 for a in v if isinstance(a, np.ndarray)]
-        assert len(held) == 4 and all(a.ndim == 1 and a.base is None for a in held)
+        assert len(held) == 3 and all(a.ndim == 1 and a.base is None for a in held)
         assert np.array_equal(m.entries, set_based_entries(g))
         assert vars(m)["entries"] is m.entries  # densified once, on first read
 
@@ -276,16 +275,65 @@ class TestSquareKernels:
 BUILDS = {"blas": float("inf"), "paths": 0}
 
 
-def _view(g: Graph, build: str, block: int | None = None) -> tuple[np.ndarray, ...]:
+def _build(g: Graph, build: str, block: int | None = None) -> NeighborhoodMatrix:
     with mock.patch.multiple(nm, SPARSE_WORK_RATIO=BUILDS[build],
                              PATH_BLOCK=block or nm.PATH_BLOCK):
-        return build_nm(g).nonzeros()
+        return build_nm(g)
+
+
+def _view(g: Graph, build: str, block: int | None = None) -> tuple[np.ndarray, ...]:
+    return _build(g, build, block).nonzeros()
 
 
 def _views_equal(got: tuple[np.ndarray, ...], expected: NeighborhoodMatrix) -> None:
     for a, b in zip(got, expected.nonzeros(), strict=True):
         assert a.dtype == np.int64
         assert np.array_equal(a, b)
+
+
+def _dense_lines(m: NeighborhoodMatrix) -> bytes:
+    """m's dense text with a comment line first, which only the line path reads."""
+    return b"# c\n" + bytes(matio.write_dense(m))
+
+
+def _matrix_market(m: NeighborhoodMatrix, order: slice) -> str:
+    """m's nonzero entries, the diagonal's among them, as a Matrix Market
+    text in row-major order or reversed, with an explicit zero at (1, 3)."""
+    n = len(m.entries)
+    listed = m.entries != 0
+    listed[0, 2] = True  # zero in both graphs below
+    coordinates = np.argwhere(listed)[order]
+    return "".join([f"%%MatrixMarket matrix coordinate integer general\n{n} {n} "
+                    f"{len(coordinates)}\n",
+                    *(f"{r + 1} {c + 1} {m.entries[r, c]}\n" for r, c in coordinates.tolist())])
+
+
+PRODUCERS = {
+    **{f"{kernel}-block-{block or 'default'}":
+       lambda g, kernel=kernel, block=block: _build(g, kernel, block)
+       for kernel in ("paths", "blas") for block in (1, None)},
+    "public-constructor": lambda g: NeighborhoodMatrix(set_based_entries(g), g.labels),
+    "dense-bytes": lambda g: matio.read_dense(bytes(matio.write_dense(build_nm(g)))),
+    "dense-lines": lambda g: matio.read_dense(_dense_lines(build_nm(g))),
+    "mm-row-major": lambda g: read_matrix_market(_matrix_market(build_nm(g), slice(None))),
+    "mm-reversed": lambda g: read_matrix_market(_matrix_market(build_nm(g), slice(None, None, -1))),
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+@pytest.mark.parametrize("g", [example7_graph(), from_edges(7, [(1, 2), (2, 4), (4, 1)])],
+                         ids=["example7", "isolated"])
+def test_every_producer_lists_every_nonzero_entry_in_row_major_order(producer, g, monkeypatch):
+    if producer == "dense-bytes":  # the byte path, not the line path
+        monkeypatch.setattr(matio, "_read_lines", None)
+    m = PRODUCERS[producer](g)
+    assert np.array_equal(m.entries, set_based_entries(g))
+    r, c = np.nonzero(m.entries)
+    view = m.nonzeros()
+    assert len(view) == 3 and all(a.dtype == np.int64 for a in view)
+    for got, expected in zip(view, (r, c, m.entries[r, c])):
+        assert np.array_equal(got, expected)
+    assert np.array_equal(m.diagonal(), np.diagonal(m.entries))
 
 
 class TestViewFromEitherKernel:
@@ -320,8 +368,8 @@ class TestViewFromEitherKernel:
     ], ids=["dense-rows", "sparse"])
     def test_view_buffer_is_at_most_5_percent_larger(self, g):
         # the kernel writes the view into a buffer sized by a bound on the
-        # entries: left-out diagonal paths are not counted in it
-        for a in _view(g, "paths")[1:]:
+        # entries: the deg(i) paths that end at i count once in it
+        for a in _view(g, "paths"):
             assert a.base.shape[1] <= 1.05 * a.size
 
 
@@ -580,9 +628,8 @@ def _handed_over(entries: np.ndarray, labels: tuple[int, ...]) -> list[Neighborh
     public constructor, a view found by np.nonzero, and a Matrix Market
     text listing every nonzero entry backwards."""
     n = len(entries)
-    rows, cols = np.nonzero(entries * ~np.eye(n, dtype=bool))
-    view = NeighborhoodMatrix.from_nonzeros(np.diagonal(entries).copy(), rows, cols,
-                                            entries[rows, cols], labels)
+    rows, cols = np.nonzero(entries)
+    view = NeighborhoodMatrix.from_nonzeros(rows, cols, entries[rows, cols], labels)
     coordinates = np.argwhere(entries)[::-1]
     text = "".join([f"%%MatrixMarket matrix coordinate integer general\n"
                     f"% labels: {' '.join(map(str, labels))}\n{n} {n} {len(coordinates)}\n",

@@ -176,6 +176,38 @@ def test_carriage_return_in_the_text_as_given(tmp_path):
     assert matio.read_matrix_market(text, str(path)) == matio.read_matrix_market(text)
 
 
+def _per_line_error(rows: textio.Rows, ncols: int) -> ParseError:
+    """The error the body's first bad line gives on its own: the line it
+    names, found by checking each line in turn."""
+    for k in range(rows.count):
+        line = rows.line(k)
+        try:
+            got = len(textio.ints(line))
+        except ValueError:
+            return rows.error(k, f"entry is not an int64 integer in {line!r}")
+        if got != ncols:
+            return rows.error(k, f"expected {ncols} entries, got {got}")
+    raise AssertionError("no bad line")
+
+
+@pytest.mark.parametrize("bad", ["7 8 9", "7 x", "7 99999999999999999999", "7"])
+@pytest.mark.parametrize("at", [0, 500, 999], ids=["first", "middle", "last"])
+def test_bad_row_is_found_with_log_n_loadtxt_calls(bad, at, monkeypatch):
+    # a comment and a blank line, so that line numbers are not row indices
+    lines = [f"{v} {v + 1}" for v in range(1000)]
+    lines[at] = bad
+    lines[300:300] = ["# c", ""]
+    text = "\n".join(lines) + "\n"
+    expected = _per_line_error(textio.Rows(text, "#"), 2)
+    loadtxt, calls = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    with pytest.raises(ParseError) as excinfo:
+        textio.Rows(text, "#").table(2)
+    assert (str(excinfo.value), excinfo.value.line_number) == (str(expected),
+                                                               expected.line_number)
+    assert len(calls) <= 12  # the whole table, 10 halvings of 1000 rows, the bad row
+
+
 def test_only_textio_calls_loadtxt():
     # every reader goes through the same C path and the same fallback, and
     # splits a text into lines only through textio's one walk; cli splits
