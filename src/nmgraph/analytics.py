@@ -27,6 +27,10 @@ from nmgraph.errors import InvalidMatrixError
 from nmgraph.graph import component_ids
 from nmgraph.nm import NeighborhoodMatrix
 
+# Values _histogram counts at a time: it shifts each slice by n into a
+# temporary, so no temporary as large as the view is made.
+HISTOGRAM_SLICE = 2 ** 20
+
 
 def _adjacency(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -56,7 +60,9 @@ def _histogram(n: int, vals: np.ndarray) -> np.ndarray:
     bound = max(n - 1, 0)
     if vals.size and (int(vals.min()) < -bound or int(vals.max()) > bound):
         raise InvalidMatrixError(f"entry magnitude exceeds n - 1 = {n - 1}: not a valid NM")
-    counts = np.bincount(vals + n, minlength=2 * n + 1)
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
+    for start in range(0, len(vals), HISTOGRAM_SLICE):
+        counts += np.bincount(vals[start:start + HISTOGRAM_SLICE] + n, minlength=2 * n + 1)
     counts[n] = n * n - len(vals)
     return counts
 
@@ -129,7 +135,7 @@ def triangle_count(m: NeighborhoodMatrix) -> int:
     Each adjacent pair contributes its common-neighbour count, so the
     double sum counts every triangle six times.
     """
-    return _triangles(_adjacency(*m.nonzeros(), m.diagonal())[2])
+    return _triangles(_adjacency(*m.nonzeros(), m.diagonal)[2])
 
 
 def _srg_parameters(
@@ -213,9 +219,9 @@ def structural_report(m: NeighborhoodMatrix) -> StructuralReport:
     """
     n = m.n
     rows, cols, vals = m.nonzeros()
-    counts = _histogram(n, vals)  # sets the report's peak, so before the diagonal is derived
+    counts = _histogram(n, vals)
     distinct = tuple((np.flatnonzero(counts) - n).tolist())
-    diagonal = m.diagonal()
+    diagonal = m.diagonal
     counts -= np.bincount(diagonal + n, minlength=2 * n + 1)  # now off the diagonal only
     tails, heads, c = _adjacency(rows, cols, vals, diagonal)
     q1, q2 = _four_cycles(n, c, counts)

@@ -1,5 +1,5 @@
-"""Construction of the neighbourhood matrix, its dual product form, and
-row-level decoding back into BFS structure.
+"""Construction of the neighbourhood matrix and row-level decoding back
+into BFS structure.
 
 Entry conventions for the matrix M = [m_ij]:
 
@@ -21,8 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from nmgraph.errors import InvalidMatrixError, SizeGuardError
-from nmgraph.graph import Graph, adjacency_matrix, check_labels, from_edges
-from nmgraph.oracles import blas_adjacency
+from nmgraph.graph import Graph, _from_pairs, adjacency_matrix, check_labels
 
 _ENTRY_DTYPE = np.int64
 # The 2-path kernel runs when SPARSE_WORK_RATIO * P < n^3.  Timed as build
@@ -44,7 +43,7 @@ class NeighborhoodMatrix:
     """M plus the external vertex labels, stored as its nonzero view (see
     `nonzeros`), however it was built.  The view is read-only, nothing
     about M can be reassigned, and the dense `entries` and the
-    `diagonal` are derived from the view."""
+    `diagonal` are derived from the view once, on first use."""
 
     def __init__(self, entries: np.ndarray, labels: tuple[int, ...]):
         arr = np.asarray(entries, dtype=_ENTRY_DTYPE)
@@ -111,12 +110,15 @@ class NeighborhoodMatrix:
         """
         return self._view
 
+    @cached_property
     def diagonal(self) -> np.ndarray:
-        """The n diagonal entries, zeros included, taken from the view."""
+        """The n diagonal entries, zeros included, read-only, taken from the
+        view on first use."""
         rows, cols, vals = self._view
         diagonal = np.zeros(self.n, dtype=_ENTRY_DTYPE)
         on = np.flatnonzero(rows == cols)  # indices: at most n, so faster than the mask
         diagonal[rows[on]] = vals[on]
+        diagonal.setflags(write=False)
         return diagonal
 
 
@@ -240,26 +242,6 @@ def _nonzeros_by_blas(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return scan(entries)
 
 
-def build_nm_product(g: Graph) -> NeighborhoodMatrix:
-    """Oracle constructor: literally A @ (D - A), by a float64 BLAS product
-    that is exact (see `oracles.blas_adjacency`)."""
-    a = blas_adjacency(g)
-    d = np.diag(a.sum(axis=1))
-    return NeighborhoodMatrix.from_nonzeros(*scan((a @ (d - a)).astype(_ENTRY_DTYPE)),
-                                            labels=g.labels)
-
-
-def build_mn(g: Graph) -> NeighborhoodMatrix:
-    """Oracle constructor for the mirrored product: literally (D - A) @ A,
-    the twin of `build_nm_product`.  Equals the transpose of build_nm(g)
-    for undirected graphs.
-    """
-    a = blas_adjacency(g)
-    d = np.diag(a.sum(axis=1))
-    return NeighborhoodMatrix.from_nonzeros(*scan(((d - a) @ a).astype(_ENTRY_DTYPE)),
-                                            labels=g.labels)
-
-
 def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:
     """Recover the graph: (i, j) is an edge iff m_ij > 0.
 
@@ -273,7 +255,9 @@ def reconstruct_adjacency(m: NeighborhoodMatrix) -> Graph:
     """
     rows, cols, vals = m.nonzeros()
     upper = (vals > 0) & (rows < cols)
-    g = from_edges(m.n, np.column_stack((rows[upper], cols[upper])), labels=m.labels)
+    # the view's pairs lie in range and these are off the diagonal, and
+    # every constructor of M has checked its labels: what _from_pairs takes
+    g = _from_pairs(m.n, np.column_stack((rows[upper], cols[upper])), m.labels)
     rebuilt = build_nm(g)
     if rebuilt != m:
         key, given, recovered = _first_difference(m, rebuilt)

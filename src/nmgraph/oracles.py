@@ -3,9 +3,9 @@
 Everything here works from the Graph alone, with set operations, dense
 float64 BLAS products, or lookups in the uint8 adjacency matrix at every
 3- and 4-subset (whole-array passes over one cached subset index array
-per (n, k), for n up to ENUMERATION_LIMIT), and imports nothing from the
-matrix modules, so agreement with the matrix formulas is meaningful
-evidence rather than a tautology.
+per (n, k), for n up to ENUMERATION_LIMIT).  It imports nothing from
+the matrix modules, and they import nothing from it, so agreement with
+the matrix formulas is meaningful evidence rather than a tautology.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def set_based_entries(g: Graph) -> np.ndarray:
     """The neighbourhood matrix entry by entry from its set definitions,
     one row per vertex: diagonal -deg(i), -|N(i) ∩ N(k)| on non-edges,
     and on edges |N(j) \\ N(i)| = deg(j) - |N(i) ∩ N(j)|.  Its transpose
-    is (D - A)A, which `nm.build_mn` builds as a product.
+    is (D - A)A, the second of `products`.
 
     Only vertices within distance 2 of the row vertex produce nonzeros,
     so each row costs O(sum of neighbour degrees), not O(n).
@@ -64,7 +64,7 @@ def set_based_entries(g: Graph) -> np.ndarray:
     return entries
 
 
-def blas_adjacency(g: Graph) -> np.ndarray:
+def _blas_adjacency(g: Graph) -> np.ndarray:
     """The adjacency matrix as float64, for BLAS products that stay exact:
     every entry and partial sum of A^3, and of its trace, is an integer at
     most n(n-1)^2 < 2^53."""
@@ -73,10 +73,20 @@ def blas_adjacency(g: Graph) -> np.ndarray:
     return adjacency_matrix(g, np.float64)
 
 
+def products(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """A(D - A) and (D - A)A as int64 n x n arrays, literally the two
+    products of the adjacency matrix and the Laplacian, by float64 BLAS
+    that is exact (see `_blas_adjacency`): the identity NM(G) = A(D - A)
+    and its mirror, M^T = (D - A)A, that `verify` checks M against."""
+    a = _blas_adjacency(g)
+    laplacian = np.diag(a.sum(axis=1)) - a
+    return (a @ laplacian).astype(np.int64), (laplacian @ a).astype(np.int64)
+
+
 def triangle_count_trace(g: Graph) -> int:
     """trace(A^3) / 6 by float64 BLAS: for symmetric A the trace is the
     sum of the entries of A^2 ∘ A."""
-    a = blas_adjacency(g)
+    a = _blas_adjacency(g)
     trace = int(np.vdot(a @ a, a))
     if trace % 6 != 0:
         raise ValueError(f"trace(A^3) = {trace} is not divisible by 6")
@@ -95,7 +105,7 @@ def srg_parameters(g: Graph) -> tuple[int, int, int] | None:
     """
     if g.n < 2 or g.degrees.min() != g.degrees.max():
         return None
-    a = blas_adjacency(g)
+    a = _blas_adjacency(g)
     square = a @ a
     adjacent = square[a == 1]
     apart = square[(a == 0) & ~np.eye(g.n, dtype=bool)]

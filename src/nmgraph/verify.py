@@ -34,9 +34,7 @@ from nmgraph.graph import (
 )
 from nmgraph.nm import (
     NeighborhoodMatrix,
-    build_mn,
     build_nm,
-    build_nm_product,
     column_sums,
     determinant_exact,
     reconstruct_adjacency,
@@ -49,9 +47,10 @@ DETERMINANT_LIMIT = 12
 
 class GraphContext:
     """One graph of the corpus with the artefacts its checks share: the
-    matrix, built once, and its transpose, the structural report and the
-    brute-force census, each built on first use.  As properties, a report
-    or census that raises does so inside the check that asked for it."""
+    matrix, built once, and its transpose, the structural report, the
+    oracle products and the brute-force census, each built on first use.
+    As properties, an artefact that raises does so inside the check that
+    asked for it."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -72,6 +71,11 @@ class GraphContext:
         return analytics.structural_report(self.m)
 
     @cached_property
+    def products(self) -> tuple[np.ndarray, np.ndarray]:
+        """A(D - A) and (D - A)A as dense arrays, from `oracles.products`."""
+        return oracles.products(self.g)
+
+    @cached_property
     def census(self) -> oracles.SubgraphCensus | None:
         """None above ENUMERATION_LIMIT vertices, where enumeration is skipped."""
         if self.g.n > oracles.ENUMERATION_LIMIT:
@@ -79,23 +83,26 @@ class GraphContext:
         return oracles.subgraph_census(self.g)
 
 
+def _matches(dense: np.ndarray, m: NeighborhoodMatrix) -> bool:
+    """Whether an oracle's dense array is M, without scanning it into a
+    view or writing to it: equal to M at every stored entry, and with no
+    more nonzeros than M stores, so zero everywhere else (the view lists
+    only nonzero entries).  `nm.scan` is part of the BLAS kernel, and the
+    oracles share no code with it."""
+    rows, cols, vals = m.nonzeros()
+    return not np.count_nonzero(dense[rows, cols] != vals) and np.count_nonzero(dense) == len(vals)
+
+
 def _check_dual_path(ctx: GraphContext) -> str | None:
-    if ctx.m != build_nm_product(ctx.g):
+    if not _matches(ctx.products[0], ctx.m):
         return "row-sum and product constructions disagree"
-    # The set-based array must match M's stored entries and be zero
-    # elsewhere.  It is not scanned into a view: `nm.scan` is part of the
-    # BLAS kernel, and this oracle shares no code with it.
-    dense = oracles.set_based_entries(ctx.g)
-    rows, cols, vals = ctx.m.nonzeros()
-    stored = np.array_equal(dense[rows, cols], vals)
-    dense[rows, cols] = 0
-    if not stored or dense.any():
+    if not _matches(oracles.set_based_entries(ctx.g), ctx.m):
         return "row-sum and set-based constructions disagree"
     return None
 
 
 def _check_transpose(ctx: GraphContext) -> str | None:
-    if build_mn(ctx.g) != ctx.transpose:
+    if not _matches(ctx.products[1], ctx.transpose):
         return "mirrored product is not the transpose"
     return None
 
@@ -113,9 +120,10 @@ def _check_column_sums(ctx: GraphContext) -> str | None:
 
 
 def _check_entry_shape(ctx: GraphContext) -> str | None:
-    if not np.array_equal(ctx.m.diagonal(), -ctx.g.degrees):
+    # count_nonzero, not np.array_equal or .any(): see NeighborhoodMatrix.__eq__
+    if np.count_nonzero(ctx.m.diagonal + ctx.g.degrees):
         return "diagonal is not -degree"
-    if (np.abs(ctx.m.nonzeros()[2]) > ctx.g.n - 1).any():
+    if np.count_nonzero(np.abs(ctx.m.nonzeros()[2]) > ctx.g.n - 1):
         return "entry magnitude exceeds n - 1"
     return None
 
@@ -158,7 +166,7 @@ def _check_row_profiles(ctx: GraphContext) -> str | None:
     for bad, problem in [
         (np.setxor1d(rows[up] * n + cols[up], tails * n + heads, True) // n, "level 1 is not N(i)"),
         (np.flatnonzero(out != back), "level1->level2 edges unbalanced"),
-        (rows[vals < ctx.m.diagonal()[rows]], "diagonal not among argmin positions"),
+        (rows[vals < ctx.m.diagonal[rows]], "diagonal not among argmin positions"),
     ]:
         if len(bad):
             return f"row {bad[0]}: {problem}"

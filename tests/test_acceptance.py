@@ -16,9 +16,7 @@ import numpy as np
 from nmgraph import analytics
 from nmgraph.graph import adjacency_matrix, connected_components, diameter, girth
 from nmgraph.nm import (
-    build_mn,
     build_nm,
-    build_nm_product,
     column_sums,
     determinant_exact,
     is_symmetric,
@@ -26,7 +24,7 @@ from nmgraph.nm import (
     row_profile,
     row_sums,
 )
-from nmgraph.oracles import subgraph_census, triangle_count_trace
+from nmgraph.oracles import products, subgraph_census, triangle_count_trace
 from nmgraph.random_graphs import gnp
 from helpers import (
     EXAMPLE7_ADJACENCY,
@@ -67,9 +65,9 @@ def test_criterion_1_worked_example_golden():
 
 def test_criterion_2_dual_path_identity():
     for g in small_corpus():
-        assert build_nm(g) == build_nm_product(g)
+        assert np.array_equal(build_nm(g).entries, products(g)[0])
     for g in random_32_corpus():
-        assert build_nm(g) == build_nm_product(g)
+        assert np.array_equal(build_nm(g).entries, products(g)[0])
     print("ACCEPTANCE 2 (dual-path identity): PASS")
 
 
@@ -78,7 +76,7 @@ def test_criterion_3_matrix_propositions():
         m = build_nm(g)
         assert row_sums(m) == [0] * g.n
         column_sums(m, g)  # raises on formula mismatch
-        assert np.array_equal(build_mn(g).entries, m.entries.T)
+        assert np.array_equal(products(g)[1], m.entries.T)
         if 1 <= g.n <= 12:
             assert determinant_exact(m) == 0
         parts = connected_components(g)

@@ -166,7 +166,7 @@ class TestWholeArrayFormat:
         assert m.entries.tolist() == [[0, 0, 0], [0, 5, 0], [-1, 0, 0]]
         rows, cols, vals = m.nonzeros()
         assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([1, 2], [1, 0], [5, -1])
-        assert m.diagonal().tolist() == [0, 5, 0]
+        assert m.diagonal.tolist() == [0, 5, 0]
         lines = as_text(matio.write_matrix_market(m)).splitlines()
         assert lines[2:] == ["3 3 2", "2 2 5", "3 1 -1"]
 

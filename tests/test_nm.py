@@ -15,9 +15,7 @@ from nmgraph.graph import Graph, connected_components, from_edges
 from nmgraph.matio import read_matrix_market
 from nmgraph.nm import (
     NeighborhoodMatrix,
-    build_mn,
     build_nm,
-    build_nm_product,
     column_sums,
     determinant_exact,
     is_symmetric,
@@ -26,7 +24,7 @@ from nmgraph.nm import (
     row_sums,
     transpose,
 )
-from nmgraph.oracles import set_based_entries
+from nmgraph.oracles import products, set_based_entries
 from nmgraph.random_graphs import gnp
 from helpers import (
     EXAMPLE7_ADJACENCY,
@@ -84,11 +82,11 @@ class TestBuild:
 
     def test_product_path_matches_example7(self):
         g = example7_graph()
-        assert build_nm_product(g) == build_nm(g)
+        assert np.array_equal(products(g)[0], build_nm(g).entries)
 
     def test_product_path_matches_random(self):
         for g in random_corpus(50, 32, seed=101):
-            assert build_nm_product(g) == build_nm(g)
+            assert np.array_equal(products(g)[0], build_nm(g).entries)
 
     def test_entry_invariants(self):
         for g in random_corpus(25, 20, seed=7):
@@ -113,7 +111,7 @@ class TestBuild:
     def test_builders_agree_on_edge_cases(self, g):
         m = build_nm(g)
         assert m.entries.shape == (g.n, g.n)
-        assert m == build_nm_product(g)
+        assert np.array_equal(m.entries, products(g)[0])
         assert np.array_equal(m.entries, set_based_entries(g))
 
     def test_entries_immutable(self):
@@ -153,20 +151,21 @@ class TestNonzeroView:
         for entries in (EXAMPLE7_MATRIX, column_major):
             m = NeighborhoodMatrix(entries=entries, labels=tuple(range(1, 8)))
             rows, cols, vals = m.nonzeros()
-            assert np.array_equal(m.diagonal(), np.diagonal(EXAMPLE7_MATRIX))
+            assert np.array_equal(m.diagonal, np.diagonal(EXAMPLE7_MATRIX))
             assert np.array_equal(rows, expected_rows)
             assert np.array_equal(cols, expected_cols)
             assert np.array_equal(vals, EXAMPLE7_MATRIX[expected_rows, expected_cols])
 
     def test_empty_at_n_0(self):
         m = build_nm(edgeless(0))
-        assert [a.size for a in (*m.nonzeros(), m.diagonal())] == [0, 0, 0, 0]
+        assert [a.size for a in (*m.nonzeros(), m.diagonal)] == [0, 0, 0, 0]
 
     def test_built_once_and_read_only(self):
         m = build_nm(example7_graph())
         view = m.nonzeros()
         assert m.nonzeros() is view
-        for a in view:
+        assert "diagonal" not in vars(m) and m.diagonal is m.diagonal  # derived once
+        for a in (*view, m.diagonal):
             with pytest.raises(ValueError, match="read-only"):
                 a[:1] = 0
 
@@ -181,7 +180,7 @@ class TestNonzeroView:
 
     @pytest.mark.parametrize("build", [
         build_nm,  # the BLAS kernel, for K7
-        build_nm_product,
+        lambda g: NeighborhoodMatrix(products(g)[0], g.labels),
         lambda g: NeighborhoodMatrix(set_based_entries(g), g.labels),
     ], ids=["blas-kernel", "product", "public-constructor"])
     def test_dense_built_matrices_hold_no_dense_array(self, build):
@@ -333,7 +332,7 @@ def test_every_producer_lists_every_nonzero_entry_in_row_major_order(producer, g
     assert len(view) == 3 and all(a.dtype == np.int64 for a in view)
     for got, expected in zip(view, (r, c, m.entries[r, c])):
         assert np.array_equal(got, expected)
-    assert np.array_equal(m.diagonal(), np.diagonal(m.entries))
+    assert np.array_equal(m.diagonal, np.diagonal(m.entries))
 
 
 class TestViewFromEitherKernel:
@@ -360,7 +359,7 @@ class TestViewFromEitherKernel:
     def test_rows_span_several_blocks_at_the_default_size(self):
         g = gnp(300, 0.1, seed=3)  # about 270K 2-paths
         assert int(g.degrees[g.indices].sum()) > 3 * nm.PATH_BLOCK
-        _views_equal(_view(g, "paths"), build_nm_product(g))
+        _views_equal(_view(g, "paths"), NeighborhoodMatrix(products(g)[0], g.labels))
 
     @pytest.mark.parametrize("g", [
         gnp(300, 0.1, seed=3),  # a row's paths cover its row
@@ -376,20 +375,20 @@ class TestViewFromEitherKernel:
 class TestMirroredProduct:
     def test_example7_transpose(self):
         g = example7_graph()
-        assert np.array_equal(build_mn(g).entries, EXAMPLE7_MATRIX.T)
-        assert build_mn(g) == transpose(build_nm(g))
+        assert np.array_equal(products(g)[1], EXAMPLE7_MATRIX.T)
+        assert np.array_equal(products(g)[1], transpose(build_nm(g)).entries)
 
     def test_regular_graph_coincides(self):
         g = cycle_graph(5)
-        assert build_mn(g) == build_nm(g)
+        assert np.array_equal(products(g)[1], build_nm(g).entries)
 
     def test_edgeless(self):
-        assert not build_mn(edgeless(3)).entries.any()
+        assert not products(edgeless(3))[1].any()
 
     def test_transpose_identity_random(self):
         for g in random_corpus(30, 24, seed=13):
-            assert np.array_equal(build_mn(g).entries, build_nm(g).entries.T)
-            assert build_mn(g) == transpose(build_nm(g))
+            assert np.array_equal(products(g)[1], build_nm(g).entries.T)
+            assert np.array_equal(products(g)[1], transpose(build_nm(g)).entries)
 
     def test_transpose_is_an_involution_keeping_labels(self):
         g = from_edges(4, [(0, 1), (1, 2), (1, 3)], labels=(9, 4, 7, 2))

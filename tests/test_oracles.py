@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import inspect
 from math import comb
 
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from nmgraph import oracles
 from nmgraph.errors import SizeGuardError
 from nmgraph.graph import from_edges
-from nmgraph.nm import build_nm, build_nm_product
+from nmgraph.nm import build_nm
 from nmgraph.oracles import (
     SubgraphCensus,
     adjacency_matrix,
+    products,
     srg_parameters,
     subgraph_census,
     triangle_count_trace,
@@ -64,7 +66,7 @@ class TestFloat64Guard:
         with pytest.raises(SizeGuardError, match="float64"):
             triangle_count_trace(g)
         with pytest.raises(SizeGuardError, match="float64"):
-            build_nm_product(g)
+            products(g)
 
 
 class TestSrgParameters:
@@ -169,7 +171,17 @@ class TestCensus:
         # independent of the fast path: no import of the matrix modules
         imported = imported_modules(inspect.getsource(oracles))
         assert "nmgraph.graph" in imported
-        assert not imported & {"nmgraph.nm", "nmgraph.analytics", "nmgraph.verify"}
+        assert not imported & {"nmgraph.nm", "nmgraph.analytics", "nmgraph.matio",
+                               "nmgraph.verify"}
+
+
+@pytest.mark.parametrize("module", ["graph", "nm", "analytics", "matio", "textio",
+                                    "random_graphs"])
+def test_no_fast_path_module_imports_the_oracles(module):
+    # the other half of the oracles' independence: what they check never
+    # calls them
+    source = inspect.getsource(importlib.import_module(f"nmgraph.{module}"))
+    assert "nmgraph.oracles" not in imported_modules(source)
 
 
 def all_pairs_common_neighbors(g):

@@ -195,6 +195,45 @@ def test_set_based_array_is_compared_everywhere(monkeypatch, corrupt):
     assert failed == [("dual-path-identity", "row-sum and set-based constructions disagree")]
 
 
+@pytest.mark.parametrize("half, check, detail", [
+    (0, "dual-path-identity", "row-sum and product constructions disagree"),
+    (1, "transpose-identity", "mirrored product is not the transpose"),
+], ids=["product", "mirrored"])
+@pytest.mark.parametrize("corrupt", [
+    lambda e: e.__setitem__((0, 0), e[0, 0] - 1),  # the diagonal
+    lambda e: e.__setitem__((0, 1), e[0, 1] + 1),  # a stored entry
+    lambda e: e.__setitem__((0, 3), 5),  # an entry M does not store
+], ids=["diagonal", "stored", "unstored"])
+def test_each_product_is_compared_everywhere(monkeypatch, half, check, detail, corrupt):
+    real = oracles.products
+    g = from_edges(4, [(0, 1), (1, 2)])  # m_03 = m_30 = 0: 0 and 3 share no neighbour
+
+    def corrupted(h):
+        arrays = real(h)
+        corrupt(arrays[half])
+        return arrays
+
+    monkeypatch.setattr(oracles, "products", corrupted)
+    failed = [(r.name, r.first_failure) for r in verify.run_suite([g]) if not r.passed]
+    assert failed == [(check, detail)]
+
+
+def test_no_check_writes_to_an_oracle_array(monkeypatch):
+    made = []  # (array, its copy when made) for every oracle array
+    products, set_based = oracles.products, oracles.set_based_entries
+
+    def kept(*arrays):
+        made.extend((a, a.copy()) for a in arrays)
+        return arrays
+
+    monkeypatch.setattr(oracles, "products", lambda g: kept(*products(g)))
+    monkeypatch.setattr(oracles, "set_based_entries", lambda g: kept(set_based(g))[0])
+    graphs = corpus(20, 16, 7)
+    assert all(r.passed for r in verify.run_suite(graphs))
+    assert len(made) == 3 * len(graphs)  # per graph, the products once and the set-based array
+    assert all(np.array_equal(a, copy) for a, copy in made)
+
+
 def test_off_diagonal_magnitude_fails_entry_shape(monkeypatch):
     def corrupted(g):
         entries = build_nm(g).entries.copy()

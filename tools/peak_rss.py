@@ -1,6 +1,10 @@
 """Run one `nmgraph` command in a fresh process and print one JSON line:
-its `argv`, its `exit` code, its wall time `wall_s` and its peak resident
-memory `peak_mib`, the child's `ru_maxrss` from getrusage(RUSAGE_CHILDREN).
+its `argv`, its `exit` code, its wall time `wall_s`, its peak resident
+memory `peak_mib` and its minor page faults `minflt`, the child's
+`ru_maxrss` and `ru_minflt` from getrusage(RUSAGE_CHILDREN).  A minor
+fault is a page the process touched for the first time, or again after
+the allocator returned it to the system: the count shows memory churn
+that the peak does not.
 
     python tools/peak_rss.py compute big.edges --format mm -o big.mtx
 
@@ -29,9 +33,10 @@ def main(argv: list[str]) -> int:
     done = subprocess.run([sys.executable, "-m", "nmgraph.cli", *argv],
                           stdout=subprocess.DEVNULL, env=env)
     wall = time.perf_counter() - start
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     print(json.dumps({"argv": argv, "exit": done.returncode, "wall_s": round(wall, 3),
-                      "peak_mib": round(peak, 1)}))
+                      "peak_mib": round(usage.ru_maxrss / 1024, 1),
+                      "minflt": usage.ru_minflt}))
     return 0
 
 
