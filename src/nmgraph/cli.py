@@ -2,6 +2,10 @@
 
 Exit codes: 0 ok, 1 invariant failure, 2 parse error, 3 I/O error or
 out of memory, 4 matrix not a valid neighbourhood matrix.
+
+Every command reads its input file as bytes and hands them, with the
+path, to a reader, which decodes only the lines Python walks; a file
+that is not UTF-8 is a parse error naming its first bad byte.
 """
 
 from __future__ import annotations
@@ -32,17 +36,16 @@ EXIT_IO = 3
 EXIT_INVALID_NM = 4
 
 
-def _read_text(path: str) -> str:
-    """The file's text, decoded as UTF-8.  A file that is not UTF-8 is a
-    parse error here, though a reader may read the body from the path."""
+def _read(path: str, matrix: bool = False):
+    """The graph in the edge-list file at path, or with `matrix` the M in
+    the matrix file there, read from the file's bytes.  Bytes that are not
+    UTF-8, which the reader raises on as it decodes them, are a parse
+    error here."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return matio.read_auto(data, path) if matrix else parse_edge_list(data, path)
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
-
-
-def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
-    return ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _write(path: str | None, data: np.ndarray) -> None:
@@ -75,7 +78,7 @@ def _in_range(kind: type, low: float, high: float = math.inf):
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    graph = parse_edge_list(_read_text(args.input), args.input)
+    graph = _read(args.input)
     m = build_nm(graph)
     write = matio.write_matrix_market if args.format == "mm" else matio.write_dense
     _write(args.output, write(m))
@@ -83,10 +86,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    try:  # matio decodes only the texts that Python walks
-        m = matio.read_auto(Path(args.input).read_bytes(), args.input)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(args.input, exc) from None
+    m = _read(args.input, matrix=True)
     graph = reconstruct_adjacency(m)
     _write(args.output, format_edge_list(graph))
     return EXIT_OK
@@ -94,7 +94,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter_ns()
-    graph = parse_edge_list(_read_text(args.input), args.input)
+    graph = _read(args.input)
     t1 = time.perf_counter_ns()
     m = build_nm(graph)
     t2 = time.perf_counter_ns()
@@ -133,7 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _verify_self_test(args.seed)
 
     if args.input is not None:
-        graphs = [parse_edge_list(_read_text(args.input), args.input)]
+        graphs = [_read(args.input)]
     else:
         graphs = corpus(args.trials, args.size, args.seed)
 

@@ -182,9 +182,10 @@ class ComponentPartition:
         return frozenset(v for v, c in enumerate(self.membership) if c == cid)
 
 
-def parse_edge_list(text: str, path: str | None = None) -> Graph:
-    """Parse "u v" lines into a Graph; `path`, when given, names the file
-    `text` was read from, so that numpy's C reader can read it.
+def parse_edge_list(data: bytes, path: str | None = None) -> Graph:
+    """Parse the "u v" lines of a file's bytes into a Graph; `path`, when
+    given, names the file they were read from, so that numpy's C reader
+    can read it.  Bytes that are not UTF-8 raise UnicodeDecodeError.
 
     Labels are non-negative integers in the one integer grammar of
     `textio` (ASCII int64); they are remapped to dense internal indices in
@@ -200,7 +201,7 @@ def parse_edge_list(text: str, path: str | None = None) -> Graph:
     then hold no self-loop and ranks below n, and the labels are distinct
     ints in [0, 2^63), so the graph is built without checking them again.
     """
-    rows = textio.Rows(text, "#", path=path)
+    rows = textio.Rows(data, "#", path=path)
     pairs = rows.table(2)
     if pairs.size and (pairs.min() < 0 or (pairs[:, 0] == pairs[:, 1]).any()):
         bad = (pairs < 0).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
@@ -209,7 +210,7 @@ def parse_edge_list(text: str, path: str | None = None) -> Graph:
         if min(a, b) < 0:
             raise rows.error(k, f"negative label in {rows.line(k)!r}")
         raise rows.error(k, f"self-loop {a}-{b} not allowed")
-    del rows, text  # only the table is needed now, and its memory becomes the edges
+    del rows, data  # only the table is needed now, and its memory becomes the edges
     ids = pairs.ravel()
     k = len(ids)
     if k and ids.max() >= RELABEL_TABLE_SLACK * k + 1024:

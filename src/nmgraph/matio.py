@@ -15,17 +15,17 @@ formats carry the external vertex labels in a comment line so that a
 compute -> reconstruct -> compute round trip preserves labelling; labels
 must be distinct and non-negative.
 
-The text work is `textio`'s.  Given the file's path, the Matrix Market
-reader walks only the banner, the labels comment and the size line in
-Python.  numpy's C reader reads the entries straight from the file when
-the text is plain, and the line path reads them otherwise.  A file named
-like a compressed one (`.gz`, ...) is read as plain text either way.
-The dense reader takes the file's bytes.  It reads a text exactly as
-`write_dense` writes it in place, walking only its two header lines in
-Python, and keeps what it read only if writing that back gives the same
-bytes; every other dense text is decoded and takes the line path, which
-alone raises a dense error.  The Matrix Market reader takes the decoded
-text, since Python walks its header lines.
+The text work is `textio`'s, and every reader takes the file's bytes,
+which `textio` alone decodes, only as far as Python walks them.  Given
+the file's path, the Matrix Market reader walks only the banner, the
+labels comment and the size line in Python.  numpy's C reader reads the
+entries straight from the file when the text is plain, and the line
+path reads them otherwise.  A file named like a compressed one (`.gz`,
+...) is read as plain text either way.  The dense reader reads a text
+exactly as `write_dense` writes it in place, walking only its two header
+lines in Python, and keeps what it read only if writing that back gives
+the same bytes; every other dense text takes the line path, which alone
+raises a dense error.
 Every error names its file line as `textio.Rows` numbers it: the banner
 and each comment carry their numbers, and a bad entry's line is found by
 walking the text again only as far as that entry.
@@ -99,11 +99,10 @@ def _dense_bytes(labels: tuple[int, ...], flat: np.ndarray, vals: np.ndarray) ->
 
 def read_dense(data: bytes) -> NeighborhoodMatrix:
     """M from the bytes of a dense text: by `_read_written` when they are
-    exactly what `write_dense` writes, else decoded as UTF-8 and read line
-    by line, where every bad line is named.  Bytes that are not UTF-8
-    raise UnicodeDecodeError."""
+    exactly what `write_dense` writes, else read line by line, where every
+    bad line is named.  Bytes that are not UTF-8 raise UnicodeDecodeError."""
     m = _read_written(data)
-    return m if m is not None else _read_lines(data.decode("utf-8"))
+    return m if m is not None else _read_lines(data)
 
 
 def _read_written(data: bytes) -> NeighborhoodMatrix | None:
@@ -167,8 +166,8 @@ def _nonzero_tokens(buf: np.ndarray, body: int) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _read_lines(text: str) -> NeighborhoodMatrix:
-    rows = textio.Rows(text, "#", 1)
+def _read_lines(data: bytes) -> NeighborhoodMatrix:
+    rows = textio.Rows(data, "#", 1)
     if not rows.count:
         raise ParseError("empty dense matrix file")
     n = rows.head_ints(0, 1).item()
@@ -208,8 +207,11 @@ def write_matrix_market(m: NeighborhoodMatrix) -> np.ndarray:
     return out
 
 
-def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix:
-    rows = textio.Rows(text, "%", 1, path)
+def read_matrix_market(data: bytes, path: str | None = None) -> NeighborhoodMatrix:
+    """M from the bytes of a Matrix Market text; `path`, when given, names
+    the file they were read from, so that numpy's C reader can read it.
+    Bytes that are not UTF-8 raise UnicodeDecodeError."""
+    rows = textio.Rows(data, "%", 1, path)
     number, banner = rows.first  # the first non-blank line
     if not banner.startswith("%%MatrixMarket"):
         raise ParseError("missing MatrixMarket header", number)
@@ -225,8 +227,8 @@ def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix
     # A file compute writes names every vertex in its labels comment, so it
     # is longer than its dimension.  The bound caps the n-sized arrays that
     # M's diagonal and a reconstructed graph allocate later.
-    if not 0 <= n <= len(text):
-        raise rows.error(0, f"dimension {n} out of range for a {len(text)}-character file")
+    if not 0 <= n <= len(rows.text):
+        raise rows.error(0, f"dimension {n} out of range for a {len(rows.text)}-character file")
     if rows.count - 1 != nnz:
         raise ParseError(f"expected {nnz} entries, found {rows.count - 1}")
     labels = _labels(rows, n)
@@ -256,17 +258,14 @@ def read_matrix_market(text: str, path: str | None = None) -> NeighborhoodMatrix
 
 def read_auto(data: bytes, path: str | None = None) -> NeighborhoodMatrix:
     """M from a file's bytes: a Matrix Market text when the MatrixMarket
-    banner is on the first non-blank line, decoded as UTF-8, and a dense
-    text otherwise.  Bytes that are not UTF-8 raise UnicodeDecodeError.
+    banner starts its first non-blank line, and a dense text otherwise.
+    Bytes that are not UTF-8 raise UnicodeDecodeError.
 
     A text that starts as `write_dense` writes one is dense and is not
-    decoded here: the banner would have to be on its first line.
+    walked here: the banner would have to be on its first line.
     """
-    if not data.startswith(_LABELS):
-        text = data.decode("utf-8")
-        if text.lstrip().startswith("%%MatrixMarket"):
-            return read_matrix_market(text, path)
-        del text  # read_dense decodes the bytes again if it walks the lines
+    if not data.startswith(_LABELS) and textio.first_line(data).startswith("%%MatrixMarket"):
+        return read_matrix_market(data, path)
     return read_dense(data)
 
 

@@ -5,17 +5,21 @@ Every integer read from text follows one grammar: a plain ASCII decimal
 with an optional sign that fits in int64.  `1_0`, non-ASCII digits such
 as full-width `１` and values past the int64 range are rejected.
 
-A file is read as `Rows`, through one walk over its lines that yields
-each non-blank line, stripped, with its 1-based line number.  Plain
-text is split lazily at '\n'; any other text by str.splitlines.  Given
-the file's path, the walk stops at the body's first line, and numpy's C
-reader reads the body straight from the file, in one `np.loadtxt` call
-that builds no Python string per line.  numpy's tokenizer agrees with
-the line grammar only on plain text, so the line path decides every
-other file: the walk goes on to the end, and the body is parsed as one
-list of lines.  The line path also decides every file numpy rejects, so
-that it alone names a bad line, found by bisecting the list.  An error
-names its line by walking again, only as far as that line.
+A file is read as `Rows`, from its bytes, through one walk over its
+lines that yields each non-blank line, stripped, with its 1-based line
+number.  This module alone decodes input.  Plain text, ASCII with none
+of `_ODD_WHITESPACE`, is split lazily at '\n' and decoded one block of
+lines at a time, so a walk that stops early decodes only the lines it
+has reached; any other text is decoded once as UTF-8 and split by
+str.splitlines.  Given the file's path, the walk stops at the body's
+first line, and numpy's C reader reads the body straight from the file,
+in one `np.loadtxt` call that builds no Python string per line.
+numpy's tokenizer agrees with the line grammar only on plain text, so
+the line path decides every other file: the walk goes on to the end,
+and the body is parsed as one list of lines.  The line path also
+decides every file numpy rejects, so that it alone names a bad line,
+found by bisecting the list.  An error names its line by walking again,
+only as far as that line.
 
 Formatting writes into uint8 buffers, one per text, of exactly its
 size.  One digit kernel, `widths` and `put_ints`, sizes and writes every
@@ -40,15 +44,15 @@ import numpy as np
 
 from nmgraph.errors import ParseError
 
-# Entries formatted, or characters split into lines, per pass: bounds the
+# Entries formatted, or bytes split into lines, per pass: bounds the
 # temporaries of the formatter and of a walk that stops early.
 _BLOCK = 1 << 16
 _TENS = [10 ** k for k in range(1, 20)]  # Python ints: compared in any unsigned dtype
 # The ASCII whitespace besides newline, space and tab, left to the line
 # path.  str.splitlines breaks lines at all of it but \x1f, where numpy's
-# tokenizer reads a separator inside a line, or, for \r, where its file
-# reader may see a line break that the text did not hold.
-_ODD_WHITESPACE = "\r\v\f\x1c\x1d\x1e\x1f"
+# tokenizer reads a separator inside a line, or, for \r, where numpy's
+# file reader breaks one too but a split at '\n' would not.
+_ODD_WHITESPACE = b"\r\v\f\x1c\x1d\x1e\x1f"
 # numpy opens a file with one of these suffixes through a decompressor,
 # whatever it holds.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -64,16 +68,17 @@ class Rows:
     `table(ncols)` call.  `count` is the number of significant
     non-comment lines.  `first` is the first non-blank line, comment or
     not, and `comments` the comment lines, each as a (line number, line)
-    pair; an all-blank text's `first` is (1, "").  Given the file's
-    `path`, with `text` its decoded content, numpy's C reader reads the
-    body from the file when the text is plain; the line path reads it
-    otherwise, or without a path, with the same result.  Every walk over
-    the text's lines, the error path's included, is one of `_walk`.
+    pair; an all-blank text's `first` is (1, "").  `text` is the file's
+    bytes when they are plain and its decoded content otherwise; bytes
+    that are not UTF-8 raise UnicodeDecodeError.  Given the file's
+    `path`, numpy's C reader reads the body from the file when the text
+    is plain; the line path reads it otherwise, or without a path, with
+    the same result.  Every walk over the text's lines, the error path's
+    included, is one of `_walk`.
     """
 
-    def __init__(self, text: str, marker: str, head: int = 0, path: str | None = None):
-        self.text, self.marker, self._head = text, marker, head
-        self._plain = text.isascii() and not any(c in text for c in _ODD_WHITESPACE)
+    def __init__(self, data: bytes, marker: str, head: int = 0, path: str | None = None):
+        self.text, self.marker, self._head = _text(data), marker, head
         loaded = self._load(path) if path is not None else None
         if loaded is None:
             self.first, self.comments, body = self._walked
@@ -82,24 +87,13 @@ class Rows:
             self.first, self.comments, self.head, self._table = loaded
             self.count = head + len(self._table)
 
-    def _walk(self) -> Iterator[tuple[int, str]]:
-        """(1-based line number, stripped line) of each non-blank line.
-
-        Plain text is split lazily at '\\n', its only line break in the
-        sense of str.splitlines, so a walk that stops early splits only
-        the block of lines it has reached; any other text is split by
-        str.splitlines.
-        """
-        lines = _lazy_lines(self.text) if self._plain else self.text.splitlines()
-        return filter(itemgetter(1), enumerate(map(str.strip, lines), start=1))
-
     def _split(self, stop: int | None) -> tuple[tuple[int, str], list[tuple[int, str]],
                                                 list[str], int]:
         """(first, comments, the significant non-comment lines, number):
         the walk stops at non-comment line `stop`, whose line number is
         `number`; 0 when it reaches the end first."""
         first, comments, body = None, [], []
-        for number, line in self._walk():
+        for number, line in _walk(self.text):
             first = first or (number, line)
             if line.startswith(self.marker):
                 comments.append((number, line))
@@ -125,7 +119,7 @@ class Rows:
         Only a regular file is read again: a pipe would give nothing the
         second time.
         """
-        if not self._plain or path.endswith(_COMPRESSED) or not os.path.isfile(path):
+        if isinstance(self.text, str) or path.endswith(_COMPRESSED) or not os.path.isfile(path):
             return None
         first, comments, heads, number = self._split(self._head)
         if not number:  # no body: nothing to save
@@ -141,7 +135,7 @@ class Rows:
     def _numbered(self, k: int) -> tuple[int, str]:
         """(line number, line) of significant non-comment line k, walked
         to lazily.  Error path only."""
-        body = (item for item in self._walk() if not item[1].startswith(self.marker))
+        body = (item for item in _walk(self.text) if not item[1].startswith(self.marker))
         return next(islice(body, k, None))
 
     def head_ints(self, k: int, ncols: int) -> np.ndarray:
@@ -202,16 +196,42 @@ def _as_table(rows: list[str], ncols: int) -> np.ndarray | None:
     return table if table.shape[1] == ncols else None
 
 
-def _lazy_lines(text: str) -> Iterator[str]:
-    """The lines of text split at '\\n', one block at a time: each block
-    ends at the first line end `size` characters on, and `size` doubles
-    from 1 to _BLOCK, so that a walk that stops within the first lines
-    splits little more than them."""
+def first_line(data: bytes) -> str:
+    """The first non-blank line of a file's bytes, stripped, as `Rows`
+    walks it; "" when there is none."""
+    return next(_walk(_text(data)), (1, ""))[1]
+
+
+def _text(data: bytes) -> bytes | str:
+    """A file's bytes as `_walk` reads them: plain text as it is, any
+    other decoded once as UTF-8."""
+    if data.isascii() and not any(c in data for c in _ODD_WHITESPACE):
+        return data
+    return data.decode("utf-8")
+
+
+def _walk(text: bytes | str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) of each non-blank line.
+
+    Plain bytes are split lazily at '\\n', their only line break in the
+    sense of str.splitlines, so a walk that stops early splits and
+    decodes only the block of lines it has reached; a str is split by
+    str.splitlines.
+    """
+    lines = _lazy_lines(text) if isinstance(text, bytes) else text.splitlines()
+    return filter(itemgetter(1), enumerate(map(str.strip, lines), start=1))
+
+
+def _lazy_lines(data: bytes) -> Iterator[str]:
+    """The lines of plain bytes split at '\\n' and decoded as ASCII, one
+    block at a time: each block ends at the first line end `size` bytes
+    on, and `size` doubles from 1 to _BLOCK, so that a walk that stops
+    within the first lines splits and decodes little more than them."""
     start, size = 0, 1
-    while start < len(text):
-        end = text.find("\n", start + size)
-        end = len(text) if end < 0 else end
-        yield from text[start:end].split("\n")
+    while start < len(data):
+        end = data.find(b"\n", start + size)
+        end = len(data) if end < 0 else end
+        yield from data[start:end].decode("ascii").split("\n")
         start, size = end + 1, min(2 * size, _BLOCK)
 
 

@@ -55,15 +55,11 @@ class GraphContext:
     def __init__(self, g: Graph):
         self.g = g
         self.m = build_nm(g)
-        self._transposed = (None, None)  # (the m it was built from, its transpose)
 
-    @property
+    @cached_property
     def transpose(self) -> NeighborhoodMatrix:
-        """M's transpose, shared by the transpose and symmetry checks:
-        built once, and again only when `m` is replaced."""
-        if self._transposed[0] is not self.m:
-            self._transposed = (self.m, transpose(self.m))
-        return self._transposed[1]
+        """M's transpose, shared by the transpose and symmetry checks."""
+        return transpose(self.m)
 
     @cached_property
     def report(self) -> analytics.StructuralReport:

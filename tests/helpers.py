@@ -514,13 +514,13 @@ def as_text(buffer: np.ndarray) -> str:
 
 
 def read_file(reader, text: str, path: Path | None):
-    """reader(text) on the line path alone; or, given a path, the text
-    written there byte for byte and read back as the CLI reads it, passed
-    with the path, so that numpy's C reader may read the file."""
+    """reader on the text's bytes, on the line path alone; or, given a
+    path, the bytes written there and read back as the CLI reads them,
+    passed with the path, so that numpy's C reader may read the file."""
     if path is None:
-        return reader(text)
+        return reader(text.encode("utf-8"))
     path.write_bytes(text.encode("utf-8"))
-    return reader(path.read_text(encoding="utf-8"), str(path))
+    return reader(path.read_bytes(), str(path))
 
 
 def numbered_lines(text: str, marker: str) -> tuple[tuple[int, str], list[tuple[int, str]],

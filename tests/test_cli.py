@@ -55,7 +55,7 @@ class TestCompute:
     def test_matrix_market(self, example7_file, tmp_path):
         out = tmp_path / "m.mtx"
         assert main(["compute", str(example7_file), "--format", "mm", "-o", str(out)]) == 0
-        m = matio.read_matrix_market(out.read_text())
+        m = matio.read_matrix_market(out.read_bytes())
         assert np.array_equal(m.entries, EXAMPLE7_MATRIX)
 
     def test_empty_input(self, tmp_path, capsys):
@@ -218,13 +218,15 @@ class TestTextInput:
         byte, reason = excinfo.value.start, excinfo.value.reason
         assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte {byte}: {reason})\n"
 
-    @pytest.mark.parametrize("command", ["compute", "reconstruct", "analyze"])
+    @pytest.mark.parametrize("command", ["compute", "reconstruct", "analyze", "verify"])
     def test_non_utf8_input_exit_2(self, tmp_path, capsys, command):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"1 2\n3 \xe9\n")
         assert main([command, str(bad)]) == 2
         err = capsys.readouterr().err
         assert "not UTF-8" in err and err.count("\n") == 1
+        if command != "reconstruct":  # test_non_utf8_matrix_names_the_byte pins it
+            assert err == f"error: {bad}: not UTF-8 text (byte 6: invalid continuation byte)\n"
 
 
 def _stdout_bytes(argv: list[str]) -> tuple[int, bytes]:
@@ -379,7 +381,7 @@ def _output_digest(work: Path) -> str:
         edges = work / f"g{k}.edges"
         if isinstance(source, str):
             edges.write_text(source)
-            g = graph.parse_edge_list(source)
+            g = graph.parse_edge_list(source.encode())
         else:
             edges.write_text(as_text(format_edge_list(source)))
             g = source

@@ -54,7 +54,7 @@ from helpers import (
 
 class TestParseEdgeList:
     def test_example7(self):
-        g = parse_edge_list("\n".join(EXAMPLE7_EDGE_LINES))
+        g = parse_edge_list("\n".join(EXAMPLE7_EDGE_LINES).encode())
         assert g.n == 7
         assert g.edge_count == 8
         # N(5) = {2, 4, 6, 7} in external labels
@@ -62,27 +62,27 @@ class TestParseEdgeList:
         assert {g.labels[v] for v in g.adj[idx5]} == {2, 4, 6, 7}
 
     def test_empty_input(self):
-        g = parse_edge_list("")
+        g = parse_edge_list(b"")
         assert g.n == 0
         assert g.edge_count == 0
 
     def test_self_loop_rejected_with_line_number(self):
         with pytest.raises(ParseError) as exc:
-            parse_edge_list("1 2\n3 3\n")
+            parse_edge_list(b"1 2\n3 3\n")
         assert exc.value.line_number == 2
 
     def test_non_integer_token_rejected(self):
         with pytest.raises(ParseError) as exc:
-            parse_edge_list("1 2\n\na b\n")
+            parse_edge_list(b"1 2\n\na b\n")
         assert exc.value.line_number == 3
 
     def test_comments_blanks_and_duplicates(self):
-        g = parse_edge_list("# header\n\n1 2\n2 1\n1 2\n")
+        g = parse_edge_list(b"# header\n\n1 2\n2 1\n1 2\n")
         assert g.n == 2
         assert g.edge_count == 1
 
     def test_first_appearance_label_order(self):
-        g = parse_edge_list("5 9\n9 2\n")
+        g = parse_edge_list(b"5 9\n9 2\n")
         assert g.labels == (5, 9, 2)
 
     def test_degree_sum_is_twice_edges(self):
@@ -91,7 +91,7 @@ class TestParseEdgeList:
 
     def test_format_round_trip(self):
         g = example7_graph()
-        h = parse_edge_list(as_text(format_edge_list(g)))
+        h = parse_edge_list(bytes(format_edge_list(g)))
         # same edge set in external labels (internal order may differ)
         as_labels = lambda gg: {
             frozenset((gg.labels[u], gg.labels[v])) for u, v in edges(gg)
@@ -127,12 +127,12 @@ class TestWholeArrayEdgeList:
     @settings(max_examples=200)
     @given(edge_list_texts())
     def test_parse_and_format_match_references(self, text):
-        g = parse_edge_list(text)
+        g = parse_edge_list(text.encode())
         assert (g.labels, g.adj) == reference_parse(text)
         assert as_text(format_edge_list(g)) == reference_format(g)
 
     def test_int64_extremes(self):
-        g = parse_edge_list("9223372036854775807 0\n+5 9223372036854775807\n")
+        g = parse_edge_list(b"9223372036854775807 0\n+5 9223372036854775807\n")
         assert g.labels == (2**63 - 1, 0, 5)
         assert as_text(format_edge_list(g)) == "0 9223372036854775807\n5 9223372036854775807\n"
 
@@ -144,7 +144,7 @@ class TestWholeArrayEdgeList:
         text = f"7 3\n3 0\n0 {top}\n{top} 7\n"
         unique, calls = np.unique, []
         monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
-        g = parse_edge_list(text)
+        g = parse_edge_list(text.encode())
         assert (g.labels, g.adj) == reference_parse(text)
         assert len(calls) == by_unique
 
@@ -154,12 +154,12 @@ class TestWholeArrayEdgeList:
         tails = rng.integers(0, 5000, lines)
         heads = (tails + rng.integers(1, 5000, lines)) % 5000  # no self-loop
         text = "".join(f"{a} {b}\n" for a, b in zip(tails.tolist(), heads.tolist()))
-        g = parse_edge_list(text)
+        g = parse_edge_list(text.encode())
         assert (g.labels, g.adj) == reference_parse(text)
 
     @pytest.mark.parametrize("text", ["0 9223372036854775807\n", "9223372036854775807 0\n"])
     def test_labels_zero_and_int64_max(self, text):
-        g = parse_edge_list(text)
+        g = parse_edge_list(text.encode())
         assert (g.labels, g.adj) == reference_parse(text)
 
     @pytest.mark.parametrize("text, line, message", [
@@ -322,7 +322,7 @@ class TestFromEdges:
         pairs = [(u, v) for u, v in pairs if u != v]
         text = "".join(f"{u} {v}\n" for u, v in pairs)
         labels, adj = reference_parse(text)
-        g = parse_edge_list(text)
+        g = parse_edge_list(text.encode())
         assert (g.labels, g.adj) == (labels, adj)
         by_label = {label: {labels[w] for w in nbrs} for label, nbrs in zip(labels, adj)}
         h = from_edges(n, pairs)

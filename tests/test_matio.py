@@ -64,7 +64,7 @@ class TestDense:
 class TestMatrixMarket:
     def test_round_trip_example7(self):
         m = build_nm(example7_graph())
-        assert matio.read_matrix_market(as_text(matio.write_matrix_market(m))) == m
+        assert matio.read_matrix_market(bytes(matio.write_matrix_market(m))) == m
 
     def test_header_and_one_based(self):
         m = build_nm(example7_graph())
@@ -86,15 +86,15 @@ class TestMatrixMarket:
     def test_round_trip_random(self):
         for g in random_corpus(15, 20, seed=61):
             m = build_nm(g)
-            assert matio.read_matrix_market(as_text(matio.write_matrix_market(m))) == m
+            assert matio.read_matrix_market(bytes(matio.write_matrix_market(m))) == m
 
     def test_rejects_float_field(self):
         with pytest.raises(ParseError):
-            matio.read_matrix_market("%%MatrixMarket matrix coordinate real general\n1 1 0\n")
+            matio.read_matrix_market(b"%%MatrixMarket matrix coordinate real general\n1 1 0\n")
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
-            matio.read_matrix_market("1 1 0\n")
+            matio.read_matrix_market(b"1 1 0\n")
 
 
 class TestAutoDetect:
@@ -147,7 +147,7 @@ class TestWholeArrayFormat:
         assert dense == reference_dense(m)
         assert mm == reference_matrix_market(m)
         assert matio.read_dense(dense.encode()) == m
-        assert matio.read_matrix_market(mm) == m
+        assert matio.read_matrix_market(mm.encode()) == m
 
     @settings(max_examples=150)
     @given(matrices())
@@ -155,14 +155,14 @@ class TestWholeArrayFormat:
         # the reader hands M over as its nonzero view; writing that view,
         # or densifying it, gives back what the dense M gave
         mm = as_text(matio.write_matrix_market(m))
-        read = matio.read_matrix_market(mm)
+        read = matio.read_matrix_market(mm.encode())
         assert "entries" not in vars(read)
         assert as_text(matio.write_matrix_market(read)) == mm
         assert as_text(matio.write_dense(read)) == as_text(matio.write_dense(m))
         assert np.array_equal(read.entries, m.entries)
 
     def test_explicit_zeros_and_diagonal_coordinates(self):
-        m = matio.read_matrix_market(f"{MM_HEADER}\n3 3 4\n3 1 -1\n1 2 0\n2 2 5\n1 1 0\n")
+        m = matio.read_matrix_market(f"{MM_HEADER}\n3 3 4\n3 1 -1\n1 2 0\n2 2 5\n1 1 0\n".encode())
         assert m.entries.tolist() == [[0, 0, 0], [0, 5, 0], [-1, 0, 0]]
         rows, cols, vals = m.nonzeros()
         assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([1, 2], [1, 0], [5, -1])
@@ -176,7 +176,7 @@ class TestWholeArrayFormat:
         assert as_text(matio.write_dense(m)) == reference_dense(m)
         assert as_text(matio.write_matrix_market(m)) == reference_matrix_market(m)
         assert matio.read_dense(bytes(matio.write_dense(m))) == m
-        assert matio.read_matrix_market(as_text(matio.write_matrix_market(m))) == m
+        assert matio.read_matrix_market(bytes(matio.write_matrix_market(m))) == m
 
     def test_many_row_blocks_at_the_default_size(self):
         n = 300  # 90 000 entries: more than one block of _BLOCK entries
@@ -191,12 +191,12 @@ class TestWholeArrayFormat:
         assert dense == reference_dense(m)
         assert mm == reference_matrix_market(m)
         assert matio.read_dense(dense.encode()) == m
-        assert matio.read_matrix_market(mm) == m
+        assert matio.read_matrix_market(mm.encode()) == m
 
     def test_edgeless_matrix_market_round_trip(self):
         # nnz is 0, so only the labels comment makes the file longer than n
         m = build_nm(edgeless(40))
-        assert matio.read_matrix_market(as_text(matio.write_matrix_market(m))) == m
+        assert matio.read_matrix_market(bytes(matio.write_matrix_market(m))) == m
 
 
 @st.composite
@@ -415,7 +415,7 @@ class TestDenseFastPath:
         edges.write_text("".join(f"{u} {v}\n" for u, v in zip(tails[keep], heads[keep])))
         assert main(["compute", str(edges), "-o", str(tmp_path / "m.dense")]) == 0
         data = (tmp_path / "m.dense").read_bytes()
-        expected = matio._read_lines(data.decode())
+        expected = matio._read_lines(data)
         monkeypatch.setattr("nmgraph.textio.np.loadtxt", _no_loadtxt)
         assert matio.read_dense(data) == expected
 
@@ -486,7 +486,7 @@ class TestMalformedMatrixMarket:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParseError, match=expected) as excinfo:
-                matio.read_matrix_market(f"{MM_HEADER}\n2 2 1\n{coordinate} 1\n")
+                matio.read_matrix_market(f"{MM_HEADER}\n2 2 1\n{coordinate} 1\n".encode())
         assert excinfo.value.line_number == 3
 
     @pytest.mark.parametrize("body, message, line", [
@@ -514,7 +514,7 @@ class TestMalformedMatrixMarket:
     ])
     def test_only_general_symmetry(self, header):
         with pytest.raises(ParseError) as excinfo:
-            matio.read_matrix_market(f"{header}\n2 2 1\n1 2 1\n")
+            matio.read_matrix_market(f"{header}\n2 2 1\n1 2 1\n".encode())
         assert excinfo.value.line_number == 1
 
     @pytest.mark.parametrize("text", [
@@ -526,7 +526,7 @@ class TestMalformedMatrixMarket:
     ])
     def test_dimension_checked_before_allocation(self, text):
         with pytest.raises(ParseError):
-            matio.read_matrix_market(text)
+            matio.read_matrix_market(text.encode())
 
     @pytest.mark.parametrize("body", [
         "2 2 1_0\n",
@@ -537,26 +537,26 @@ class TestMalformedMatrixMarket:
     ])
     def test_size_line_and_labels_follow_the_entry_grammar(self, body):
         with pytest.raises(ParseError) as excinfo:
-            matio.read_matrix_market(f"{MM_HEADER}\n{body}")
+            matio.read_matrix_market(f"{MM_HEADER}\n{body}".encode())
         assert excinfo.value.line_number == 2
 
     def test_banner_after_blank_lines(self):
         m = build_nm(example7_graph())
         mm = "\n  \n" + as_text(matio.write_matrix_market(m))
-        assert matio.read_matrix_market(mm) == m
+        assert matio.read_matrix_market(mm.encode()) == m
         assert matio.read_auto(mm.encode()) == m
         with pytest.raises(ParseError) as excinfo:
-            matio.read_matrix_market("\n%%MatrixMarket matrix coordinate real general\n1 1 0\n")
+            matio.read_matrix_market(b"\n%%MatrixMarket matrix coordinate real general\n1 1 0\n")
         assert excinfo.value.line_number == 2
 
     def test_label_count_must_match(self):
         with pytest.raises(ParseError, match="2 labels for dimension 3"):
-            matio.read_matrix_market(f"{MM_HEADER}\n% labels: 4 5\n3 3 0\n")
+            matio.read_matrix_market(f"{MM_HEADER}\n% labels: 4 5\n3 3 0\n".encode())
 
     @pytest.mark.parametrize("comment", ["% labels: 1 1", "% labels: -5 7"])
     def test_bad_labels_comment(self, comment):
         with pytest.raises(ParseError, match="labels") as excinfo:
-            matio.read_matrix_market(f"{MM_HEADER}\n{comment}\n2 2 0\n")
+            matio.read_matrix_market(f"{MM_HEADER}\n{comment}\n2 2 0\n".encode())
         assert excinfo.value.line_number == 2
 
 

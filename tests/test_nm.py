@@ -295,7 +295,7 @@ def _dense_lines(m: NeighborhoodMatrix) -> bytes:
     return b"# c\n" + bytes(matio.write_dense(m))
 
 
-def _matrix_market(m: NeighborhoodMatrix, order: slice) -> str:
+def _matrix_market(m: NeighborhoodMatrix, order: slice) -> bytes:
     """m's nonzero entries, the diagonal's among them, as a Matrix Market
     text in row-major order or reversed, with an explicit zero at (1, 3)."""
     n = len(m.entries)
@@ -304,7 +304,8 @@ def _matrix_market(m: NeighborhoodMatrix, order: slice) -> str:
     coordinates = np.argwhere(listed)[order]
     return "".join([f"%%MatrixMarket matrix coordinate integer general\n{n} {n} "
                     f"{len(coordinates)}\n",
-                    *(f"{r + 1} {c + 1} {m.entries[r, c]}\n" for r, c in coordinates.tolist())])
+                    *(f"{r + 1} {c + 1} {m.entries[r, c]}\n" for r, c in coordinates.tolist())]
+                   ).encode()
 
 
 PRODUCERS = {
@@ -633,7 +634,7 @@ def _handed_over(entries: np.ndarray, labels: tuple[int, ...]) -> list[Neighborh
     text = "".join([f"%%MatrixMarket matrix coordinate integer general\n"
                     f"% labels: {' '.join(map(str, labels))}\n{n} {n} {len(coordinates)}\n",
                     *(f"{r + 1} {c + 1} {entries[r, c]}\n" for r, c in coordinates.tolist())])
-    return [NeighborhoodMatrix(entries, labels), view, read_matrix_market(text)]
+    return [NeighborhoodMatrix(entries, labels), view, read_matrix_market(text.encode())]
 
 
 class TestViewFunctionsMatchDenseReferences:

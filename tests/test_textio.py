@@ -4,6 +4,7 @@ path that decides every text it could read differently."""
 from __future__ import annotations
 
 import ast
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -111,11 +112,10 @@ class TestLineNumbers:
         if suffix is not None:
             path = input_dir / f"{fmt}{suffix}"
             path.write_bytes(text.encode("utf-8"))
-            text = path.read_text(encoding="utf-8")  # as the CLI reads it
         first, comments, body = numbered_lines(text, marker)
         # a small block makes a lazy split cut most texts into several blocks
         with mock.patch.object(textio, "_BLOCK", block):
-            rows = textio.Rows(text, marker, head, path and str(path))
+            rows = textio.Rows(text.encode("utf-8"), marker, head, path and str(path))
             assert (rows.first, rows.comments, rows.count) == (first, comments, len(body))
             assert ([(rows.error(k, "").line_number, rows.line(k)) for k in range(rows.count)]
                     == body)
@@ -133,7 +133,7 @@ def plain_inputs():
 
 @pytest.mark.parametrize("reader, text", plain_inputs(), ids=["edges", "mm"])
 def test_plain_file_builds_no_line_list(reader, text, tmp_path, monkeypatch):
-    expected = reader(text)
+    expected = reader(text.encode())
     monkeypatch.setattr(textio.Rows, "_walked", property(refuse_walk))
     assert read_file(reader, text, tmp_path / "input.txt") == expected
 
@@ -164,15 +164,15 @@ def test_error_after_the_file_read_walks_only_to_its_line(bad, message, tmp_path
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
 def test_compressed_suffix_is_read_as_plain_text(reader, text, suffix, tmp_path):
     # numpy would open the file through a decompressor, so the line path reads it
-    assert read_file(reader, text, tmp_path / f"input{suffix}") == reader(text)
+    assert read_file(reader, text, tmp_path / f"input{suffix}") == reader(text.encode())
 
 
 def test_carriage_return_in_the_text_as_given(tmp_path):
     # a text read without newline translation: numpy would read the file's
     # lines with it, so the line path reads the text
-    text = "%%MatrixMarket matrix coordinate integer general\n2 2 2\r1 2 5\n2 1 5\n"
+    text = b"%%MatrixMarket matrix coordinate integer general\n2 2 2\r1 2 5\n2 1 5\n"
     path = tmp_path / "input.mtx"
-    path.write_bytes(text.encode("ascii"))
+    path.write_bytes(text)
     assert matio.read_matrix_market(text, str(path)) == matio.read_matrix_market(text)
 
 
@@ -197,7 +197,7 @@ def test_bad_row_is_found_with_log_n_loadtxt_calls(bad, at, monkeypatch):
     lines = [f"{v} {v + 1}" for v in range(1000)]
     lines[at] = bad
     lines[300:300] = ["# c", ""]
-    text = "\n".join(lines) + "\n"
+    text = ("\n".join(lines) + "\n").encode()
     expected = _per_line_error(textio.Rows(text, "#"), 2)
     loadtxt, calls = np.loadtxt, []
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
@@ -209,17 +209,41 @@ def test_bad_row_is_found_with_log_n_loadtxt_calls(bad, at, monkeypatch):
 
 
 def test_only_textio_calls_loadtxt():
-    # every reader goes through the same C path and the same fallback, and
-    # splits a text into lines only through textio's one walk; cli splits
-    # only its own output
-    callers = {"loadtxt": set(), "splitlines": set()}
+    # every reader goes through the same C path and the same fallback,
+    # takes the file's bytes, and splits and decodes them only through
+    # textio's one walk; cli splits only its own output
+    callers = {"loadtxt": set(), "splitlines": set(), "decode": set(), "read_text": set()}
     for path in sorted(Path(nmgraph.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else None)
             if name in callers:
                 callers[name].add(path.stem)
-    assert callers == {"loadtxt": {"textio"}, "splitlines": {"cli", "textio"}}
+    assert callers == {"loadtxt": {"textio"}, "splitlines": {"cli", "textio"},
+                       "decode": {"textio"}, "read_text": set()}
+
+
+def test_path_read_builds_no_whole_file_str(tmp_path):
+    # 4 MB of plain text: a walk decodes only the blocks it reaches, numpy
+    # reads the body from the file, and a str of the whole file would add
+    # its size to the 1.6 MB table
+    rng = np.random.default_rng(1)
+    pairs = rng.integers(2**62, 2**63 - 1, size=(100_000, 2))
+    path = tmp_path / "big.edges"
+    path.write_bytes("".join(f"{a} {b}\n" for a, b in pairs.tolist()).encode())
+    data = path.read_bytes()
+    tracemalloc.start()
+    try:
+        first = textio.first_line(data)
+        first_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        table = textio.Rows(data, "#", path=str(path)).table(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == f"{pairs[0, 0]} {pairs[0, 1]}" and first_peak < 1 << 16
+    assert np.array_equal(table, pairs)
+    assert peak < table.nbytes + len(data) // 2
 
 
 def _tokens(text: str) -> tuple[np.ndarray, np.ndarray]:

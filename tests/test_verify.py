@@ -318,7 +318,7 @@ def test_counterexample_keeps_vertices(monkeypatch, g, header, edges):
     (result,) = verify.run_suite([g])
     text = result.counterexample
     assert text.splitlines()[0] == header
-    replayed = parse_edge_list(text)  # the '#' line is skipped
+    replayed = parse_edge_list(text.encode())  # the '#' line is skipped
     assert replayed.edge_count == g.edge_count == edges
     assert set(replayed.labels) == {g.labels[v] for v in range(g.n) if g.adj[v]}
 
@@ -330,10 +330,11 @@ def components_regular(g: Graph) -> bool:
 
 
 def assert_regularity_read_as_components(g: Graph) -> None:
-    ctx = verify.GraphContext(g)
-    assert SYMMETRY(ctx) is None
+    assert SYMMETRY(verify.GraphContext(g)) is None
     # Against a symmetric matrix the check passes iff it finds every
-    # component regular, so this pins its regularity test alone.
+    # component regular, so this pins its regularity test alone.  M is
+    # swapped before any check runs, so the cached transpose is its own.
+    ctx = verify.GraphContext(g)
     ctx.m = NeighborhoodMatrix(entries=np.zeros((g.n, g.n), dtype=np.int64), labels=g.labels)
     assert (SYMMETRY(ctx) is None) == components_regular(g)
 

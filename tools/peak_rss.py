@@ -1,10 +1,10 @@
 """Run one `nmgraph` command in a fresh process and print one JSON line:
 its `argv`, its `exit` code, its wall time `wall_s`, its peak resident
-memory `peak_mib` and its minor page faults `minflt`, the child's
-`ru_maxrss` and `ru_minflt` from getrusage(RUSAGE_CHILDREN).  A minor
-fault is a page the process touched for the first time, or again after
-the allocator returned it to the system: the count shows memory churn
-that the peak does not.
+memory `peak_mib` and its minor page faults `minflt`, the child's own
+`ru_maxrss` and `ru_minflt` as wait4 reports them.  A minor fault is a
+page the process touched for the first time, or again after the
+allocator returned it to the system: the count shows memory churn that
+the peak does not.
 
     python tools/peak_rss.py compute big.edges --format mm -o big.mtx
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -26,17 +25,23 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def main(argv: list[str]) -> int:
+def run(argv: list[str]) -> dict:
+    """The JSON fields above for one run of `nmgraph argv`.  wait4 gives
+    this child's usage alone, so one process may run many."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "nmgraph.cli", *argv],
-                          stdout=subprocess.DEVNULL, env=env)
+    child = subprocess.Popen([sys.executable, "-m", "nmgraph.cli", *argv],
+                             stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    print(json.dumps({"argv": argv, "exit": done.returncode, "wall_s": round(wall, 3),
-                      "peak_mib": round(usage.ru_maxrss / 1024, 1),
-                      "minflt": usage.ru_minflt}))
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return {"argv": argv, "exit": child.returncode, "wall_s": round(wall, 3),
+            "peak_mib": round(usage.ru_maxrss / 1024, 1), "minflt": usage.ru_minflt}
+
+
+def main(argv: list[str]) -> int:
+    print(json.dumps(run(argv)))
     return 0
 
 
